@@ -583,6 +583,8 @@ def parse_command(argv):
         for name in names:
             if not valid_instance_name(name):
                 raise ParseError(f"unknown instance {name!r}", 0)
+        if ns.budget < 0 or ns.sweep < 0:
+            raise ParseError("--budget and --sweep must be natural numbers", 0)
         seed = ns.seed if ns.seed is not None else default_seed()
         return LawsCmd(names, seed, ns.budget, ns.sweep, ns.as_json)
     if cmd == "factor":
@@ -755,17 +757,20 @@ def _run_sort(cmd: SortCmd):
 def _run_pow(cmd: PowCmd):
     monoid = resolve_monoid(cmd.monoid)
     base = cmd.base
+    is_bin = cmd.monoid == "bin-add"
+    if base < 0 and (is_bin or cmd.monoid.startswith("nat")):
+        raise InvalidInputError("base must be a natural number for this monoid")
     m = _ZMOD_RE.match(cmd.monoid)
     if m:
         base = make_residue(int_ring(), int(m.group(1)), base)
-    if cmd.monoid.startswith("nat") and cmd.base < 0:
-        raise InvalidInputError("base must be a natural number for this monoid")
+    elif is_bin:
+        base = to_bin(base)
     result = power(monoid, base, cmd.exponent)
     doc = {"command": "pow", "monoid": cmd.monoid, "base": cmd.base,
            "exponent": cmd.exponent,
            "exponent_bits": bin_to_str(to_bin(cmd.exponent)),
            "result": result}
-    return 0, _emit(cmd.as_json, doc, str(result))
+    return 0, _emit(cmd.as_json, doc, bin_to_str(result) if is_bin else str(result))
 
 
 def _run_prove(cmd: ProveCmd):

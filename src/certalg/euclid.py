@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import DSet, Decision, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance
 from .numbers import int_dset, _mixed_int
 
 
@@ -243,19 +243,19 @@ def make_residue(ring: StructureInstance, b, v) -> Residue:
     return Residue(b, ring.ops["div_mod"](v, b)[1])
 
 
-def _residue_dset(ring: StructureInstance, b) -> DSet:
+def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
+    """Carrier of R/(b); rem maps a ring element to its canonical remainder."""
     base_eq = ring.base.eq
-    dm = ring.ops["div_mod"]
-
-    def eq(x, y):
-        if x.modulus != y.modulus:
-            return Decision.no(("modulus", x.modulus, y.modulus))
-        d = base_eq(x.value, y.value)
-        return Decision.yes(x.value) if d.holds else Decision.no((x.value, y.value))
+    if ring is int_ring():
+        def eq(x, y):
+            return YES if x.value == y.value and x.modulus == y.modulus else NO
+    else:
+        def eq(x, y):
+            return YES if x.modulus == y.modulus and base_eq(x.value, y.value).holds else NO
 
     def sample(seed, count):
         rng = random.Random(seed)
-        return [Residue(b, dm(_mixed_int(rng), b)[1]) for _ in range(count)]
+        return [Residue(b, rem(_mixed_int(rng))) for _ in range(count)]
 
     enumeration = None
     if isinstance(b, int):
@@ -266,37 +266,53 @@ def _residue_dset(ring: StructureInstance, b) -> DSet:
 
     def variants(x, rng):
         k = rng.randint(1, 5)
-        raw = add(x.value, mul(k, b))
-        return [Residue(b, dm(raw, b)[1])]
+        return [Residue(b, rem(add(x.value, mul(k, b))))]
 
     return DSet(f"{ring.base.name}/({b})", eq, sample, enumeration, variants)
 
 
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:
-    """The quotient ring of a Euclidean ring by (b), on canonical remainders."""
+    """The quotient ring of a Euclidean ring by (b), on canonical remainders.
+
+    Over the shipped int_ring() the ops reduce with Python's % directly;
+    any other ring goes through its div_mod.
+    """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
     if eq(b, zero).holds:
         raise InvalidInputError("zero modulus")
     if ring.ops["is_unit"](b):
         raise InvalidInputError(f"modulus {b} is invertible; the quotient collapses")
-    dm = ring.ops["div_mod"]
-    radd = ring.ops["add"]
-    rneg = ring.ops["neg"]
-    rmul = ring.ops["mul"]
     one = ring.ops["one"]()
 
-    def red(v):
-        return Residue(b, dm(v, b)[1])
+    if ring is int_ring():
+        m = abs(b)
 
-    ops = {
-        "add": lambda x, y: red(radd(x.value, y.value)),
-        "neg": lambda x: red(rneg(x.value)),
-        "zero": lambda: Residue(b, zero),
-        "mul": lambda x, y: red(rmul(x.value, y.value)),
-        "one": lambda: red(one),
-    }
-    return StructureInstance(Kind.COMMUTATIVE_RING, _residue_dset(ring, b), ops,
+        def rem(v):
+            return v % m
+
+        ops = {
+            "add": lambda x, y: Residue(b, (x.value + y.value) % m),
+            "neg": lambda x: Residue(b, -x.value % m),
+            "mul": lambda x, y: Residue(b, x.value * y.value % m),
+        }
+    else:
+        dm = ring.ops["div_mod"]
+        radd = ring.ops["add"]
+        rneg = ring.ops["neg"]
+        rmul = ring.ops["mul"]
+
+        def rem(v):
+            return dm(v, b)[1]
+
+        ops = {
+            "add": lambda x, y: Residue(b, rem(radd(x.value, y.value))),
+            "neg": lambda x: Residue(b, rem(rneg(x.value))),
+            "mul": lambda x, y: Residue(b, rem(rmul(x.value, y.value))),
+        }
+    ops["zero"] = lambda: Residue(b, zero)
+    ops["one"] = lambda: Residue(b, rem(one))
+    return StructureInstance(Kind.COMMUTATIVE_RING, _residue_dset(ring, b, rem), ops,
                              f"{ring.name}/({b})")
 
 
@@ -314,21 +330,32 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
         raise CompositeModulusError(cert)
 
     base = residue_ring(ring, b)
-    eq = ring.base.eq
-    zero = ring.ops["zero"]()
-    one = ring.ops["one"]()
-    dm = ring.ops["div_mod"]
-    mul = ring.ops["mul"]
-    unit_inv = ring.ops["unit_inv"]
+    if ring is int_ring():
+        m = abs(b)
 
-    def inv(x: Residue) -> Residue:
-        if eq(x.value, zero).holds:
-            raise ZeroDivisionError("inverse of zero residue")
-        c = extended_gcd(ring, x.value, b)
-        if not ring.ops["is_unit"](c.g):
-            raise InvalidInputError(f"{x.value} shares a factor with the modulus {b}")
-        u = mul(unit_inv(c.g), c.u)
-        return Residue(b, dm(u, b)[1])
+        def inv(x: Residue) -> Residue:
+            if x.value == 0:
+                raise ZeroDivisionError("inverse of zero residue")
+            try:
+                return Residue(b, pow(x.value, -1, m))
+            except ValueError:  # a non-canonical value such as Residue(7, 14)
+                raise InvalidInputError(
+                    f"{x.value} shares a factor with the modulus {b}") from None
+    else:
+        eq = ring.base.eq
+        zero = ring.ops["zero"]()
+        dm = ring.ops["div_mod"]
+        mul = ring.ops["mul"]
+        unit_inv = ring.ops["unit_inv"]
+
+        def inv(x: Residue) -> Residue:
+            if eq(x.value, zero).holds:
+                raise ZeroDivisionError("inverse of zero residue")
+            c = extended_gcd(ring, x.value, b)
+            if not ring.ops["is_unit"](c.g):
+                raise InvalidInputError(f"{x.value} shares a factor with the modulus {b}")
+            u = mul(unit_inv(c.g), c.u)
+            return Residue(b, dm(u, b)[1])
 
     ops = dict(base.ops)
     ops["inv"] = inv

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .structures import DSet, Decision, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance
 from .euclid import int_ring
 from .numbers import _mixed_int
 
@@ -147,9 +147,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
     base_eq = ring.base.eq
 
     def eq(x, y):
-        if base_eq(x.num, y.num).holds and base_eq(x.den, y.den).holds:
-            return Decision.yes((x.num, x.den))
-        return Decision.no((x, y))
+        return YES if base_eq(x.num, y.num).holds and base_eq(x.den, y.den).holds else NO
 
     def sample(seed, count):
         rng = random.Random(seed)

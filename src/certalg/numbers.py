@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Decision, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance
 
 
 def monus(a: int, b: int) -> int:
@@ -110,8 +110,8 @@ def power_instrumented(monoid: StructureInstance, x, n: int):
 # carriers
 
 
-def _int_eq(a, b):
-    return Decision.yes(a) if a == b else Decision.no((a, b))
+def _value_eq(a, b):
+    return YES if a == b else NO
 
 
 def _mixed_int(rng: random.Random) -> int:
@@ -130,7 +130,7 @@ def int_dset() -> DSet:
         return [_mixed_int(rng) for _ in range(count)]
 
     enum = (0,) + tuple(v for k in range(1, 17) for v in (k, -k))
-    return DSet("int", _int_eq, sample, enumeration=enum)
+    return DSet("int", _value_eq, sample, enumeration=enum)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +139,7 @@ def nat_dset() -> DSet:
         rng = random.Random(seed)
         return [abs(_mixed_int(rng)) for _ in range(count)]
 
-    return DSet("nat", _int_eq, sample, enumeration=tuple(range(33)))
+    return DSet("nat", _value_eq, sample, enumeration=tuple(range(33)))
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +148,7 @@ def pos_nat_dset() -> DSet:
         rng = random.Random(seed)
         return [abs(_mixed_int(rng)) + 1 for _ in range(count)]
 
-    return DSet("nat>=1", _int_eq, sample, enumeration=tuple(range(1, 34)))
-
-
-def _bin_eq(a, b):
-    return Decision.yes(tuple(a)) if a == b else Decision.no((tuple(a), tuple(b)))
+    return DSet("nat>=1", _value_eq, sample, enumeration=tuple(range(1, 34)))
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +157,7 @@ def bin_dset() -> DSet:
         rng = random.Random(seed)
         return [to_bin(abs(_mixed_int(rng))) for _ in range(count)]
 
-    return DSet("bin", _bin_eq, sample,
+    return DSet("bin", _value_eq, sample,
                 enumeration=tuple(to_bin(n) for n in range(17)))
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import StructuralError
-from .structures import DSet, Decision, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,11 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
 
     def eq(p, q):
         if len(p.terms) != len(q.terms):
-            return Decision.no((p, q))
+            return NO
         for (c1, e1), (c2, e2) in zip(p.terms, q.terms):
             if e1 != e2 or not coeff_eq(c1, c2).holds:
-                return Decision.no((p, q))
-        return Decision.yes(p.terms)
+                return NO
+        return YES
 
     coeff_sample = ring.base.sample
 

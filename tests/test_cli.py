@@ -214,6 +214,15 @@ def test_pow_command():
     assert (code, text) == (0, "1024")
 
 
+def test_pow_bin_add_command():
+    code, text = run_argv(["pow", "bin-add", "5", "3"])
+    assert (code, text) == (0, "0b1111")
+    code, text = run_argv(["pow", "bin-add", "5", "3", "--json"])
+    assert code == 0
+    assert json.loads(text)["result"] == [1, 1, 1, 1]
+    assert run_argv(["pow", "bin-add", "--", "-5", "3"])[0] == 7
+
+
 def test_prove_command_verdicts():
     code, text = run_argv(["prove", "--theory", "csr", "x*(y+z) = x*y + x*z"])
     assert code == 0
@@ -252,6 +261,12 @@ def test_exit_2_parse_error():
     code, text = run_argv(["frac", "1 +"])
     assert code == 2
     assert text.startswith("error:")
+
+
+def test_laws_rejects_negative_budget_and_sweep(capsys):
+    assert main(["laws", "nat-add", "--budget", "-5"]) == 2
+    assert main(["laws", "nat-add", "--sweep", "-1"]) == 2
+    assert "natural" in capsys.readouterr().err
 
 
 def test_exit_3_division_by_zero():

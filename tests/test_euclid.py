@@ -12,7 +12,7 @@ from certalg.euclid import (BezoutCertificate, DividesWitness, PrimalityCert,
                             extended_gcd, int_ring, is_prime, make_residue,
                             prime_split, residue_field, residue_ring,
                             verify_bezout, verify_primality)
-from certalg.structures import Kind, check_laws
+from certalg.structures import Kind, StructureInstance, check_laws
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +260,44 @@ def test_residue_values_carry_their_modulus(ring):
     a = make_residue(ring, 6, 2)
     b = make_residue(ring, 7, 2)
     assert not zr6.base.eq(a, b).holds
+
+
+def _generic_int_ring():
+    # same ops, but not the shipped int_ring() object: residue rings built
+    # over it reduce through div_mod and invert through extended_gcd
+    r = int_ring()
+    return StructureInstance(r.kind, r.base, dict(r.ops), r.name)
+
+
+def test_native_residue_ops_agree_with_the_generic_route(ring):
+    generic = _generic_int_ring()
+    for b in list(range(2, 51)) + [-7, -12]:
+        fast, slow = residue_ring(ring, b), residue_ring(generic, b)
+        assert fast.base.enumeration == slow.base.enumeration
+        assert fast.base.sample(5, 60) == slow.base.sample(5, 60)
+        assert fast.ops["zero"]() == slow.ops["zero"]()
+        assert fast.ops["one"]() == slow.ops["one"]()
+        elems = fast.base.enumeration
+        for x in elems:
+            assert fast.ops["neg"](x) == slow.ops["neg"](x)
+            for y in elems:
+                assert fast.ops["add"](x, y) == slow.ops["add"](x, y)
+                assert fast.ops["mul"](x, y) == slow.ops["mul"](x, y)
+                assert fast.base.eq(x, y).holds == slow.base.eq(x, y).holds
+
+
+def test_native_residue_inverse_agrees_with_the_generic_route(ring):
+    generic = _generic_int_ring()
+    for p in (p for p in range(2, 100) if is_prime(p).verdict == "prime"):
+        fast = residue_field(ring, p, is_prime(p)).ops["inv"]
+        slow = residue_field(generic, p, is_prime(p)).ops["inv"]
+        for v in range(1, p):
+            assert fast(Residue(p, v)) == slow(Residue(p, v))
+        for inv in (fast, slow):
+            with pytest.raises(ZeroDivisionError):
+                inv(Residue(p, 0))
+            with pytest.raises(InvalidInputError):
+                inv(Residue(p, 2 * p))
 
 
 def test_int_ring_is_lawful_and_euclidean(ring):

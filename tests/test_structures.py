@@ -4,7 +4,7 @@ import pytest
 
 from certalg.errors import StructuralError
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
-                                ancestors, check_laws, decide_eq,
+                                _laws_for, ancestors, check_laws, decide_eq,
                                 direct_product, multiplicative_monoid,
                                 recheck_failure, validate_instance, view_as)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid,
@@ -215,6 +215,15 @@ def test_multiplicative_monoid_of_commutative_ring():
     assert m.ops["op"](6, 7) == 42
     assert m.ops["identity"]() == 1
     assert check_laws(m, seed=1, budget=80).ok
+
+
+@pytest.mark.parametrize("make", [int_ring, nat_monus_semigroup])
+def test_every_law_gets_its_sweep_and_budget_cases(make):
+    # the shared sample pool must hand each law its full budget
+    inst = make()
+    budget, sweep = 37, 3
+    report = check_laws(inst, seed=4, budget=budget, sweep=sweep)
+    assert report.cases == sum(sweep ** law.case_arity + budget for law in _laws_for(inst))
 
 
 def test_law_failure_report_counts_cases():
