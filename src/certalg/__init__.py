@@ -5,10 +5,11 @@ carrier description (DSet) and named operations. check_laws runs the law
 suite any instance of that kind must satisfy and reports recheckable
 counterexamples. On top of that sit certified algorithms whose outputs carry
 enough data to be verified independently: extended gcd with Bezout
-coefficients, primality with factor witnesses, residue fields gated on
-verified primality, canonical fractions, sparse polynomial groups, certified
-sorting with permutation witnesses, binary powering, and an equational
-prover by normalization for monoid and semiring theories.
+coefficients, primality with factor witnesses and Pratt certificates,
+certified factoring, residue fields gated on verified primality, canonical
+fractions, sparse polynomial groups, certified sorting with permutation
+witnesses, binary powering, and an equational prover by normalization for
+monoid and semiring theories.
 """
 
 from .errors import (CertAlgError, CompositeModulusError, InvalidInputError,
@@ -21,9 +22,9 @@ from .numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
                       int_add_group, int_dset, monus, nat_add_monoid,
                       nat_dset, nat_monus_semigroup, nat_mul_monoid,
                       pos_nat_mul_monoid, power, power_instrumented, to_bin)
-from .euclid import (BezoutCertificate, DividesWitness, PrimalityCert,
-                     Residue, check_divides, div_mod, euclidean_div_mod,
-                     extended_gcd, int_ring, is_prime, make_residue,
+from .euclid import (BezoutCertificate, DividesWitness, PrattCertificate,
+                     PrimalityCert, Residue, check_divides, div_mod,
+                     euclidean_div_mod, extended_gcd, int_ring, is_prime, make_residue,
                      prime_split, residue_field, residue_ring, verify_bezout,
                      verify_primality)
 from .factorization import (FactorEntry, FactorizationData,
@@ -58,7 +59,8 @@ __all__ = [
     "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
     "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",
     "to_bin",
-    "BezoutCertificate", "DividesWitness", "PrimalityCert", "Residue",
+    "BezoutCertificate", "DividesWitness", "PrattCertificate", "PrimalityCert",
+    "Residue",
     "check_divides", "div_mod", "euclidean_div_mod", "extended_gcd",
     "int_ring", "is_prime", "make_residue", "prime_split", "residue_field",
     "residue_ring", "verify_bezout", "verify_primality",

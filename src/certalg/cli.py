@@ -82,6 +82,10 @@ Expr = object
 
 MODES = ("int", "frac", "poly", "term")
 
+# Bounds both the parser's recursion through parentheses and negation and
+# the depth of the tree it builds, which the recursive evaluators walk.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str):
     toks = []
@@ -119,6 +123,12 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.mode = mode
+        self.nesting = 0
+
+    def enter(self, pos):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
 
     def peek(self):
         return self.toks[self.i]
@@ -135,6 +145,8 @@ class _Parser:
         k, _, pos = self.peek()
         if k != "end":
             raise ParseError("trailing input", pos, ("end",))
+        if _tree_depth(node) > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self):
@@ -173,7 +185,10 @@ class _Parser:
             if self.mode == "term":
                 raise ParseError("negation is outside this grammar", pos)
             self.i += 1
-            return Neg(self.unary())
+            self.enter(pos)
+            node = Neg(self.unary())
+            self.nesting -= 1
+            return node
         return self.atom()
 
     def atom(self):
@@ -200,10 +215,24 @@ class _Parser:
             raise ParseError("names are not allowed here", pos)
         if k == "(":
             self.i += 1
+            self.enter(pos)
             node = self.expr()
             self.expect(")")
+            self.nesting -= 1
             return node
         raise ParseError(f"unexpected {k!r}", pos, ("int", "("))
+
+
+def _tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BinOp):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Neg):
+            stack.append((node.operand, depth + 1))
+    return deepest
 
 
 def parse_expr(text: str, mode: str) -> Expr:
@@ -535,7 +564,8 @@ def _build_argparser() -> _ArgumentParser:
     sp.add_argument("b", type=int)
     common(sp)
 
-    sp = sub.add_parser("isprime", help="primality with a factor witness when composite")
+    sp = sub.add_parser("isprime", help="primality: a factor witness when composite, a "
+                        "Pratt certificate when prime (exit 7 past the rho fuel)")
     sp.add_argument("n", type=int)
     common(sp)
 
@@ -585,6 +615,8 @@ def parse_command(argv):
                 raise ParseError(f"unknown instance {name!r}", 0)
         if ns.budget < 0 or ns.sweep < 0:
             raise ParseError("--budget and --sweep must be natural numbers", 0)
+        if ns.budget == 0 and ns.sweep == 0:
+            raise ParseError("--budget 0 with --sweep 0 checks no case", 0)
         seed = ns.seed if ns.seed is not None else default_seed()
         return LawsCmd(names, seed, ns.budget, ns.sweep, ns.as_json)
     if cmd == "factor":
@@ -642,7 +674,7 @@ def _emit(as_json: bool, doc: dict, text: str):
 def _run_laws(cmd: LawsCmd):
     lines = []
     results = []
-    any_failures = False
+    all_ok = True
     for name in cmd.names:
         inst = resolve_instance(name)
         report = check_laws(inst, seed=cmd.seed, budget=cmd.budget, sweep=cmd.sweep)
@@ -652,16 +684,16 @@ def _run_laws(cmd: LawsCmd):
             "cases": report.cases,
             "failures": [[law, repr(case)] for law, case in report.failures],
         })
-        if report.failures:
-            any_failures = True
+        if report.ok:
+            lines.append(f"{name}: ok ({report.cases} cases)")
+        else:
+            all_ok = False
             lines.append(f"{name}: {len(report.failures)} failures in {report.cases} cases")
             for law, case in report.failures[:5]:
                 lines.append(f"  {law}: {case!r}")
-        else:
-            lines.append(f"{name}: ok ({report.cases} cases)")
-    code = 5 if any_failures else 0
+    code = 0 if all_ok else 5
     doc = {"command": "laws", "seed": cmd.seed, "budget": cmd.budget,
-           "sweep": cmd.sweep, "ok": not any_failures, "instances": results}
+           "sweep": cmd.sweep, "ok": all_ok, "instances": results}
     return code, _emit(cmd.as_json, doc, "\n".join(lines))
 
 

@@ -1,9 +1,21 @@
-"""Euclidean division, extended gcd with Bezout certificates, prime split,
-and residue rings R/(b) with a field upgrade for prime moduli.
+"""Euclidean division, extended gcd with Bezout certificates, certified
+primality and factoring of integers, prime split, and residue rings R/(b)
+with a field upgrade for prime moduli.
 
-All algorithms are written against a ring instance's ops table, so they
+The ring algorithms are written against a ring instance's ops table, so they
 work for any Euclidean ring; the integers ship as the concrete instance.
 Division with remainder is canonical: 0 <= r < |b|.
+
+Primality and factoring work on plain ints. Below TRIAL_BOUND = 2^20, trial
+division by the primes below 2^10 (one gcd with their product) decides and
+re-checks. At and above it, Miller-Rabin on the first 13 prime bases decides
+(deterministic below 3.3e24; Sorenson and Webster, Math. Comp. 2017) and
+Pollard rho in Brent's variant finds a composite's divisor. A 'prime'
+verdict above the bound carries a Pratt certificate (Pratt, SIAM J. Comput.
+1975): a base of order p-1 plus the certified prime factors of p-1, which
+verify_primality checks with modular powers alone. Rho work is bounded by
+RHO_FUEL word-steps per call; past it, InvalidInputError is raised rather
+than an uncertified verdict returned.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 
 from .errors import CompositeModulusError, InvalidInputError
 from .structures import NO, YES, DSet, Kind, StructureInstance
@@ -45,12 +58,31 @@ class BezoutCertificate:
 
 
 @dataclass(frozen=True, slots=True)
+class PrattCertificate:
+    """Proof that p is prime: `base` has multiplicative order p-1 mod p.
+
+    factors holds (q, e, cert_q) triples: the q**e multiply to p-1 and each
+    cert_q is a 'prime' PrimalityCert for q. Then base**(p-1) = 1 and
+    base**((p-1)/q) != 1 for every q force the order to be p-1.
+    """
+
+    base: int
+    factors: tuple
+
+
+@dataclass(frozen=True, slots=True)
 class PrimalityCert:
-    """Verdict 'prime' or 'composite'; composite carries a proper factor witness."""
+    """Verdict 'prime' or 'composite'.
+
+    A composite carries a proper factor witness. A prime at or above
+    TRIAL_BOUND carries a Pratt certificate for |subject|; below it, the
+    verifier re-runs trial division and no certificate is attached.
+    """
 
     subject: object
     verdict: str
     witness: DividesWitness | None = None
+    pratt: PrattCertificate | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,34 +172,220 @@ def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# primality and factoring of integers
+
+
+def _sieve(n: int) -> bytearray:
+    """Primality flags for 0..n-1 (Eratosthenes)."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n, i)))
+    return flags
+
+
+_SMALL_LIMIT = 1 << 10
+TRIAL_BOUND = _SMALL_LIMIT ** 2
+RHO_FUEL = 1 << 19
+_SMALL_PRIMES = tuple(compress(range(_SMALL_LIMIT), _sieve(_SMALL_LIMIT)))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_MR_BASES = _SMALL_PRIMES[:13]
+_PRATT_BASE_LIMIT = 1 << 12
+
+
+def _least_small_factor(m: int):
+    """The least prime below 2^10 dividing m >= 2, or None: trial division by
+    all of them at once. For m < TRIAL_BOUND, None means m is prime."""
+    g = math.gcd(m, _SMALL_PRODUCT)
+    if g == 1:
+        return None
+    for p in _SMALL_PRIMES:
+        if g % p == 0:
+            return p
+
+
+def _miller_rabin(m: int) -> bool:
+    """Strong probable-prime test to the first 13 prime bases; m odd, > 41."""
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _Fuel:
+    """Pollard-rho work left to one is_prime or factor call, in word-steps:
+    one rho step on a number of k 64-bit words costs k."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = RHO_FUEL
+
+    def spend(self, cost: int, m: int):
+        self.left -= cost
+        if self.left < 0:
+            raise InvalidInputError(
+                f"{m} is composite, but Pollard rho ran out of fuel "
+                f"({RHO_FUEL} word-steps) before finding a divisor")
+
+
+def _rho(m: int, fuel: _Fuel) -> int:
+    """A proper divisor of the composite m: Pollard rho, Brent's variant,
+    with gcds taken over batches of 128 steps."""
+    words = (m.bit_length() + 63) // 64
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            fuel.spend(r * words, m)
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(128, r - k)
+                fuel.spend(steps * words, m)
+                for _ in range(steps):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += steps
+            r *= 2
+        if g == m:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return min(g, m // g)
+
+
+def _composite(n: int, d: int) -> PrimalityCert:
+    return PrimalityCert(n, "composite", DividesWitness(d, n, n // d))
+
+
 def is_prime(n: int) -> PrimalityCert:
-    """Trial-division primality with a factor witness on the composite side."""
+    """Decide primality of |n| with a certificate either way.
+
+    Below TRIAL_BOUND a composite's witness is its least prime divisor.
+    Above it, a composite's witness is a small prime divisor or one found by
+    Pollard rho, and a prime carries a Pratt certificate. Raises
+    InvalidInputError when |n| <= 1 or when rho runs out of fuel.
+    """
     if abs(n) <= 1:
         raise InvalidInputError(f"primality of {n} is out of scope (|n| <= 1)")
     m = abs(n)
-    if m % 2 == 0 and m != 2:
-        return PrimalityCert(n, "composite", DividesWitness(2, n, n // 2))
-    d = 3
-    while d <= math.isqrt(m):
-        if m % d == 0:
-            return PrimalityCert(n, "composite", DividesWitness(d, n, n // d))
-        d += 2
-    return PrimalityCert(n, "prime")
+    d = _least_small_factor(m)
+    if d is not None and d != m:
+        return _composite(n, d)
+    if m < TRIAL_BOUND:
+        return PrimalityCert(n, "prime")
+    fuel = _Fuel()
+    if _miller_rabin(m):
+        return PrimalityCert(n, "prime", pratt=_pratt(m, fuel))
+    return _composite(n, _rho(m, fuel))
+
+
+def _prime_factors(m: int, fuel: _Fuel) -> list:
+    """Sorted (prime, multiplicity) pairs of m >= 1: small primes first, then
+    Miller-Rabin to keep a prime part and Pollard rho to split the rest."""
+    counts = {}
+    g = math.gcd(m, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if p > g:
+            break
+        if g % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            counts[p] = e
+    pending = [m] if m > 1 else []
+    while pending:
+        k = pending.pop()
+        # k has no prime factor below _SMALL_LIMIT, so below its square it is prime
+        if k < TRIAL_BOUND or _miller_rabin(k):
+            counts[k] = counts.get(k, 0) + 1
+        else:
+            d = _rho(k, fuel)
+            pending += (d, k // d)
+    return sorted(counts.items())
+
+
+def _certified_factors(m: int, fuel: _Fuel) -> tuple:
+    out = []
+    for q, e in _prime_factors(m, fuel):
+        out.append((q, e, PrimalityCert(q, "prime", pratt=_pratt(q, fuel)
+                                        if q >= TRIAL_BOUND else None)))
+    return tuple(out)
+
+
+def certified_factors(m: int) -> tuple:
+    """(prime, multiplicity, certificate) triples of m >= 1, by increasing
+    prime. Each prime is certified once. Raises InvalidInputError when rho
+    runs out of fuel on m or on some p-1 a certificate needs."""
+    return _certified_factors(m, _Fuel())
+
+
+def _pratt(p: int, fuel: _Fuel) -> PrattCertificate:
+    factors = _certified_factors(p - 1, fuel)
+    exponents = [(p - 1) // q for q, _, _ in factors]
+    for a in range(2, _PRATT_BASE_LIMIT):
+        if all(pow(a, x, p) != 1 for x in exponents) and pow(a, p - 1, p) == 1:
+            return PrattCertificate(a, factors)
+    raise InvalidInputError(
+        f"no base below {_PRATT_BASE_LIMIT} has order {p}-1 mod {p}; "
+        "its primality is not certified")
+
+
+def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
+    if pratt is None:
+        return False
+    product = 1
+    for q, e, cert in pratt.factors:
+        if q < 2 or not 1 <= e <= p.bit_length():
+            return False
+        if cert.subject != q or cert.verdict != "prime":
+            return False
+        product *= q ** e
+    a = pratt.base
+    if product != p - 1 or pow(a, p - 1, p) != 1:
+        return False
+    return all(pow(a, (p - 1) // q, p) != 1 and verify_primality(cert)
+               for q, _, cert in pratt.factors)
 
 
 def verify_primality(cert: PrimalityCert) -> bool:
+    """Re-check a verdict from its own fields: a composite's witness by one
+    product, a prime below TRIAL_BOUND by trial division, a prime above it by
+    its Pratt certificate."""
     n = cert.subject
     if abs(n) <= 1:
         return False
     if cert.verdict == "composite":
         w = cert.witness
-        if w is None or w.dividend != n:
+        if w is None or w.dividend != n or cert.pratt is not None:
             return False
         return 1 < abs(w.divisor) < abs(n) and w.divisor * w.quotient == n
     if cert.verdict != "prime" or cert.witness is not None:
         return False
     m = abs(n)
-    return all(m % d for d in range(2, math.isqrt(m) + 1))
+    if m < TRIAL_BOUND:
+        return cert.pratt is None and _least_small_factor(m) in (None, m)
+    return _verify_pratt(m, cert.pratt)
 
 
 def prime_split(ring: StructureInstance, p, a, b, w: DividesWitness):
@@ -239,12 +457,16 @@ def int_ring() -> StructureInstance:
 # residues
 
 
+_ENUMERATION_PREFIX = 64
+
+
 def make_residue(ring: StructureInstance, b, v) -> Residue:
     return Residue(b, ring.ops["div_mod"](v, b)[1])
 
 
 def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
-    """Carrier of R/(b); rem maps a ring element to its canonical remainder."""
+    """Carrier of R/(b); rem maps a ring element to its canonical remainder.
+    Its enumeration is the first min(|b|, 64) residues."""
     base_eq = ring.base.eq
     if ring is int_ring():
         def eq(x, y):
@@ -257,9 +479,11 @@ def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
         rng = random.Random(seed)
         return [Residue(b, rem(_mixed_int(rng))) for _ in range(count)]
 
+    # a prefix: sweeps read at most its first few elements, and a modulus
+    # near 2^61 could not be enumerated in full
     enumeration = None
     if isinstance(b, int):
-        enumeration = tuple(Residue(b, v) for v in range(abs(b)))
+        enumeration = tuple(Residue(b, v) for v in range(min(abs(b), _ENUMERATION_PREFIX)))
 
     mul = ring.ops["mul"]
     add = ring.ops["add"]

@@ -1,5 +1,10 @@
-"""Trial-division factorization with primality certificates on every prime,
-plus a sampled uniqueness suite driven by prime_split witnesses.
+"""Integer factorization with a primality certificate on every prime, plus
+a sampled uniqueness suite driven by prime_split witnesses.
+
+factor strips the primes below 2^10, keeps what Miller-Rabin calls prime
+and splits the rest with Pollard rho (euclid.certified_factors). Each prime
+gets its certificate once: trial division re-checks a prime below 2^20, and
+a Pratt certificate proves a larger one.
 """
 
 from __future__ import annotations
@@ -10,8 +15,8 @@ from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
 from .structures import DSet, Decision, Kind, LawReport, StructureInstance
-from .euclid import (DividesWitness, PrimalityCert, int_ring, is_prime,
-                     prime_split, verify_primality, check_divides)
+from .euclid import (DividesWitness, PrimalityCert, certified_factors,
+                     check_divides, int_ring, prime_split, verify_primality)
 from .numbers import int_dset, pos_nat_dset
 from . import certlists
 
@@ -32,23 +37,12 @@ class FactorizationData:
 
 
 def factor(x: int) -> FactorizationData:
+    """Certified factorization of a nonzero integer. Raises InvalidInputError
+    when Pollard rho runs out of fuel on x or on some p-1 of a certificate."""
     if x == 0:
         raise InvalidInputError("zero has no factorization")
-    unit = -1 if x < 0 else 1
-    m = abs(x)
-    entries = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            mult = 0
-            while m % d == 0:
-                m //= d
-                mult += 1
-            entries.append(FactorEntry(d, mult, is_prime(d)))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        entries.append(FactorEntry(m, 1, is_prime(m)))
-    return FactorizationData(unit, tuple(entries))
+    entries = tuple(FactorEntry(p, e, cert) for p, e, cert in certified_factors(abs(x)))
+    return FactorizationData(-1 if x < 0 else 1, entries)
 
 
 def product_of(f: FactorizationData) -> int:

@@ -207,7 +207,8 @@ class LawReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No counterexample, and at least one case checked."""
+        return self.cases > 0 and not self.failures
 
 
 @dataclass(frozen=True)

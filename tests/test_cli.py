@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import certalg
 
 from certalg.cli import (default_seed,
                          eval_frac, eval_int, eval_poly, expr_to_term,
@@ -12,6 +18,8 @@ from certalg.cli import (default_seed,
                          poly_to_text, resolve_instance, resolve_monoid, run,
                          valid_instance_name, valid_monoid_name)
 from certalg.errors import ParseError
+
+SRC = Path(certalg.__file__).resolve().parents[1]
 
 
 # ================================================================
@@ -324,3 +332,77 @@ def test_seed_env_var(monkeypatch):
     monkeypatch.setenv("CERTALG_SEED", "pear")
     with pytest.raises(ParseError):
         default_seed()
+
+
+# ================================================================
+# bounded work: nesting depth, empty law suites, large moduli
+# ================================================================
+
+
+def test_deep_nesting_is_a_parse_error():
+    for text in ("(" * 3000 + "1" + ")" * 3000, "1+" * 3000 + "1",
+                 "-(" * 1500 + "1" + ")" * 1500):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr(text, "frac")
+        assert main(["frac", "--", text]) == 2
+    assert eval_int(parse_expr("(" * 99 + "1" + ")" * 99, "int")) == 1
+    assert eval_int(parse_expr("+".join(["1"] * 100), "int")) == 100
+
+
+def test_laws_with_no_budget_and_no_sweep_is_a_usage_error():
+    with pytest.raises(ParseError):
+        parse_command(["laws", "nat-add", "--budget", "0", "--sweep", "0"])
+    assert main(["laws", "nat-add", "--budget", "0", "--sweep", "0"]) == 2
+    assert run_argv(["laws", "nat-add", "--budget", "0"])[0] == 0
+
+
+def test_isprime_out_of_fuel_exits_7_with_a_reason(monkeypatch):
+    from certalg import euclid
+    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    n = (2**31 - 1) * (2**32 - 5)
+    code, text = run_argv(["isprime", str(n), "--json"])
+    assert code == 7
+    doc = json.loads(text)
+    assert doc["error"] == "invalid-input" and "fuel" in doc["message"]
+
+
+def _cli(*argv):
+    """Run the CLI as a child process; a hang fails the test after 5 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-m", "certalg.cli", *argv, "--json"],
+                          capture_output=True, text=True, env=env, timeout=5)
+    out = proc.stdout if proc.returncode == 0 else proc.stderr
+    return proc.returncode, json.loads(out)
+
+
+def test_hang_guard_61_bit_prime():
+    code, doc = _cli("isprime", str(2**61 - 1))
+    assert code == 0 and doc["verdict"] == "prime"
+
+
+def test_hang_guard_18_digit_factor():
+    code, doc = _cli("factor", "999999999999999989")
+    assert code == 0 and doc["verified"] is True
+    assert doc["factors"] == [[999999999999999989, 1]]
+
+
+def test_hang_guard_field_over_a_61_bit_modulus():
+    code, doc = _cli("residue", "-m", str(2**61 - 1), "--field", "1/3")
+    assert code == 0 and doc["value"] == 1537228672809129301
+
+
+@pytest.mark.parametrize("command", ["isprime", "factor"])
+@pytest.mark.parametrize("n", [10**199 + 153, (10**99 + 289) * (10**100 + 267)],
+                         ids=["prime", "semiprime"])
+def test_hang_guard_200_digit_inputs(command, n):
+    # either a certificate that verifies or exit 7, always within the timeout
+    code, doc = _cli(command, str(n))
+    assert code in (0, 7)
+    if code == 7:
+        assert doc["error"] == "invalid-input" and "fuel" in doc["message"]
+    elif command == "isprime":
+        assert doc["verdict"] == ("prime" if n == 10**199 + 153 else "composite")
+    else:
+        assert doc["verified"] is True

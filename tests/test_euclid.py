@@ -2,13 +2,17 @@
 
 import math
 import random
+import time
 
 import pytest
 
+import nt_oracles
+from certalg import euclid
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
-from certalg.euclid import (BezoutCertificate, DividesWitness, PrimalityCert,
-                            Residue, check_divides, euclidean_div_mod,
+from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
+                            PrattCertificate, PrimalityCert, Residue,
+                            check_divides, euclidean_div_mod,
                             extended_gcd, int_ring, is_prime, make_residue,
                             prime_split, residue_field, residue_ring,
                             verify_bezout, verify_primality)
@@ -303,3 +307,168 @@ def test_native_residue_inverse_agrees_with_the_generic_route(ring):
 def test_int_ring_is_lawful_and_euclidean(ring):
     assert ring.kind is Kind.EUCLIDEAN_RING
     assert check_laws(ring, seed=2, budget=150).ok
+
+
+# ================================================================
+# the Miller-Rabin / Pollard rho route and Pratt certificates
+# ================================================================
+
+M61 = 2**61 - 1
+
+
+def test_is_prime_differential_below_two_hundred_thousand():
+    flags = nt_oracles.sieve(200_000)
+    for n in range(2, 200_000):
+        cert = is_prime(n)
+        verdict, divisor = nt_oracles.trial_is_prime(n)
+        assert cert.verdict == verdict == ("prime" if flags[n] else "composite")
+        if divisor is None:
+            assert cert.witness is None and cert.pratt is None
+        else:
+            assert cert.witness == DividesWitness(divisor, n, n // divisor)
+        assert verify_primality(cert)
+
+
+def test_is_prime_across_the_trial_bound():
+    lo, hi = TRIAL_BOUND - 3000, TRIAL_BOUND + 30_000
+    flags = nt_oracles.sieve(hi)
+    for n in range(lo, hi):
+        cert = is_prime(n)
+        assert cert.verdict == ("prime" if flags[n] else "composite")
+        assert (cert.pratt is not None) == (flags[n] and n >= TRIAL_BOUND)
+        if n < TRIAL_BOUND and not flags[n]:
+            assert cert.witness.divisor == nt_oracles.trial_is_prime(n)[1]
+        assert verify_primality(cert)
+
+
+def test_seeded_64_bit_values_against_an_independent_miller_rabin():
+    rng = random.Random(2024)
+    values = [rng.getrandbits(64) | 1 for _ in range(300)]
+    values += [nt_oracles.next_prime(rng.getrandbits(64)) for _ in range(60)]
+    values += [nt_oracles.next_prime(rng.getrandbits(32))
+               * nt_oracles.next_prime(rng.getrandbits(32)) for _ in range(10)]
+    for n in values:
+        cert = is_prime(n)
+        assert cert.verdict == ("prime" if nt_oracles.strong_probable_prime(n)
+                                else "composite")
+        assert verify_primality(cert)
+        if cert.verdict == "composite":
+            w = cert.witness
+            assert 1 < w.divisor < n and w.divisor * w.quotient == n
+
+
+def test_sixty_one_bit_prime_is_fast_and_certified():
+    t = time.perf_counter()
+    cert = is_prime(M61)
+    assert time.perf_counter() - t < 0.5
+    assert cert.verdict == "prime" and cert.witness is None
+    assert isinstance(cert.pratt, PrattCertificate)
+    assert verify_primality(cert)
+    assert verify_primality(is_prime(-M61))
+
+
+def test_verify_primality_never_trial_divides_above_the_bound(monkeypatch):
+    cert = is_prime(M61)
+    calls = []
+    real = euclid._least_small_factor
+    monkeypatch.setattr(euclid, "_least_small_factor",
+                        lambda m: calls.append(m) or real(m))
+    assert verify_primality(cert)
+    assert calls and max(calls) < TRIAL_BOUND
+
+
+def _replace_factor(pratt, i, entry):
+    factors = list(pratt.factors)
+    if entry is None:
+        del factors[i]
+    else:
+        factors[i] = entry
+    return PrattCertificate(pratt.base, tuple(factors))
+
+
+def _prime_cert(p, pratt):
+    return PrimalityCert(p, "prime", pratt=pratt)
+
+
+def test_verify_primality_rejects_forged_pratt_certificates():
+    good = is_prime(M61).pratt
+    assert verify_primality(_prime_cert(M61, good))
+    # a base of too small an order: a square has order dividing (p-1)/2
+    square = PrattCertificate(good.base ** 2 % M61, good.factors)
+    assert not verify_primality(_prime_cert(M61, square))
+    assert not verify_primality(_prime_cert(M61, PrattCertificate(1, good.factors)))
+    # prime powers that do not multiply to p-1
+    q, e, c = good.factors[0]
+    assert not verify_primality(_prime_cert(M61, _replace_factor(good, 0, (q, e + 1, c))))
+    # an omitted prime of p-1
+    assert not verify_primality(_prime_cert(M61, _replace_factor(good, -1, None)))
+    # no certificate, a witness on a prime, a certificate on a composite verdict
+    assert not verify_primality(PrimalityCert(M61, "prime"))
+    assert not verify_primality(PrimalityCert(M61, "prime", DividesWitness(1, M61, M61),
+                                              good))
+    composite = is_prime(M61 + 2)
+    assert not verify_primality(PrimalityCert(M61 + 2, "composite", composite.witness,
+                                              good))
+
+
+def test_verify_primality_rejects_a_composite_factor_of_p_minus_one():
+    good = is_prime(M61).pratt
+    # 151 * 331 * 1321 is a composite above the bound; give it a forged
+    # sub-certificate built from the true factorization of q - 1
+    q = 151 * 331 * 1321
+    rest = tuple(t for t in good.factors if t[0] not in (151, 331, 1321))
+    sub_factors = tuple((r, k, is_prime(r)) for r, k in nt_oracles.trial_factor(q - 1))
+    for base in (2, 3, 5, 7):
+        forged_q = _prime_cert(q, PrattCertificate(base, sub_factors))
+        assert not verify_primality(forged_q)
+        forged = PrattCertificate(good.base, rest + ((q, 1, forged_q),))
+        assert not verify_primality(_prime_cert(M61, forged))
+    # a true composite certificate for q in the slot of a prime
+    forged = PrattCertificate(good.base, rest + ((q, 1, is_prime(q)),))
+    assert not verify_primality(_prime_cert(M61, forged))
+    # 3^2 * 5^2 = 15^2, with 15 claimed prime below the bound
+    swapped = tuple(t for t in good.factors if t[0] not in (3, 5)) + (
+        (15, 2, PrimalityCert(15, "prime")),)
+    assert not verify_primality(_prime_cert(M61, PrattCertificate(good.base, swapped)))
+
+
+def test_pratt_certificates_on_carmichael_numbers_are_rejected():
+    def pratt_for(n, base):
+        factors = tuple((q, k, is_prime(q)) for q, k in nt_oracles.trial_factor(n - 1))
+        return PrattCertificate(base, factors)
+    # 561 = 3 * 11 * 17 sits below the bound; 56052361 = 211 * 421 * 631
+    # (Chernick's form) sits above it. Neither has an element of order n - 1.
+    assert not verify_primality(_prime_cert(561, pratt_for(561, 2)))
+    n = 211 * 421 * 631
+    assert n > TRIAL_BOUND
+    for base in range(2, 200):
+        assert not verify_primality(_prime_cert(n, pratt_for(n, base)))
+
+
+def _semiprime_of_large_primes(bits):
+    rng = random.Random(bits)
+    return (nt_oracles.next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
+            * nt_oracles.next_prime(rng.getrandbits(bits) | 1 << (bits - 1)))
+
+
+def test_is_prime_out_of_fuel_raises_instead_of_guessing(monkeypatch):
+    n = _semiprime_of_large_primes(32)
+    assert is_prime(n).verdict == "composite"
+    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    with pytest.raises(InvalidInputError, match="fuel"):
+        is_prime(n)
+
+
+def test_prime_whose_p_minus_one_cannot_be_split_raises(monkeypatch):
+    # p - 1 = 2 * q * r with q, r prime and beyond the small primes
+    rng = random.Random(9)
+    while True:
+        q = nt_oracles.next_prime(rng.getrandbits(28) | 1 << 27)
+        r = nt_oracles.next_prime(q + rng.getrandbits(20))
+        p = 2 * q * r + 1
+        if nt_oracles.strong_probable_prime(p):
+            break
+    assert verify_primality(is_prime(p))
+    monkeypatch.setattr(euclid, "RHO_FUEL", 0)
+    with pytest.raises(InvalidInputError, match="fuel"):
+        is_prime(p)

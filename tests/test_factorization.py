@@ -1,9 +1,15 @@
-"""Trial-division factorization with per-prime certificates."""
+"""Factorization with per-prime certificates."""
+
+import random
+import time
 
 import pytest
 
+import nt_oracles
+from certalg import euclid
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.euclid import DividesWitness, PrimalityCert, is_prime
+from certalg.euclid import (TRIAL_BOUND, DividesWitness, PrimalityCert,
+                            is_prime, verify_primality)
 from certalg.factorization import (FactorEntry, FactorizationData,
                                    check_factorization, check_unique_sampled,
                                    factor, factorizations_equal,
@@ -121,3 +127,51 @@ def test_shipped_factorization_instances_are_lawful():
     mon = pos_nat_factorization_monoid()
     assert mon.kind is Kind.FACTORIZATION_MONOID
     assert check_laws(mon, seed=1, budget=120).ok
+
+
+# ================================================================
+# the Miller-Rabin / Pollard rho route, checked against trial division
+# ================================================================
+
+
+def test_factor_differential_below_two_hundred_thousand():
+    for n in range(1, 200_000):
+        data = factor(n)
+        assert [(e.prime, e.multiplicity) for e in data.entries] == \
+            nt_oracles.trial_factor(n)
+        for e in data.entries:
+            assert e.cert.subject == e.prime and e.cert.verdict == "prime"
+            assert verify_primality(e.cert)
+
+
+def test_factor_seeded_64_bit_values():
+    rng = random.Random(31337)
+    values = [rng.getrandbits(64) for _ in range(80)]
+    values += [nt_oracles.next_prime(rng.getrandbits(32))
+               * nt_oracles.next_prime(rng.getrandbits(32)) for _ in range(5)]
+    values += [2**64 + 1, 2**61 - 1, 3**40, -(2**63 - 25)]
+    for n in values:
+        data = factor(n)
+        assert product_of(data) == n
+        assert all(nt_oracles.strong_probable_prime(e.prime) for e in data.entries)
+        assert all((e.cert.pratt is not None) == (e.prime >= TRIAL_BOUND)
+                   for e in data.entries)
+        assert check_factorization(data, n)
+
+
+def test_factor_of_an_eighteen_digit_prime_is_fast_and_certified():
+    n = 999999999999999989
+    t = time.perf_counter()
+    data = factor(n)
+    assert time.perf_counter() - t < 0.5
+    assert [(e.prime, e.multiplicity) for e in data.entries] == [(n, 1)]
+    assert check_factorization(data, n)
+
+
+def test_factor_out_of_fuel_raises_instead_of_guessing(monkeypatch):
+    rng = random.Random(3)
+    n = (nt_oracles.next_prime(rng.getrandbits(32) | 1 << 31)
+         * nt_oracles.next_prime(rng.getrandbits(32) | 1 << 31))
+    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    with pytest.raises(InvalidInputError, match="fuel"):
+        factor(n)

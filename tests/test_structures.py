@@ -230,3 +230,10 @@ def test_law_failure_report_counts_cases():
     report = check_laws(nat_monus_semigroup(), seed=1, budget=50, sweep=4)
     assert report.cases >= len(report.failures)
     assert report.kind is Kind.SEMIGROUP
+
+
+def test_a_suite_that_checked_no_case_is_not_ok():
+    report = check_laws(nat_add_monoid(), seed=1, budget=0, sweep=0)
+    assert report.cases == 0 and report.failures == ()
+    assert not report.ok
+    assert check_laws(nat_add_monoid(), seed=1, budget=1, sweep=0).ok
