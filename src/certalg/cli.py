@@ -3,7 +3,12 @@
 Subcommands: laws, factor, egcd, isprime, residue, frac, poly, sort, pow,
 prove. Expressions use an ASCII grammar: explicit *, ^ for exponents,
 unsigned integer literals with sign via unary minus, division only where
-fractions make sense. --json switches to a single flat JSON document.
+fractions make sense. --json switches to a single flat JSON document, for
+errors too (on stderr, parse errors included).
+
+Integers obey the interpreter's digit limit for int <-> str conversion
+(sys.get_int_max_str_digits(), 4300 by default): a longer literal is a parse
+error (exit 2); a longer result is exit 7 (`pow nat-mul` refuses it upfront).
 
 Exit codes: 0 ok, 2 usage or parse error, 3 division by zero, 4 composite
 modulus where a prime is required, 5 law failures found, 6 structural
@@ -14,18 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (CompositeModulusError, InvalidInputError, ParseError,
                      StructuralError)
 from . import certlists, eqprover, factorization, fractions, polynomials
-from .euclid import (BezoutCertificate, Residue, extended_gcd, int_ring,
-                     is_prime, make_residue, residue_field, residue_ring,
-                     verify_bezout)
+from .euclid import (Residue, extended_gcd, int_ring, is_prime, make_residue,
+                     residue_field, residue_ring, verify_bezout)
 from .numbers import (bin_add_monoid, bin_to_str, int_add_group,
                       nat_add_monoid, nat_monus_semigroup, nat_mul_monoid,
                       pos_nat_mul_monoid, power, to_bin)
@@ -34,6 +39,9 @@ from .structures import StructureInstance, check_laws, multiplicative_monoid
 DEFAULT_BUDGET = 200
 DEFAULT_SWEEP = 4
 SEED_ENV_VAR = "CERTALG_SEED"
+
+# the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def default_seed() -> int:
@@ -44,6 +52,13 @@ def default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", 0)
+
+
+def _literal(digits: str, pos: int) -> int:
+    limit = _digit_limit()
+    if 0 < limit < len(digits):
+        raise ParseError(f"integer literal longer than {limit} digits", pos)
+    return int(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +110,12 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
+            toks.append(("int", _literal(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -272,75 +288,53 @@ def format_expr(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# evaluation: one fold over a ring's ops table
+
+
+def eval_in(ops, leaf, node):
+    """Evaluate an expression tree through ops' add, neg, mul and inv:
+    a - b is add(a, neg(b)) and a / b is mul(a, inv(b)). leaf maps the
+    Num and PowSym nodes into the carrier."""
+    if isinstance(node, Neg):
+        return ops["neg"](eval_in(ops, leaf, node.operand))
+    if isinstance(node, BinOp):
+        l, r = eval_in(ops, leaf, node.left), eval_in(ops, leaf, node.right)
+        if node.op == "+":
+            return ops["add"](l, r)
+        if node.op == "-":
+            return ops["add"](l, ops["neg"](r))
+        if node.op == "*":
+            return ops["mul"](l, r)
+        return ops["mul"](l, ops["inv"](r))
+    return leaf(node)
+
+
+def _int_leaf(node) -> int:
+    if isinstance(node, Num):
+        return node.value
+    raise StructuralError(f"cannot evaluate {node!r} as a number")
+
+
+def _poly_leaf(node) -> polynomials.Poly:
+    term = (1, node.exp) if isinstance(node, PowSym) else (_int_leaf(node), 0)
+    return polynomials.mk_poly(int_ring(), [term])
+
+
+_POLY_OPS = {"add": polynomials.poly_add, "neg": polynomials.poly_neg,
+             "mul": polynomials.poly_mul}
 
 
 def eval_int(node) -> int:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -eval_int(node.operand)
-    if isinstance(node, BinOp):
-        l, r = eval_int(node.left), eval_int(node.right)
-        return l + r if node.op == "+" else l - r if node.op == "-" else l * r
-    raise StructuralError(f"cannot evaluate {node!r} as an integer")
+    return eval_in(int_ring().ops, _int_leaf, node)
 
 
-def eval_frac(node, ring=None) -> fractions.Fraction:
-    ring = ring or int_ring()
-    if isinstance(node, Num):
-        return fractions.mk_fraction(ring, node.value, 1)
-    if isinstance(node, Neg):
-        return fractions.neg_fraction(ring, eval_frac(node.operand, ring))
-    if isinstance(node, BinOp):
-        l = eval_frac(node.left, ring)
-        r = eval_frac(node.right, ring)
-        if node.op == "+":
-            return fractions.add_optimized(ring, l, r)
-        if node.op == "-":
-            return fractions.add_optimized(ring, l, fractions.neg_fraction(ring, r))
-        if node.op == "*":
-            return fractions.mul_fractions(ring, l, r)
-        return fractions.mul_fractions(ring, l, fractions.inverse(ring, r))
-    raise StructuralError(f"cannot evaluate {node!r} as a fraction")
+def eval_frac(node) -> fractions.Fraction:
+    return eval_in(fractions.fraction_field().ops,
+                   lambda n: fractions.mk_fraction(int_ring(), _int_leaf(n), 1), node)
 
 
-def eval_poly(node, ring=None) -> polynomials.Poly:
-    ring = ring or int_ring()
-    if isinstance(node, Num):
-        return polynomials.mk_poly(ring, [(node.value, 0)])
-    if isinstance(node, PowSym):
-        return polynomials.mk_poly(ring, [(ring.ops["one"](), node.exp)])
-    if isinstance(node, Neg):
-        return polynomials.poly_neg(eval_poly(node.operand, ring))
-    if isinstance(node, BinOp):
-        l = eval_poly(node.left, ring)
-        r = eval_poly(node.right, ring)
-        if node.op == "+":
-            return polynomials.poly_add(l, r)
-        if node.op == "-":
-            return polynomials.poly_add(l, polynomials.poly_neg(r))
-        return polynomials.poly_mul(l, r)
-    raise StructuralError(f"cannot evaluate {node!r} as a polynomial")
-
-
-def eval_residue(node, inst: StructureInstance, modulus: int) -> Residue:
-    base = int_ring()
-    if isinstance(node, Num):
-        return make_residue(base, modulus, node.value)
-    if isinstance(node, Neg):
-        return inst.ops["neg"](eval_residue(node.operand, inst, modulus))
-    if isinstance(node, BinOp):
-        l = eval_residue(node.left, inst, modulus)
-        r = eval_residue(node.right, inst, modulus)
-        if node.op == "+":
-            return inst.ops["add"](l, r)
-        if node.op == "-":
-            return inst.ops["add"](l, inst.ops["neg"](r))
-        if node.op == "*":
-            return inst.ops["mul"](l, r)
-        return inst.ops["mul"](l, inst.ops["inv"](r))
-    raise StructuralError(f"cannot evaluate {node!r} as a residue")
+def eval_poly(node) -> polynomials.Poly:
+    return eval_in(_POLY_OPS, _poly_leaf, node)
 
 
 def expr_to_term(node) -> eqprover.Term:
@@ -415,120 +409,182 @@ _FIXED_INSTANCES = {
 LAWFUL_INSTANCE_NAMES = tuple(_FIXED_INSTANCES) + (
     "zmod6-ring", "zmod12-ring", "zmod7-field", "zmod97-field")
 
-_ZMOD_RE = re.compile(r"^zmod(\d+)-(ring|field|mul)$")
+_ZMOD_RE = re.compile(r"zmod(\d+)-(ring|field|mul)")
+_ZMOD = {"ring": zmod_ring, "field": zmod_field,
+         "mul": lambda b: multiplicative_monoid(zmod_ring(b))}
+
+# role -> (fixed names, the zmodN-<kind> kinds it takes); `laws` takes
+# instances, `pow` takes monoids
+_ROLES = {
+    "instance": ({**_FIXED_INSTANCES, "nat-monus": nat_monus_semigroup}, ("ring", "field")),
+    "monoid": ({n: _FIXED_INSTANCES[n] for n in ("nat-add", "nat-mul", "int-add", "bin-add")},
+               ("mul",)),
+}
 
 
-def valid_instance_name(name: str) -> bool:
-    if name in _FIXED_INSTANCES or name == "nat-monus":
-        return True
-    m = _ZMOD_RE.match(name)
-    return bool(m) and m.group(2) != "mul"
+def _lookup(role: str, name: str):
+    """The zero-argument builder registered under name for role, or None."""
+    fixed, kinds = _ROLES[role]
+    if name in fixed:
+        return fixed[name]
+    m = _ZMOD_RE.fullmatch(name)
+    if m is None or m.group(2) not in kinds:
+        return None
+    return partial(_ZMOD[m.group(2)], _literal(m.group(1), 0))
 
 
-def resolve_instance(name: str) -> StructureInstance:
-    if name in _FIXED_INSTANCES:
-        return _FIXED_INSTANCES[name]()
-    if name == "nat-monus":
-        return nat_monus_semigroup()
-    m = _ZMOD_RE.match(name)
-    if m and m.group(2) == "ring":
-        return zmod_ring(int(m.group(1)))
-    if m and m.group(2) == "field":
-        return zmod_field(int(m.group(1)))
-    raise ParseError(f"unknown instance {name!r}", 0)
+def _valid(role: str, name: str) -> bool:
+    return _lookup(role, name) is not None
 
 
-_POW_MONOIDS = ("nat-add", "nat-mul", "int-add", "bin-add")
+def _resolve(role: str, name: str) -> StructureInstance:
+    build = _lookup(role, name)
+    if build is None:
+        raise ParseError(f"unknown {role} {name!r}", 0)
+    return build()
 
 
-def valid_monoid_name(name: str) -> bool:
-    if name in _POW_MONOIDS:
-        return True
-    m = _ZMOD_RE.match(name)
-    return bool(m) and m.group(2) == "mul"
-
-
-def resolve_monoid(name: str) -> StructureInstance:
-    if name in _POW_MONOIDS:
-        return _FIXED_INSTANCES[name]()
-    m = _ZMOD_RE.match(name)
-    if m and m.group(2) == "mul":
-        return multiplicative_monoid(zmod_ring(int(m.group(1))))
-    raise ParseError(f"unknown monoid {name!r}", 0)
+valid_instance_name = partial(_valid, "instance")
+resolve_instance = partial(_resolve, "instance")
+valid_monoid_name = partial(_valid, "monoid")
+resolve_monoid = partial(_resolve, "monoid")
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, JSON document, thunk for the text)
 
 
-@dataclass(frozen=True)
-class LawsCmd:
-    names: tuple
-    seed: int
-    budget: int
-    sweep: int
-    as_json: bool
+def _run_laws(ns):
+    reports = [(name, check_laws(resolve_instance(name), seed=ns.seed, budget=ns.budget,
+                                 sweep=ns.sweep)) for name in ns.names]
+    all_ok = all(r.ok for _, r in reports)
+    lines = []
+    for name, r in reports:
+        lines.append(f"{name}: ok ({r.cases} cases)" if r.ok
+                     else f"{name}: {len(r.failures)} failures in {r.cases} cases")
+        lines += [f"  {law}: {case!r}" for law, case in r.failures[:5]]
+    doc = {"command": "laws", "seed": ns.seed, "budget": ns.budget, "sweep": ns.sweep,
+           "ok": all_ok, "instances": [
+               {"name": name, "kind": r.kind.value, "cases": r.cases,
+                "failures": [[law, repr(case)] for law, case in r.failures]}
+               for name, r in reports]}
+    return 0 if all_ok else 5, doc, lambda: "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FactorCmd:
-    n: int
-    as_json: bool
+def _run_factor(ns):
+    data = factorization.factor(ns.n)
+    parts = [str(data.unit)] if data.unit != 1 else []
+    for e in data.entries:
+        parts.append(f"{e.prime}^{e.multiplicity}" if e.multiplicity > 1 else str(e.prime))
+    doc = {"command": "factor", "n": ns.n, "unit": data.unit,
+           "factors": [[e.prime, e.multiplicity] for e in data.entries],
+           "verified": factorization.check_factorization(data, ns.n)}
+    return 0, doc, lambda: f"{ns.n} = " + " * ".join(parts or ["1"])
 
 
-@dataclass(frozen=True)
-class EgcdCmd:
-    a: int
-    b: int
-    as_json: bool
+def _run_egcd(ns):
+    ring = int_ring()
+    cert = extended_gcd(ring, ns.a, ns.b)
+    doc = {"command": "egcd", "a": ns.a, "b": ns.b, "g": cert.g, "u": cert.u,
+           "v": cert.v, "qa": cert.qa, "qb": cert.qb, "verified": verify_bezout(ring, cert)}
+    return 0, doc, lambda: f"g={cert.g} u={cert.u} v={cert.v} qa={cert.qa} qb={cert.qb}"
 
 
-@dataclass(frozen=True)
-class IsPrimeCmd:
-    n: int
-    as_json: bool
+def _run_isprime(ns):
+    cert = is_prime(ns.n)
+    doc = {"command": "isprime", "n": ns.n, "verdict": cert.verdict}
+    if cert.verdict == "prime":
+        return 0, doc, lambda: f"{ns.n}: prime"
+    w = cert.witness
+    doc.update(witness_divisor=w.divisor, witness_quotient=w.quotient)
+    return 0, doc, lambda: (f"{ns.n}: composite ({w.divisor} | {w.dividend}, "
+                            f"quotient {w.quotient})")
 
 
-@dataclass(frozen=True)
-class ResidueCmd:
-    modulus: int
-    field: bool
-    text: str
-    as_json: bool
+def _run_residue(ns):
+    inst = (zmod_field if ns.field else zmod_ring)(ns.modulus)
+    tree = parse_expr(ns.text, "frac" if ns.field else "int")
+    value = eval_in(inst.ops, lambda n: make_residue(int_ring(), ns.modulus, _int_leaf(n)),
+                    tree)
+    doc = {"command": "residue", "modulus": ns.modulus, "field": ns.field,
+           "expr": format_expr(tree), "value": value.value}
+    return 0, doc, lambda: str(value)
 
 
-@dataclass(frozen=True)
-class FracCmd:
-    text: str
-    as_json: bool
+def _run_frac(ns):
+    tree = parse_expr(ns.text, "frac")
+    value = eval_frac(tree)
+    doc = {"command": "frac", "expr": format_expr(tree), "num": value.num, "den": value.den}
+    return 0, doc, lambda: str(value)
 
 
-@dataclass(frozen=True)
-class PolyCmd:
-    text: str
-    as_json: bool
+def _run_poly(ns):
+    tree = parse_expr(ns.text, "poly")
+    value = eval_poly(tree)
+    deg = polynomials.degree(value)
+    doc = {"command": "poly", "expr": format_expr(tree),
+           "poly": value, "degree": deg if deg is not None else "-inf"}
+    return 0, doc, lambda: poly_to_text(value)
 
 
-@dataclass(frozen=True)
-class SortCmd:
-    order: str
-    values: tuple
-    as_json: bool
+def _run_sort(ns):
+    raw = ns.values or sys.stdin.read().split()
+    if ns.order == "int":
+        values = [eval_int(parse_expr(tok, "int")) for tok in raw]
+        dto = certlists.int_order()
+    else:
+        values = [eval_frac(parse_expr(tok, "frac")) for tok in raw]
+        dto = certlists.fraction_order()
+    result = certlists.sort_certified(dto, values)
+    ok = certlists.verify_sort_result(dto, values, result)
+    doc = {"command": "sort", "order": ns.order, "ys": list(result.ys),
+           "perm": list(result.perm), "verified": ok}
+    return 0, doc, lambda: (f"ys: {' '.join(map(str, result.ys))}\n"
+                            f"perm: {' '.join(map(str, result.perm))}\n"
+                            f"verified: {str(ok).lower()}")
 
 
-@dataclass(frozen=True)
-class PowCmd:
-    monoid: str
-    base: int
-    exponent: int
-    as_json: bool
+def _run_pow(ns):
+    monoid = resolve_monoid(ns.monoid)
+    base, is_bin = ns.base, ns.monoid == "bin-add"
+    if base < 0 and (is_bin or ns.monoid.startswith("nat")):
+        raise InvalidInputError("base must be a natural number for this monoid")
+    # base^e has floor(e * log10(base)) + 1 digits; capping e at 4 * limit
+    # keeps the float finite and the verdict, since log10(2) > 1/4
+    limit = _digit_limit()
+    if (ns.monoid == "nat-mul" and base > 1 and limit
+            and min(ns.exponent, 4 * limit) * math.log10(base) >= limit):
+        raise InvalidInputError(f"{base}^{ns.exponent} has more than {limit} digits, "
+                                "the interpreter's limit for printing an integer")
+    unit = monoid.ops["identity"]()
+    if isinstance(unit, Residue):
+        base = make_residue(int_ring(), unit.modulus, base)
+    elif is_bin:
+        base = to_bin(base)
+    result = power(monoid, base, ns.exponent)
+    doc = {"command": "pow", "monoid": ns.monoid, "base": ns.base,
+           "exponent": ns.exponent, "exponent_bits": bin_to_str(to_bin(ns.exponent)),
+           "result": result}
+    return 0, doc, lambda: bin_to_str(result) if is_bin else str(result)
 
 
-@dataclass(frozen=True)
-class ProveCmd:
-    theory: str
-    equation: str
-    as_json: bool
+def _run_prove(ns):
+    sides = ns.equation.split("=")
+    if len(sides) != 2 or not sides[0].strip() or not sides[1].strip():
+        raise ParseError("equation must have the shape LHS = RHS", 0)
+    lhs = expr_to_term(parse_expr(sides[0], "term"))
+    rhs = expr_to_term(parse_expr(sides[1], "term"))
+    decision = eqprover.prove_eq(ns.theory, lhs, rhs)
+    nl, nr = decision.evidence
+    doc = {"command": "prove", "theory": ns.theory, "verdict": decision.holds,
+           "left_normal": nl, "right_normal": nr}
+    if decision.holds:
+        return 0, doc, lambda: f"YES: both sides normalize to {nl}"
+    return 0, doc, lambda: f"NO: left normalizes to {nl}, right to {nr}"
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
 
 
 _THEORY_ALIASES = {"csr": "commsemiring", "monoid": "monoid",
@@ -540,115 +596,94 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message, 0)
 
 
+def natural(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {n}")
+    return n
+
+
+def _registered(role: str, name: str) -> str:
+    if not _valid(role, name):
+        raise argparse.ArgumentTypeError(f"unknown {role} {name!r}")
+    return name
+
+
+def _theory(text: str) -> str:
+    if text not in _THEORY_ALIASES:
+        raise argparse.ArgumentTypeError(f"unknown theory {text!r}")
+    return _THEORY_ALIASES[text]
+
+
 def _build_argparser() -> _ArgumentParser:
     p = _ArgumentParser(prog="certalg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, handler, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", dest="as_json")
+        return sp
 
-    sp = sub.add_parser("laws", help="run law suites over named instances")
-    sp.add_argument("names", nargs="*")
+    sp = command("laws", _run_laws, "run law suites over named instances")
+    sp.add_argument("names", nargs="*", type=partial(_registered, "instance"))
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--sweep", type=int, default=DEFAULT_SWEEP)
-    common(sp)
+    sp.add_argument("--budget", type=natural, default=DEFAULT_BUDGET)
+    sp.add_argument("--sweep", type=natural, default=DEFAULT_SWEEP)
 
-    sp = sub.add_parser("factor", help="factor an integer with certificates")
-    sp.add_argument("n", type=int)
-    common(sp)
+    command("factor", _run_factor, "factor an integer with certificates").add_argument(
+        "n", type=int)
 
-    sp = sub.add_parser("egcd", help="extended gcd with a Bezout certificate")
+    sp = command("egcd", _run_egcd, "extended gcd with a Bezout certificate")
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
-    common(sp)
 
-    sp = sub.add_parser("isprime", help="primality: a factor witness when composite, a "
-                        "Pratt certificate when prime (exit 7 past the rho fuel)")
-    sp.add_argument("n", type=int)
-    common(sp)
+    command("isprime", _run_isprime, "primality: a factor witness when composite, a "
+            "Pratt certificate when prime (exit 7 past the rho fuel)").add_argument(
+        "n", type=int)
 
-    sp = sub.add_parser("residue", help="evaluate an expression in Z/(m)")
+    sp = command("residue", _run_residue, "evaluate an expression in Z/(m)")
     sp.add_argument("-m", "--modulus", type=int, required=True)
     sp.add_argument("--field", action="store_true")
     sp.add_argument("text")
-    common(sp)
 
-    sp = sub.add_parser("frac", help="evaluate a fraction expression")
-    sp.add_argument("text")
-    common(sp)
+    command("frac", _run_frac, "evaluate a fraction expression").add_argument("text")
+    command("poly", _run_poly, "evaluate a polynomial expression over the integers"
+            ).add_argument("text")
 
-    sp = sub.add_parser("poly", help="evaluate a polynomial expression over the integers")
-    sp.add_argument("text")
-    common(sp)
-
-    sp = sub.add_parser("sort", help="certified sort of values (args or stdin)")
+    sp = command("sort", _run_sort, "certified sort of values (args or stdin)")
     sp.add_argument("--order", choices=("int", "frac"), default="int")
     sp.add_argument("values", nargs="*")
-    common(sp)
 
-    sp = sub.add_parser("pow", help="raise a monoid element to a natural power")
-    sp.add_argument("monoid")
+    sp = command("pow", _run_pow, "raise a monoid element to a natural power")
+    sp.add_argument("monoid", type=partial(_registered, "monoid"))
     sp.add_argument("base", type=int)
-    sp.add_argument("exponent", type=int)
-    common(sp)
+    sp.add_argument("exponent", type=natural)
 
-    sp = sub.add_parser("prove", help="decide an equation by normalization")
-    sp.add_argument("--theory", required=True)
+    sp = command("prove", _run_prove, "decide an equation by normalization")
+    sp.add_argument("--theory", required=True, type=_theory)
     sp.add_argument("equation")
-    common(sp)
     return p
 
 
-def parse_command(argv):
+def parse_command(argv) -> argparse.Namespace:
+    """Parse argv into a namespace whose handler runs the command."""
     ns = _build_argparser().parse_args(argv)
-    cmd = ns.command
-    if cmd == "laws":
-        names = tuple(ns.names)
+    if ns.command == "laws":
         if ns.all:
-            names = LAWFUL_INSTANCE_NAMES + names
-        if not names:
+            ns.names = list(LAWFUL_INSTANCE_NAMES) + ns.names
+        if not ns.names:
             raise ParseError("laws needs instance names or --all", 0)
-        for name in names:
-            if not valid_instance_name(name):
-                raise ParseError(f"unknown instance {name!r}", 0)
-        if ns.budget < 0 or ns.sweep < 0:
-            raise ParseError("--budget and --sweep must be natural numbers", 0)
         if ns.budget == 0 and ns.sweep == 0:
             raise ParseError("--budget 0 with --sweep 0 checks no case", 0)
-        seed = ns.seed if ns.seed is not None else default_seed()
-        return LawsCmd(names, seed, ns.budget, ns.sweep, ns.as_json)
-    if cmd == "factor":
-        return FactorCmd(ns.n, ns.as_json)
-    if cmd == "egcd":
-        return EgcdCmd(ns.a, ns.b, ns.as_json)
-    if cmd == "isprime":
-        return IsPrimeCmd(ns.n, ns.as_json)
-    if cmd == "residue":
-        return ResidueCmd(ns.modulus, ns.field, ns.text, ns.as_json)
-    if cmd == "frac":
-        return FracCmd(ns.text, ns.as_json)
-    if cmd == "poly":
-        return PolyCmd(ns.text, ns.as_json)
-    if cmd == "sort":
-        return SortCmd(ns.order, tuple(ns.values), ns.as_json)
-    if cmd == "pow":
-        if not valid_monoid_name(ns.monoid):
-            raise ParseError(f"unknown monoid {ns.monoid!r}", 0)
-        if ns.exponent < 0:
-            raise ParseError("exponent must be a natural number", 0)
-        return PowCmd(ns.monoid, ns.base, ns.exponent, ns.as_json)
-    if cmd == "prove":
-        theory = _THEORY_ALIASES.get(ns.theory)
-        if theory is None:
-            raise ParseError(f"unknown theory {ns.theory!r}", 0)
-        return ProveCmd(theory, ns.equation, ns.as_json)
-    raise ParseError(f"unknown command {cmd!r}", 0)
+        if ns.seed is None:
+            ns.seed = default_seed()
+    return ns
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# output
 
 
 def _jsonable(x):
@@ -667,177 +702,16 @@ def _jsonable(x):
     return str(x)
 
 
-def _emit(as_json: bool, doc: dict, text: str):
-    return json.dumps({k: _jsonable(v) for k, v in doc.items()}) if as_json else text
+def _render(as_json: bool, doc: dict, text) -> str:
+    """The one place a result becomes text. An integer past the digit limit
+    makes str() and json.dumps raise ValueError; that is exit 7."""
+    try:
+        return json.dumps(_jsonable(doc)) if as_json else text()
+    except ValueError:
+        raise InvalidInputError(f"result has more than {_digit_limit()} digits") from None
 
 
-def _run_laws(cmd: LawsCmd):
-    lines = []
-    results = []
-    all_ok = True
-    for name in cmd.names:
-        inst = resolve_instance(name)
-        report = check_laws(inst, seed=cmd.seed, budget=cmd.budget, sweep=cmd.sweep)
-        results.append({
-            "name": name,
-            "kind": report.kind.value,
-            "cases": report.cases,
-            "failures": [[law, repr(case)] for law, case in report.failures],
-        })
-        if report.ok:
-            lines.append(f"{name}: ok ({report.cases} cases)")
-        else:
-            all_ok = False
-            lines.append(f"{name}: {len(report.failures)} failures in {report.cases} cases")
-            for law, case in report.failures[:5]:
-                lines.append(f"  {law}: {case!r}")
-    code = 0 if all_ok else 5
-    doc = {"command": "laws", "seed": cmd.seed, "budget": cmd.budget,
-           "sweep": cmd.sweep, "ok": all_ok, "instances": results}
-    return code, _emit(cmd.as_json, doc, "\n".join(lines))
-
-
-def _run_factor(cmd: FactorCmd):
-    data = factorization.factor(cmd.n)
-    parts = [str(data.unit)] if data.unit != 1 else []
-    for e in data.entries:
-        parts.append(f"{e.prime}^{e.multiplicity}" if e.multiplicity > 1 else str(e.prime))
-    if not parts:
-        parts = ["1"]
-    verified = factorization.check_factorization(data, cmd.n)
-    doc = {"command": "factor", "n": cmd.n, "unit": data.unit,
-           "factors": [[e.prime, e.multiplicity] for e in data.entries],
-           "verified": verified}
-    return 0, _emit(cmd.as_json, doc, f"{cmd.n} = " + " * ".join(parts))
-
-
-def _run_egcd(cmd: EgcdCmd):
-    ring = int_ring()
-    cert = extended_gcd(ring, cmd.a, cmd.b)
-    ok = verify_bezout(ring, cert)
-    text = f"g={cert.g} u={cert.u} v={cert.v} qa={cert.qa} qb={cert.qb}"
-    doc = {"command": "egcd", "a": cmd.a, "b": cmd.b, "g": cert.g, "u": cert.u,
-           "v": cert.v, "qa": cert.qa, "qb": cert.qb, "verified": ok}
-    return 0, _emit(cmd.as_json, doc, text)
-
-
-def _run_isprime(cmd: IsPrimeCmd):
-    cert = is_prime(cmd.n)
-    if cert.verdict == "prime":
-        text = f"{cmd.n}: prime"
-        doc = {"command": "isprime", "n": cmd.n, "verdict": "prime"}
-    else:
-        w = cert.witness
-        text = f"{cmd.n}: composite ({w.divisor} | {w.dividend}, quotient {w.quotient})"
-        doc = {"command": "isprime", "n": cmd.n, "verdict": "composite",
-               "witness_divisor": w.divisor, "witness_quotient": w.quotient}
-    return 0, _emit(cmd.as_json, doc, text)
-
-
-def _run_residue(cmd: ResidueCmd):
-    ring = int_ring()
-    if cmd.field:
-        inst = residue_field(ring, cmd.modulus, is_prime(cmd.modulus))
-        tree = parse_expr(cmd.text, "frac")
-    else:
-        inst = residue_ring(ring, cmd.modulus)
-        tree = parse_expr(cmd.text, "int")
-    value = eval_residue(tree, inst, cmd.modulus)
-    doc = {"command": "residue", "modulus": cmd.modulus, "field": cmd.field,
-           "expr": format_expr(tree), "value": value.value}
-    return 0, _emit(cmd.as_json, doc, str(value))
-
-
-def _run_frac(cmd: FracCmd):
-    tree = parse_expr(cmd.text, "frac")
-    value = eval_frac(tree)
-    doc = {"command": "frac", "expr": format_expr(tree),
-           "num": value.num, "den": value.den}
-    return 0, _emit(cmd.as_json, doc, str(value))
-
-
-def _run_poly(cmd: PolyCmd):
-    tree = parse_expr(cmd.text, "poly")
-    value = eval_poly(tree)
-    deg = polynomials.degree(value)
-    doc = {"command": "poly", "expr": format_expr(tree),
-           "poly": value, "degree": deg if deg is not None else "-inf"}
-    return 0, _emit(cmd.as_json, doc, poly_to_text(value))
-
-
-def _parse_sort_values(order: str, raw):
-    if order == "int":
-        return [eval_int(parse_expr(tok, "int")) for tok in raw]
-    return [eval_frac(parse_expr(tok, "frac")) for tok in raw]
-
-
-def _run_sort(cmd: SortCmd):
-    raw = list(cmd.values)
-    if not raw:
-        raw = sys.stdin.read().split()
-    values = _parse_sort_values(cmd.order, raw)
-    dto = certlists.int_order() if cmd.order == "int" else certlists.fraction_order()
-    result = certlists.sort_certified(dto, values)
-    ok = certlists.verify_sort_result(dto, values, result)
-    ys_text = " ".join(str(y) for y in result.ys)
-    text = f"ys: {ys_text}\nperm: {' '.join(map(str, result.perm))}\nverified: {str(ok).lower()}"
-    doc = {"command": "sort", "order": cmd.order, "ys": list(result.ys),
-           "perm": list(result.perm), "verified": ok}
-    return 0, _emit(cmd.as_json, doc, text)
-
-
-def _run_pow(cmd: PowCmd):
-    monoid = resolve_monoid(cmd.monoid)
-    base = cmd.base
-    is_bin = cmd.monoid == "bin-add"
-    if base < 0 and (is_bin or cmd.monoid.startswith("nat")):
-        raise InvalidInputError("base must be a natural number for this monoid")
-    m = _ZMOD_RE.match(cmd.monoid)
-    if m:
-        base = make_residue(int_ring(), int(m.group(1)), base)
-    elif is_bin:
-        base = to_bin(base)
-    result = power(monoid, base, cmd.exponent)
-    doc = {"command": "pow", "monoid": cmd.monoid, "base": cmd.base,
-           "exponent": cmd.exponent,
-           "exponent_bits": bin_to_str(to_bin(cmd.exponent)),
-           "result": result}
-    return 0, _emit(cmd.as_json, doc, bin_to_str(result) if is_bin else str(result))
-
-
-def _run_prove(cmd: ProveCmd):
-    sides = cmd.equation.split("=")
-    if len(sides) != 2 or not sides[0].strip() or not sides[1].strip():
-        raise ParseError("equation must have the shape LHS = RHS", 0)
-    lhs = expr_to_term(parse_expr(sides[0], "term"))
-    rhs = expr_to_term(parse_expr(sides[1], "term"))
-    decision = eqprover.prove_eq(cmd.theory, lhs, rhs)
-    nl, nr = decision.evidence
-    if decision.holds:
-        text = f"YES: both sides normalize to {nl}"
-    else:
-        text = f"NO: left normalizes to {nl}, right to {nr}"
-    doc = {"command": "prove", "theory": cmd.theory, "verdict": decision.holds,
-           "left_normal": str(nl), "right_normal": str(nr)}
-    return 0, _emit(cmd.as_json, doc, text)
-
-
-_HANDLERS = {
-    LawsCmd: _run_laws,
-    FactorCmd: _run_factor,
-    EgcdCmd: _run_egcd,
-    IsPrimeCmd: _run_isprime,
-    ResidueCmd: _run_residue,
-    FracCmd: _run_frac,
-    PolyCmd: _run_poly,
-    SortCmd: _run_sort,
-    PowCmd: _run_pow,
-    ProveCmd: _run_prove,
-}
-
-
-def _error_payload(cmd, kind: str, exc: Exception) -> str:
-    as_json = getattr(cmd, "as_json", False)
+def _error_payload(as_json: bool, kind: str, exc: Exception) -> str:
     doc = {"error": kind, "message": str(exc)}
     if isinstance(exc, CompositeModulusError):
         w = exc.cert.witness
@@ -846,30 +720,37 @@ def _error_payload(cmd, kind: str, exc: Exception) -> str:
     return json.dumps(doc) if as_json else f"error: {exc}"
 
 
-def run(cmd):
+def run(ns):
     """Execute a parsed command; returns (exit_code, output_text)."""
     try:
-        return _HANDLERS[type(cmd)](cmd)
+        code, doc, text = ns.handler(ns)
+        return code, _render(ns.as_json, doc, text)
     except ParseError as e:
-        return 2, _error_payload(cmd, "parse", e)
+        return 2, _error_payload(ns.as_json, "parse", e)
     except ZeroDivisionError as e:
-        return 3, _error_payload(cmd, "division-by-zero", e)
+        return 3, _error_payload(ns.as_json, "division-by-zero", e)
     except CompositeModulusError as e:
-        return 4, _error_payload(cmd, "composite-modulus", e)
+        return 4, _error_payload(ns.as_json, "composite-modulus", e)
     except StructuralError as e:
-        return 6, _error_payload(cmd, "structural", e)
+        return 6, _error_payload(ns.as_json, "structural", e)
     except InvalidInputError as e:
-        return 7, _error_payload(cmd, "invalid-input", e)
+        return 7, _error_payload(ns.as_json, "invalid-input", e)
+
+
+def _wants_json(argv) -> bool:
+    """Whether argv asks for --json (or a prefix of it) before any `--`."""
+    options = argv[:argv.index("--")] if "--" in argv else argv
+    return any(a.startswith("--j") and "--json".startswith(a) for a in options)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse_command(argv)
+        ns = parse_command(argv)
     except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(_error_payload(_wants_json(argv), "parse", e), file=sys.stderr)
         return 2
-    code, text = run(cmd)
+    code, text = run(ns)
     if text:
         print(text, file=sys.stdout if code == 0 else sys.stderr)
     return code

@@ -1,5 +1,6 @@
 """CLI parsing, printing, evaluation, exit codes, and the registry."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,15 +10,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import certalg
 
-from certalg.cli import (default_seed,
+from certalg.cli import (MODES, default_seed,
                          eval_frac, eval_int, eval_poly, expr_to_term,
                          format_expr, main, parse_command, parse_expr,
                          poly_to_text, resolve_instance, resolve_monoid, run,
                          valid_instance_name, valid_monoid_name)
 from certalg.errors import ParseError
+from cli_exprgen import random_expr
 
 SRC = Path(certalg.__file__).resolve().parents[1]
 
@@ -366,13 +369,17 @@ def test_isprime_out_of_fuel_exits_7_with_a_reason(monkeypatch):
     assert doc["error"] == "invalid-input" and "fuel" in doc["message"]
 
 
-def _cli(*argv):
+def _child(*argv):
     """Run the CLI as a child process; a hang fails the test after 5 s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-m", "certalg.cli", *argv, "--json"],
+    return subprocess.run([sys.executable, "-m", "certalg.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=5)
+
+
+def _cli(*argv):
+    proc = _child(*argv, "--json")
     out = proc.stdout if proc.returncode == 0 else proc.stderr
     return proc.returncode, json.loads(out)
 
@@ -406,3 +413,160 @@ def test_hang_guard_200_digit_inputs(command, n):
         assert doc["verdict"] == ("prime" if n == 10**199 + 153 else "composite")
     else:
         assert doc["verified"] is True
+
+
+# ================================================================
+# the interpreter's digit limit: literals exit 2, results exit 7
+# ================================================================
+
+
+def _digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no digit limit")
+    return limit
+
+
+def test_oversized_literal_is_a_parse_error():
+    limit = _digit_limit()
+    with pytest.raises(ParseError, match=f"longer than {limit} digits"):
+        parse_expr("1 + " + "7" * (limit + 1), "int")
+    assert eval_int(parse_expr("9" * limit, "int")) == 10**limit - 1
+    assert main(["frac", "1" * max(5000, limit + 1)]) == 2
+    with pytest.raises(ParseError):
+        resolve_instance("zmod" + "7" * (limit + 1) + "-ring")
+    # '²' is a digit to str.isdigit but not to int()
+    assert main(["frac", "²"]) == 2
+
+
+OVERSIZED = {
+    "pow-3^100000": ("pow", "nat-mul", "3", "100000"),
+    "pow-3^100000000": ("pow", "nat-mul", "3", "100000000"),
+    "frac-product": ("frac", "*".join(["9" * 4000] * 3)),
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_oversized_result_exits_7(argv, as_json):
+    _digit_limit()
+    proc = _child(*argv, *(["--json"] if as_json else []))
+    assert proc.returncode == 7 and proc.stdout == ""
+    if as_json:
+        assert json.loads(proc.stderr)["error"] == "invalid-input"
+    else:
+        assert proc.stderr.startswith("error:") and "digits" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sort", "*".join(["9" * 3000] * 2)],
+    ["poly", "*".join(["9" * 3000] * 2) + "*x"],
+    ["prove", "--theory", "csr", "*".join(["9" * 3000] * 2) + "*x = x"],
+], ids=["sort", "poly", "prove"])
+def test_oversized_results_of_other_commands_exit_7(argv):
+    _digit_limit()
+    assert run_argv(argv)[0] == 7
+    assert run_argv([*argv, "--json"])[0] == 7
+
+
+def test_pow_below_the_digit_limit_still_prints():
+    assert run_argv(["pow", "nat-mul", "9", "200"]) == (0, str(9**200))
+    assert run_argv(["pow", "nat-mul", "1", "100000000"]) == (0, "1")
+
+
+# ================================================================
+# JSON mode covers parse errors too
+# ================================================================
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "nat-add", "--budget", "-5"],
+    ["egcd", "1", "x"],
+    ["prove", "--theory", "foo", "x=x"],
+    ["no-such-command"],
+])
+def test_parse_errors_in_json_mode_are_json_documents(argv, capsys):
+    assert main([*argv, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_json_after_the_option_marker_is_an_argument(capsys):
+    assert main(["egcd", "1", "--", "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# ================================================================
+# argparse dispatch: every subcommand has a handler, --json and --help
+# ================================================================
+
+
+MINIMAL_ARGS = {
+    "laws": ["nat-add", "--budget", "5"], "factor": ["12"], "egcd": ["12", "8"],
+    "isprime": ["7"], "residue": ["-m", "5", "2 * 3"], "frac": ["1/2"],
+    "poly": ["x + 1"], "sort": ["3", "1"], "pow": ["nat-add", "2", "3"],
+    "prove": ["--theory", "monoid", "x = x"],
+}
+
+
+@pytest.mark.parametrize("command", MINIMAL_ARGS)
+def test_each_subcommand_dispatches_to_its_handler(command, capsys):
+    ns = parse_command([command, *MINIMAL_ARGS[command], "--json"])
+    assert callable(ns.handler) and ns.as_json is True
+    code, text = run(ns)
+    assert code == 0 and json.loads(text)["command"] == command
+    # the `certalg` script is sys.exit(main())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: certalg {command}")
+
+
+def test_the_script_entry_point_is_main():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert 'certalg = "certalg.cli:main"' in pyproject
+
+
+# ================================================================
+# every run ends in a documented exit code
+# ================================================================
+
+
+def _expr_text(seed_and_mode):
+    seed, mode = seed_and_mode
+    return format_expr(random_expr(random.Random(seed), mode, 3))
+
+
+# `--all` and `--help` stay out: the first runs the whole roster, the second
+# prints usage text instead of a document
+ARGV_TOKENS = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.tuples(st.integers(0, 2**32), st.sampled_from(MODES)).map(_expr_text),
+    st.sampled_from(["nat-add", "nat-mul", "int-add", "bin-add", "nat-monus",
+                     "zmod7-mul", "zmod6-ring", "zmod7-field", "zmod6-field",
+                     "zmod1-ring", "zmod0-mul", "octonions", "--json", "-m", "--field",
+                     "--budget", "--sweep", "--seed", "--order", "frac", "--theory",
+                     "monoid", "csr", "semiring", "--", "0", "1" * 5000,
+                     "*".join(["9" * 3000] * 2)]),
+    st.text("-+*/^()=x0129e_ ²١", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(list(MINIMAL_ARGS) + ["bogus"]),
+       tokens=st.lists(ARGV_TOKENS, max_size=6), as_json=st.booleans())
+def test_every_run_ends_in_a_documented_exit_code(command, tokens, as_json):
+    argv = [command, *(["--json"] if as_json else []), *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO("3 1/2 -4")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3, 4, 5, 6, 7)
+    if as_json:
+        doc, other = (out, err) if code == 0 else (err, out)
+        assert other.getvalue() == ""
+        json.loads(doc.getvalue())  # raises unless exactly one document
