@@ -1,17 +1,21 @@
-"""List certificates: multisets keyed by decidable equality, merge sort
+"""List certificates: multisets keyed by decidable equality, a stable sort
 returning an order certificate plus a permutation witness, and the
 append-based reversal functions used by the lemma corpus.
+
+The sort runs through the builtin sorted() with a key derived from the
+order's leq; verify_sort_result re-decides every adjacent pair, so it does
+not trust the sort.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Callable
 
 from .errors import StructuralError
-from .structures import DSet, Decision, StructureInstance
+from .structures import NO, YES, DSet, Decision, StructureInstance
 
 
 @dataclass(frozen=True)
@@ -91,36 +95,21 @@ class SortResult:
 
 
 def sort_certified(dto: DecTotalOrder, xs) -> SortResult:
-    """Stable merge sort; ties keep the earlier input index first."""
+    """Stable sort; ties keep the earlier input index first.
+
+    sorted() only asks whether one key is below another (cmp < 0), and x
+    goes strictly before y exactly when leq(y, x) fails, so one leq decision
+    answers each question.
+    """
     leq = dto.leq
-    items = [(x, i) for i, x in enumerate(xs)]
-
-    def merge_sort(seq):
-        if len(seq) <= 1:
-            return seq
-        mid = len(seq) // 2
-        left = merge_sort(seq[:mid])
-        right = merge_sort(seq[mid:])
-        out = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if leq(left[i][0], right[j][0]).holds:
-                out.append(left[i])
-                i += 1
-            else:
-                out.append(right[j])
-                j += 1
-        out.extend(left[i:])
-        out.extend(right[j:])
-        return out
-
-    ordered = merge_sort(items)
-    ys = tuple(x for x, _ in ordered)
+    xs = tuple(xs)
+    keys = list(map(cmp_to_key(lambda x, y: 0 if leq(y, x).holds else -1), xs))
+    order = sorted(range(len(xs)), key=keys.__getitem__)
+    ys = tuple(map(xs.__getitem__, order))
     perm = [0] * len(xs)
-    for out_pos, (_, in_pos) in enumerate(ordered):
+    for out_pos, in_pos in enumerate(order):
         perm[in_pos] = out_pos
-    ord_cert = tuple(leq(ys[i], ys[i + 1]) for i in range(len(ys) - 1))
-    return SortResult(ys, ord_cert, tuple(perm))
+    return SortResult(ys, tuple(map(leq, ys, ys[1:])), tuple(perm))
 
 
 def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
@@ -160,7 +149,7 @@ def int_order() -> DecTotalOrder:
     from .numbers import int_dset
 
     def leq(a, b):
-        return Decision.yes((a, b)) if a <= b else Decision.no((a, b))
+        return YES if a <= b else NO
 
     return DecTotalOrder(int_dset(), leq)
 
@@ -174,8 +163,7 @@ def fraction_order() -> DecTotalOrder:
     field = fraction_field()
 
     def leq(a, b):
-        return (Decision.yes((a, b)) if a.num * b.den <= b.num * a.den
-                else Decision.no((a, b)))
+        return YES if a.num * b.den <= b.num * a.den else NO
 
     return DecTotalOrder(field.base, leq)
 
@@ -189,7 +177,10 @@ def append(xs: list, ys: list) -> list:
 
 
 def rev(xs: list) -> list:
-    """Reverse by appending the head onto the reversed tail."""
-    if not xs:
-        return []
-    return append(rev(xs[1:]), [xs[0]])
+    """Reverse by appending the head onto the reversed tail,
+    rev(xs) = append(rev(xs[1:]), [xs[0]]), unrolled from the shortest tail
+    up so that long lists do not exhaust the stack."""
+    out = []
+    for x in reversed(xs):
+        out = append(out, [x])
+    return out

@@ -51,7 +51,7 @@ def default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", 0)
+        raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _literal(digits: str, pos: int) -> int:
@@ -430,7 +430,7 @@ def _lookup(role: str, name: str):
     m = _ZMOD_RE.fullmatch(name)
     if m is None or m.group(2) not in kinds:
         return None
-    return partial(_ZMOD[m.group(2)], _literal(m.group(1), 0))
+    return partial(_ZMOD[m.group(2)], _literal(m.group(1), None))
 
 
 def _valid(role: str, name: str) -> bool:
@@ -440,7 +440,7 @@ def _valid(role: str, name: str) -> bool:
 def _resolve(role: str, name: str) -> StructureInstance:
     build = _lookup(role, name)
     if build is None:
-        raise ParseError(f"unknown {role} {name!r}", 0)
+        raise ParseError(f"unknown {role} {name!r}")
     return build()
 
 
@@ -593,7 +593,7 @@ _THEORY_ALIASES = {"csr": "commsemiring", "monoid": "monoid",
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise ParseError(message, 0)
+        raise ParseError(message)
 
 
 def natural(text: str) -> int:
@@ -674,9 +674,9 @@ def parse_command(argv) -> argparse.Namespace:
         if ns.all:
             ns.names = list(LAWFUL_INSTANCE_NAMES) + ns.names
         if not ns.names:
-            raise ParseError("laws needs instance names or --all", 0)
+            raise ParseError("laws needs instance names or --all")
         if ns.budget == 0 and ns.sweep == 0:
-            raise ParseError("--budget 0 with --sweep 0 checks no case", 0)
+            raise ParseError("--budget 0 with --sweep 0 checks no case")
         if ns.seed is None:
             ns.seed = default_seed()
     return ns

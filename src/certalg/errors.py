@@ -28,7 +28,10 @@ class CompositeModulusError(CertAlgError):
 
 
 class ParseError(CertAlgError):
-    def __init__(self, message, position, expected=None):
+    """A malformed expression (position is the offending character's index)
+    or command line (position None: the message names the argument)."""
+
+    def __init__(self, message, position=None, expected=None):
         self.position = position
         self.expected = expected
-        super().__init__(f"{message} at position {position}")
+        super().__init__(message if position is None else f"{message} at position {position}")

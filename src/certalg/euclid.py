@@ -119,8 +119,11 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
 
     The returned g is canonicalized through the ring's canon_unit hook when
     present (non-negative for the integers); the Bezout coefficients and
-    the quotients a = qa*g, b = qb*g are adjusted to match.
+    the quotients a = qa*g, b = qb*g are adjusted to match. A ring with an
+    egcd role computes the certificate itself (int_ring() on plain ints).
     """
+    if "egcd" in ring.ops:
+        return ring.ops["egcd"](a, b)
     add = ring.ops["add"]
     mul = ring.ops["mul"]
     neg = ring.ops["neg"]
@@ -153,6 +156,27 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
         qa = dm(a, g)[0]
         qb = dm(b, g)[0]
     return BezoutCertificate(a, b, g, old_u, old_v, qa, qb)
+
+
+def _int_egcd(a: int, b: int) -> BezoutCertificate:
+    """extended_gcd over plain ints: the generic route's steps, remainders
+    (0 <= r < |b|; only the first divisor can be negative) and sign
+    canonicalization, so the same certificate, field by field. v is the one
+    integer with u*a + v*b = g, so it is solved for at the end."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    while r:
+        q, rem = divmod(old_r, r)
+        if rem < 0:
+            q, rem = q + 1, rem - r
+        old_r, r = r, rem
+        old_u, u = u, old_u - q * u
+    if old_r < 0:
+        old_r, old_u = -old_r, -old_u
+    v = (old_r - old_u * a) // b if b else 0
+    if old_r == 0:
+        return BezoutCertificate(a, b, 0, old_u, v, 1, 1)
+    return BezoutCertificate(a, b, old_r, old_u, v, a // old_r, b // old_r)
 
 
 def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
@@ -434,6 +458,10 @@ def prime_split(ring: StructureInstance, p, a, b, w: DividesWitness):
 # the integers as a Euclidean ring
 
 
+def _identity(x):
+    return x
+
+
 @lru_cache(maxsize=None)
 def int_ring() -> StructureInstance:
     ops = {
@@ -449,6 +477,9 @@ def int_ring() -> StructureInstance:
         "unit_inv": lambda a: a,
         "canon_unit": lambda a: -1 if a < 0 else 1,
         "primality": is_prime,
+        "egcd": _int_egcd,
+        "to_int": _identity,
+        "from_int": _identity,
     }
     return StructureInstance(Kind.EUCLIDEAN_RING, int_dset(), ops, "int-ring")
 
@@ -498,8 +529,9 @@ def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     """The quotient ring of a Euclidean ring by (b), on canonical remainders.
 
-    Over the shipped int_ring() the ops reduce with Python's % directly;
-    any other ring goes through its div_mod.
+    Over the shipped int_ring() the ops reduce with Python's % directly, and
+    the to_int/from_int roles expose the quotient map from the integers; any
+    other ring goes through its div_mod.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -519,6 +551,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
             "add": lambda x, y: Residue(b, (x.value + y.value) % m),
             "neg": lambda x: Residue(b, -x.value % m),
             "mul": lambda x, y: Residue(b, x.value * y.value % m),
+            "to_int": lambda x: x.value,
+            "from_int": lambda v: Residue(b, v % m),
         }
     else:
         dm = ring.ops["div_mod"]

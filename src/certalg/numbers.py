@@ -23,27 +23,29 @@ def monus(a: int, b: int) -> int:
 # binary coding
 
 
+# bit lists and bit strings convert through bytes: 0/1 <-> "0"/"1"
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def is_canonical_bin(bits) -> bool:
-    return all(b in (0, 1) for b in bits) and (not bits or bits[-1] == 1)
+    try:
+        digits_ok = set(bits) <= {0, 1}
+    except TypeError:  # an unhashable element: the per-bit test says no
+        digits_ok = all(b in (0, 1) for b in bits)
+    return digits_ok and (not bits or bits[-1] == 1)
 
 
 def to_bin(n: int) -> list:
     if n < 0:
         raise InvalidInputError("to_bin takes a natural number")
-    bits = []
-    while n:
-        bits.append(n & 1)
-        n >>= 1
-    return bits
+    return list(bin(n)[:1:-1].encode().translate(_TO_BITS)) if n else []
 
 
 def from_bin(bits) -> int:
     if not is_canonical_bin(bits):
         raise InvalidInputError(f"non-canonical bit list {bits!r}")
-    n = 0
-    for b in reversed(bits):
-        n = (n << 1) | b
-    return n
+    return int(bytes(reversed(bits)).translate(_TO_DIGITS) or b"0", 2)
 
 
 def bin_suc(bits) -> list:

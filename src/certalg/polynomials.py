@@ -3,12 +3,16 @@
 Terms are (coefficient, exponent) pairs ordered by decreasing exponent
 with no zero coefficients; the zero polynomial has no terms. Values carry
 their coefficient-ring handle; mixing handles is a structural error.
-Addition is the certified operation; poly_mul is plain plumbing.
+Addition is a single merge pass. poly_mul convolves through the
+coefficient ring's ops; over a quotient of the integers (a ring with the
+to_int and from_int roles) it sums each exponent's products as plain ints
+and maps every sum back once.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import StructuralError
@@ -88,11 +92,25 @@ def degree(p: Poly):
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    # plumbing only: convolution then re-canonicalization
+    """Convolution, then re-canonicalization. from_int is a ring
+    homomorphism with from_int(to_int(c)) == c, so mapping each exponent's
+    integer sum back gives the coefficient the ring ops would."""
     _check_handles(p, q)
-    mul = p.ring.ops["mul"]
-    return mk_poly(p.ring, [(mul(c1, c2), e1 + e2)
-                            for c1, e1 in p.terms for c2, e2 in q.terms])
+    ring = p.ring
+    to_int, from_int = ring.ops.get("to_int"), ring.ops.get("from_int")
+    if to_int is None or from_int is None:
+        mul = ring.ops["mul"]
+        return mk_poly(ring, [(mul(c1, c2), e1 + e2)
+                              for c1, e1 in p.terms for c2, e2 in q.terms])
+    qs = [(to_int(c), e) for c, e in q.terms]
+    sums = defaultdict(int)
+    for c1, e1 in p.terms:
+        a = to_int(c1)
+        for c2, e2 in qs:
+            sums[e1 + e2] += a * c2
+    eq, zero = ring.base.eq, ring.ops["zero"]()
+    terms = ((from_int(sums[e]), e) for e in sorted(sums, reverse=True))
+    return Poly(ring, tuple((c, e) for c, e in terms if not eq(c, zero).holds))
 
 
 def poly_group(ring: StructureInstance) -> StructureInstance:

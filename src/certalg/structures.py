@@ -81,6 +81,7 @@ _GROUP_ROLES = {"op", "identity", "inverse", "factor"}
 _RING_ROLES = {
     "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
     "factor", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
+    "egcd", "to_int", "from_int",
 }
 
 REQUIRED_OPS = {

@@ -13,7 +13,7 @@ from certalg.errors import StructuralError
 from certalg.euclid import int_ring
 from certalg.fractions import mk_fraction
 from certalg.numbers import int_dset
-from certalg.structures import Decision
+from certalg.structures import NO, YES, Decision
 
 
 # ================================================================
@@ -140,6 +140,82 @@ def test_fraction_order_sorts_by_value():
     assert verify_sort_result(fraction_order(), xs, res)
 
 
+def merge_sort_certified(dto, xs) -> SortResult:
+    """The former library sort, kept as the oracle: a stable top-down merge
+    sort that takes the left item whenever leq(left, right) holds."""
+    leq = dto.leq
+    items = [(x, i) for i, x in enumerate(xs)]
+
+    def merge_sort(seq):
+        if len(seq) <= 1:
+            return seq
+        mid = len(seq) // 2
+        left = merge_sort(seq[:mid])
+        right = merge_sort(seq[mid:])
+        out = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if leq(left[i][0], right[j][0]).holds:
+                out.append(left[i])
+                i += 1
+            else:
+                out.append(right[j])
+                j += 1
+        out.extend(left[i:])
+        out.extend(right[j:])
+        return out
+
+    ordered = merge_sort(items)
+    ys = tuple(x for x, _ in ordered)
+    perm = [0] * len(xs)
+    for out_pos, (_, in_pos) in enumerate(ordered):
+        perm[in_pos] = out_pos
+    ord_cert = tuple(leq(ys[i], ys[i + 1]) for i in range(len(ys) - 1))
+    return SortResult(ys, ord_cert, tuple(perm))
+
+
+def _int_lists():
+    rng = random.Random(20)
+    for n in (0, 1, 2, 3, 10, 100, 1000):
+        for many_dups in (False, True):
+            xs = [rng.randint(0, 4) if many_dups else rng.randint(-10**6, 10**6)
+                  for _ in range(n)]
+            yield xs
+            yield sorted(xs)
+            yield sorted(xs, reverse=True)
+
+
+PARITY = DecTotalOrder(int_dset(), lambda a, b: Decision(a % 2 <= b % 2))
+
+
+@pytest.mark.parametrize("dto", [int_order(), PARITY], ids=["int", "parity"])
+def test_sort_matches_merge_sort_oracle_on_ints(dto):
+    for xs in _int_lists():
+        res = sort_certified(dto, xs)
+        oracle = merge_sort_certified(dto, xs)
+        assert (res.ys, res.perm) == (oracle.ys, oracle.perm)
+        assert verify_sort_result(dto, xs, res)
+
+
+def test_sort_matches_merge_sort_oracle_on_fractions():
+    ring = int_ring()
+    rng = random.Random(21)
+    for n in (0, 1, 5, 300):
+        # small numerators and denominators, so equal values arise often
+        xs = [mk_fraction(ring, rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+        res = sort_certified(fraction_order(), xs)
+        oracle = merge_sort_certified(fraction_order(), xs)
+        assert (res.ys, res.perm) == (oracle.ys, oracle.perm)
+        assert verify_sort_result(fraction_order(), xs, res)
+
+
+def test_orders_return_the_shared_verdicts():
+    assert int_order().leq(1, 2) is YES and int_order().leq(2, 1) is NO
+    half, third = mk_fraction(int_ring(), 1, 2), mk_fraction(int_ring(), 1, 3)
+    assert fraction_order().leq(third, half) is YES
+    assert fraction_order().leq(half, third) is NO
+
+
 # ================================================================
 # list lemmas: rev and append
 # ================================================================
@@ -180,3 +256,10 @@ def test_lemmas_exhaustive_small_alphabet():
         xs = rng.choice(lists)
         ys = rng.choice(lists)
         assert rev(append(xs, ys)) == append(rev(ys), rev(xs))
+
+
+def test_rev_of_a_long_list():
+    # once a RecursionError: rev recursed once per element
+    xs = list(range(5000))
+    assert rev(xs) == xs[::-1]
+    assert rev(rev(xs)) == xs

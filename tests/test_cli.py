@@ -280,6 +280,22 @@ def test_laws_rejects_negative_budget_and_sweep(capsys):
     assert "natural" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["laws", "nat-add", "--budget", "-5"],
+    ["laws"],
+    ["laws", "nat-add", "--budget", "0", "--sweep", "0"],
+    ["laws", "nat-add"],  # with a malformed CERTALG_SEED
+    ["pow", "no-such-monoid", "2", "3"],
+])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_argument_errors_name_no_position(argv, as_json, capsys, monkeypatch):
+    monkeypatch.setenv("CERTALG_SEED", "x")
+    assert main(argv + (["--json"] if as_json else [])) == 2
+    err = capsys.readouterr().err
+    message = json.loads(err)["message"] if as_json else err
+    assert message.strip() and "position" not in message
+
+
 def test_exit_3_division_by_zero():
     assert run_argv(["frac", "1/0"])[0] == 3
 
@@ -413,6 +429,13 @@ def test_hang_guard_200_digit_inputs(command, n):
         assert doc["verdict"] == ("prime" if n == 10**199 + 153 else "composite")
     else:
         assert doc["verified"] is True
+
+
+def test_hang_guard_bin_add_power_with_a_1000_digit_exponent():
+    n = 10**1000 - 7
+    code, doc = _cli("pow", "bin-add", "5", str(n))
+    assert code == 0
+    assert doc["result"] == [int(b) for b in reversed(format(5 * n, "b"))]
 
 
 # ================================================================

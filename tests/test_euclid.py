@@ -16,7 +16,8 @@ from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
                             extended_gcd, int_ring, is_prime, make_residue,
                             prime_split, residue_field, residue_ring,
                             verify_bezout, verify_primality)
-from certalg.structures import Kind, StructureInstance, check_laws
+from certalg.structures import (Kind, StructureInstance, check_laws,
+                                validate_instance)
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +303,43 @@ def test_native_residue_inverse_agrees_with_the_generic_route(ring):
                 inv(Residue(p, 0))
             with pytest.raises(InvalidInputError):
                 inv(Residue(p, 2 * p))
+
+
+def _ring_without(*roles):
+    r = int_ring()
+    return StructureInstance(r.kind, r.base,
+                             {k: f for k, f in r.ops.items() if k not in roles}, r.name)
+
+
+def _egcd_pairs():
+    grid = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
+    signs = [(s * x, t * y) for x, y in ((0, 0), (0, 12), (12, 0), (12, 12), (12, 18),
+                                         (36, 12), (1, 2**64), (2**64, 2**64 - 1))
+             for s in (1, -1) for t in (1, -1)]
+    rng = random.Random(64)
+    seeded = [(rng.choice((1, -1)) * rng.getrandbits(bits),
+               rng.choice((1, -1)) * rng.getrandbits(bits))
+              for bits in (64, 256) for _ in range(500)]
+    return grid + signs + seeded
+
+
+def test_native_egcd_agrees_with_the_generic_route(ring):
+    generic = _ring_without("egcd")
+    for a, b in _egcd_pairs():
+        fast, slow = extended_gcd(ring, a, b), extended_gcd(generic, a, b)
+        assert fast == slow, (a, b)
+        assert verify_bezout(ring, fast)
+
+
+def test_instances_with_native_roles_validate(ring):
+    field = residue_field(ring, 7, is_prime(7))
+    assert {"egcd", "to_int", "from_int"} <= set(ring.ops)
+    assert {"to_int", "from_int"} <= set(field.ops)
+    for inst in (ring, residue_ring(ring, 12), residue_ring(ring, -7), field):
+        validate_instance(inst)
+    typo = StructureInstance(ring.kind, ring.base, {**ring.ops, "from_ints": int}, ring.name)
+    with pytest.raises(StructuralError, match="from_ints"):
+        validate_instance(typo)
 
 
 def test_int_ring_is_lawful_and_euclidean(ring):

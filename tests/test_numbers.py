@@ -1,5 +1,7 @@
 """Natural/integer carriers, binary coding, and generic powering."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +65,33 @@ def test_bin_round_trip(n):
     bits = to_bin(n)
     assert is_canonical_bin(bits)
     assert from_bin(bits) == n
+
+
+def _bits_one_at_a_time(n):
+    """The per-bit coding the library used to run, as the oracle."""
+    bits = []
+    while n:
+        bits.append(n & 1)
+        n >>= 1
+    return bits
+
+
+def test_bin_coding_matches_the_per_bit_oracle():
+    rng = random.Random(12)
+    for n in list(range(1100)) + [rng.getrandbits(rng.randint(1, 20000)) for _ in range(200)]:
+        bits = _bits_one_at_a_time(n)
+        assert to_bin(n) == bits and all(type(b) is int for b in to_bin(n))
+        assert from_bin(bits) == n and is_canonical_bin(bits)
+    # the same verdicts and errors off the canonical form
+    for bad in ([0], [1, 0], [2], [-1, 1], [[1]], [1, [1]], [None], ["1"]):
+        assert not is_canonical_bin(bad)
+        with pytest.raises(InvalidInputError):
+            from_bin(bad)
+    assert is_canonical_bin((0, 1)) and from_bin((0, 1)) == 2
+    with pytest.raises(TypeError):
+        is_canonical_bin(5)
+    with pytest.raises(InvalidInputError):
+        to_bin(-(2**70))
 
 
 @given(st.integers(min_value=0, max_value=2**80))

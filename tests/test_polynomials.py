@@ -127,3 +127,48 @@ def test_random_add_matches_oracle_over_zmod7():
         expect = sorted(((c, e) for e, c in acc.items() if c),
                         key=lambda t: -t[1])
         assert got == expect
+
+
+# ================================================================
+# poly_mul through to_int/from_int against the ring-ops route
+# ================================================================
+
+
+def _without_int_roles(ring):
+    ops = {k: f for k, f in ring.ops.items() if k not in ("to_int", "from_int")}
+    return type(ring)(ring.kind, ring.base, ops, ring.name)
+
+
+@pytest.mark.parametrize("m", [None, 2, 7, 12, -7, 9973])
+def test_poly_mul_with_int_roles_matches_the_ring_ops_route(m):
+    ring = RING if m is None else residue_ring(RING, m)
+    coeff = (lambda v: v) if m is None else (lambda v: make_residue(RING, m, v))
+    assert "to_int" in ring.ops and "from_int" in ring.ops
+    plain = _without_int_roles(ring)
+    rng = random.Random(17)
+    pairs = [[[(coeff(rng.randint(-99, 99)), rng.randrange(3 * n + 1)) for _ in range(n)]
+              for _ in range(2)] for n in (0, 1, 2, 5, 40) for _ in range(6)]
+    one, minus = coeff(1), coeff(-1)
+    pairs += [
+        [[(one, 1), (one, 0)], [(one, 1), (minus, 0)]],  # x^2 - 1
+        [[(one, 1), (one, 0)], [(one, 1), (one, 0)]],    # 2x vanishes mod 2
+        [[(coeff(2), 1)], [(coeff(6), 3)]],              # 12x^4 vanishes mod 12
+        [[(coeff(7), 2)], [(one, 0)]],                   # zero mod 7
+        [[], [(one, 3)]],
+        [[(one, 3)], []],
+    ]
+    for raw_p, raw_q in pairs:
+        p, q = mk_poly(ring, raw_p), mk_poly(ring, raw_q)
+        got = poly_mul(p, q)
+        want = poly_mul(Poly(plain, p.terms), Poly(plain, q.terms))
+        assert got.ring is ring and got.terms == want.terms
+
+
+def test_poly_mul_products_that_cancel():
+    z12, z2 = residue_ring(RING, 12), residue_ring(RING, 2)
+    r12 = lambda v: make_residue(RING, 12, v)
+    assert poly_mul(mk_poly(z12, [(r12(4), 1)]), mk_poly(z12, [(r12(3), 2)])).terms == ()
+    one = make_residue(RING, 2, 1)
+    p = mk_poly(z2, [(one, 1), (one, 0)])
+    assert terms_of(poly_mul(p, p)) == [(one, 2), (one, 0)]  # 2x vanishes
+    assert poly_mul(mk_poly(RING, [(1, 1)]), Poly(RING, ())).terms == ()
