@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
 
 from .errors import CompositeModulusError, InvalidInputError
@@ -489,15 +489,18 @@ def int_ring() -> StructureInstance:
 
 
 _ENUMERATION_PREFIX = 64
+# Z/(m) over int_ring() with m up to this builds each of its residues once
+_TABLE_MAX = 1 << 8
 
 
 def make_residue(ring: StructureInstance, b, v) -> Residue:
     return Residue(b, ring.ops["div_mod"](v, b)[1])
 
 
-def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
-    """Carrier of R/(b); rem maps a ring element to its canonical remainder.
-    Its enumeration is the first min(|b|, 64) residues."""
+def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
+    """Carrier of R/(b); rem maps a ring element to its canonical remainder
+    and res a canonical remainder to its Residue. Its enumeration is the
+    first min(|b|, 64) residues."""
     base_eq = ring.base.eq
     if ring is int_ring():
         def eq(x, y):
@@ -508,18 +511,20 @@ def _residue_dset(ring: StructureInstance, b, rem) -> DSet:
 
     def sample(seed, count):
         rng = random.Random(seed)
-        return [Residue(b, rem(_mixed_int(rng))) for _ in range(count)]
+        return [res(rem(_mixed_int(rng))) for _ in range(count)]
 
     # a prefix: sweeps read at most its first few elements, and a modulus
     # near 2^61 could not be enumerated in full
     enumeration = None
     if isinstance(b, int):
-        enumeration = tuple(Residue(b, v) for v in range(min(abs(b), _ENUMERATION_PREFIX)))
+        enumeration = tuple(map(res, range(min(abs(b), _ENUMERATION_PREFIX))))
 
     mul = ring.ops["mul"]
     add = ring.ops["add"]
 
     def variants(x, rng):
+        # a fresh object on purpose, so congruence laws compare two
+        # distinct residues with equal values
         k = rng.randint(1, 5)
         return [Residue(b, rem(add(x.value, mul(k, b))))]
 
@@ -531,7 +536,9 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
 
     Over the shipped int_ring() the ops reduce with Python's % directly, and
     the to_int/from_int roles expose the quotient map from the integers; any
-    other ring goes through its div_mod.
+    other ring goes through its div_mod. Over int_ring() with |b| <= 2^8,
+    every residue is built once, with the ring, and the ops hand out those
+    shared, immutable objects (hash-consing) instead of a new one per result.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -541,18 +548,21 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
         raise InvalidInputError(f"modulus {b} is invertible; the quotient collapses")
     one = ring.ops["one"]()
 
+    res = partial(Residue, b)
     if ring is int_ring():
         m = abs(b)
+        if m <= _TABLE_MAX:
+            res = tuple(map(res, range(m))).__getitem__
 
         def rem(v):
             return v % m
 
         ops = {
-            "add": lambda x, y: Residue(b, (x.value + y.value) % m),
-            "neg": lambda x: Residue(b, -x.value % m),
-            "mul": lambda x, y: Residue(b, x.value * y.value % m),
+            "add": lambda x, y: res((x.value + y.value) % m),
+            "neg": lambda x: res(-x.value % m),
+            "mul": lambda x, y: res(x.value * y.value % m),
             "to_int": lambda x: x.value,
-            "from_int": lambda v: Residue(b, v % m),
+            "from_int": lambda v: res(v % m),
         }
     else:
         dm = ring.ops["div_mod"]
@@ -564,13 +574,14 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
             return dm(v, b)[1]
 
         ops = {
-            "add": lambda x, y: Residue(b, rem(radd(x.value, y.value))),
-            "neg": lambda x: Residue(b, rem(rneg(x.value))),
-            "mul": lambda x, y: Residue(b, rem(rmul(x.value, y.value))),
+            "add": lambda x, y: res(rem(radd(x.value, y.value))),
+            "neg": lambda x: res(rem(rneg(x.value))),
+            "mul": lambda x, y: res(rem(rmul(x.value, y.value))),
         }
-    ops["zero"] = lambda: Residue(b, zero)
-    ops["one"] = lambda: Residue(b, rem(one))
-    return StructureInstance(Kind.COMMUTATIVE_RING, _residue_dset(ring, b, rem), ops,
+    r_zero, r_one = res(zero), res(rem(one))
+    ops["zero"] = lambda: r_zero
+    ops["one"] = lambda: r_one
+    return StructureInstance(Kind.COMMUTATIVE_RING, _residue_dset(ring, b, rem, res), ops,
                              f"{ring.name}/({b})")
 
 
@@ -590,12 +601,13 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
     base = residue_ring(ring, b)
     if ring is int_ring():
         m = abs(b)
+        from_int = base.ops["from_int"]
 
         def inv(x: Residue) -> Residue:
             if x.value == 0:
                 raise ZeroDivisionError("inverse of zero residue")
             try:
-                return Residue(b, pow(x.value, -1, m))
+                return from_int(pow(x.value, -1, m))
             except ValueError:  # a non-canonical value such as Residue(7, 14)
                 raise InvalidInputError(
                     f"{x.value} shares a factor with the modulus {b}") from None

@@ -438,6 +438,25 @@ def test_hang_guard_bin_add_power_with_a_1000_digit_exponent():
     assert doc["result"] == [int(b) for b in reversed(format(5 * n, "b"))]
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_hang_guard_bin_add_power_refuses_a_4300_digit_exponent(as_json):
+    proc = _child("pow", "bin-add", "5", str(10**4299 + 1), *(["--json"] if as_json else []))
+    assert proc.returncode == 7 and proc.stdout == ""
+    if as_json:
+        doc = json.loads(proc.stderr)
+        assert doc["error"] == "invalid-input" and "too large" in doc["message"]
+    else:
+        assert proc.stderr.startswith("error:") and "too large" in proc.stderr
+
+
+def test_bin_add_power_bound_counts_the_base_bits():
+    # 1201 * (3 + 1201) is far below 2^24; 1201 * (13288 + 1201) is above it
+    n = 2**1200
+    assert _cli("pow", "bin-add", "5", str(n))[0] == 0
+    code, doc = _cli("pow", "bin-add", str(10**4000), str(n))
+    assert code == 7 and "too large" in doc["message"]
+
+
 # ================================================================
 # the interpreter's digit limit: literals exit 2, results exit 7
 # ================================================================

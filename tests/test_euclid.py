@@ -1,5 +1,6 @@
 """Division, extended gcd certificates, primality, residue rings/fields."""
 
+import dataclasses
 import math
 import random
 import time
@@ -303,6 +304,80 @@ def test_native_residue_inverse_agrees_with_the_generic_route(ring):
                 inv(Residue(p, 0))
             with pytest.raises(InvalidInputError):
                 inv(Residue(p, 2 * p))
+
+
+# ================================================================
+# interned residues: small Z/(m) hands out one shared object per residue
+# ================================================================
+
+
+def _op_results(zr):
+    """Every way a residue ring hands out a residue, with its expected value."""
+    m = abs(zr.ops["one"]().modulus)
+    ops, xs = zr.ops, zr.base.sample(3, 40)
+    out = [(ops["zero"](), 0), (ops["one"](), 1)]
+    out += [(x, x.value) for x in xs + list(zr.base.enumeration)]
+    out += [(ops["from_int"](v), v % m) for v in (-m - 3, -1, 0, 5, 3 * m + 2)]
+    for x, y in zip(xs, xs[1:]):
+        out += [(ops["add"](x, y), (x.value + y.value) % m),
+                (ops["mul"](x, y), x.value * y.value % m),
+                (ops["neg"](x), -x.value % m)]
+    return out
+
+
+@pytest.mark.parametrize("b", [2, 7, 97, 256, -7])
+def test_small_residue_rings_hand_out_their_table_entries(ring, b):
+    cert = is_prime(b)
+    rings = [residue_ring(ring, b)]
+    rings += [residue_field(ring, b, cert)] if cert.verdict == "prime" else []
+    for zr in rings:
+        table = [zr.ops["from_int"](v) for v in range(abs(b))]
+        assert table == [Residue(b, v) for v in range(abs(b))]
+        for r, v in _op_results(zr):
+            assert r is table[v]
+        if "inv" in zr.ops:
+            assert all(zr.ops["inv"](x) is table[pow(x.value, -1, abs(b))]
+                       for x in table[1:])
+
+
+@pytest.mark.parametrize("b", [257, 9973, 2**61 - 1, -257])
+def test_larger_residue_rings_build_fresh_residues(ring, b):
+    zr = residue_ring(ring, b)
+    for r, v in _op_results(zr):
+        assert r == Residue(b, v)
+    x, y = zr.base.sample(3, 2)
+    for op, args in (("add", (x, y)), ("mul", (x, y)), ("neg", (x,)), ("from_int", (5,))):
+        first, second = zr.ops[op](*args), zr.ops[op](*args)
+        assert first == second and first is not second
+
+
+def test_variants_of_an_interned_residue_are_fresh_objects(ring):
+    zr = residue_ring(ring, 7)
+    rng = random.Random(0)
+    for x in zr.base.enumeration:
+        (v,) = zr.base.variants(x, rng)
+        assert v == x and v is not x
+
+
+def test_interned_residues_stay_frozen_with_value_equality(ring):
+    r = residue_ring(ring, 7).ops["from_int"](3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 4
+    assert r == Residue(7, 3) and r != Residue(7, 4) and r != Residue(-7, 3)
+    assert hash(r) == hash(Residue(7, 3)) and repr(r) == "Residue(modulus=7, value=3)"
+    assert str(r) == "3 (mod 7)"
+
+
+def test_interned_and_generic_residue_rings_check_the_same_cases(ring):
+    generic = _generic_int_ring()
+    primes = [p for p in range(2, 100) if is_prime(p).verdict == "prime"]
+    pairs = [(residue_ring(ring, b), residue_ring(generic, b)) for b in range(2, 100)]
+    pairs += [(residue_field(ring, p, is_prime(p)), residue_field(generic, p, is_prime(p)))
+              for p in primes]
+    for fast, slow in pairs:
+        a = check_laws(fast, seed=3, budget=40)
+        b = check_laws(slow, seed=3, budget=40)
+        assert a.ok and b.ok and a.cases == b.cases, fast.name
 
 
 def _ring_without(*roles):
