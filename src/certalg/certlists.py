@@ -3,8 +3,11 @@ returning an order certificate plus a permutation witness, and the
 append-based reversal functions used by the lemma corpus.
 
 The sort runs through the builtin sorted() with a key derived from the
-order's leq; verify_sort_result re-decides every adjacent pair, so it does
-not trust the sort.
+order's leq. Under the shipped int_order() itself, on a list of plain ints,
+the key is the element, so no comparison calls back into Python; every
+other order, and a list holding any other type (bool included), takes the
+leq route, which the tests use as the oracle. verify_sort_result
+re-decides every adjacent pair, so it trusts neither route.
 """
 
 from __future__ import annotations
@@ -103,7 +106,10 @@ def sort_certified(dto: DecTotalOrder, xs) -> SortResult:
     """
     leq = dto.leq
     xs = tuple(xs)
-    keys = list(map(cmp_to_key(lambda x, y: 0 if leq(y, x).holds else -1), xs))
+    if dto is int_order() and {*map(type, xs)} <= {int}:
+        keys = xs  # leq is <= on these, so the ints order themselves, in C
+    else:
+        keys = list(map(cmp_to_key(lambda x, y: 0 if leq(y, x).holds else -1), xs))
     order = sorted(range(len(xs)), key=keys.__getitem__)
     ys = tuple(map(xs.__getitem__, order))
     perm = [0] * len(xs)

@@ -1,7 +1,8 @@
 """Arithmetic carriers: naturals, integers, and canonical binary coding.
 
 Bin values are lists of bits, least significant first, with no trailing
-zeros; the empty list is zero. power() raises an element of any monoid
+zeros; the empty list is zero. A bit is an integer 0 or 1 (bool included;
+1.0 equals 1 but is no bit). power() raises an element of any monoid
 instance to a natural power by square-and-multiply over the bit list.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import index
 
 from .errors import InvalidInputError, StructuralError
 from .structures import NO, YES, DSet, Kind, StructureInstance
@@ -29,10 +31,11 @@ _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_canonical_bin(bits) -> bool:
+    digits = map(index, bits)  # a bits that is not iterable raises TypeError
     try:
-        digits_ok = set(bits) <= {0, 1}
-    except TypeError:  # an unhashable element: the per-bit test says no
-        digits_ok = all(b in (0, 1) for b in bits)
+        digits_ok = set(digits) <= {0, 1}
+    except TypeError:  # an element that is no integer, such as 1.0, "1" or [1]
+        digits_ok = False
     return digits_ok and (not bits or bits[-1] == 1)
 
 
@@ -43,9 +46,17 @@ def to_bin(n: int) -> list:
 
 
 def from_bin(bits) -> int:
-    if not is_canonical_bin(bits):
-        raise InvalidInputError(f"non-canonical bit list {bits!r}")
-    return int(bytes(reversed(bits)).translate(_TO_DIGITS) or b"0", 2)
+    try:
+        # bytes() takes exactly the integers in 0..255, as index() sees them
+        raw = bytes(bits) if type(bits) is list else None
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.translate(None, b"\0\1") or raw.endswith(b"\0"):
+        # not a canonical 0/1 list: tuples, bytes and every error go this way
+        if not is_canonical_bin(bits):
+            raise InvalidInputError(f"non-canonical bit list {bits!r}")
+        raw = bytes(bits)
+    return int(raw[::-1].translate(_TO_DIGITS) or b"0", 2)
 
 
 def bin_suc(bits) -> list:

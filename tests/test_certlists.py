@@ -1,10 +1,12 @@
 """Multisets, certified sorting, and the list lemmas."""
 
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
 
+from certalg import certlists
 from certalg.certlists import (DecTotalOrder, Multiset, SortResult, append,
                                fraction_order, int_order, mset_eq,
                                mset_of_list, mset_sum, rev, sort_certified,
@@ -207,6 +209,56 @@ def test_sort_matches_merge_sort_oracle_on_fractions():
         oracle = merge_sort_certified(fraction_order(), xs)
         assert (res.ys, res.perm) == (oracle.ys, oracle.perm)
         assert verify_sort_result(fraction_order(), xs, res)
+
+
+# the same leq under a DecTotalOrder that is not int_order() itself, so
+# sort_certified takes the leq route: the oracle for int_order()'s int route
+LEQ_INT_ORDER = DecTotalOrder(int_dset(), int_order().leq)
+
+
+def _int_route_lists():
+    rng = random.Random(22)
+    yield []
+    yield [7]
+    yield [3] * 50
+    for n in (2, 10, 100, 1000, 10_000):
+        xs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        yield xs
+        yield sorted(xs)
+        yield sorted(xs, reverse=True)
+        yield [rng.randint(0, 4) for _ in range(n)]
+    yield [rng.getrandbits(200) - 2**199 for _ in range(500)]
+
+
+def test_int_order_route_matches_the_leq_route():
+    for xs in _int_route_lists():
+        res = sort_certified(int_order(), xs)
+        oracle = sort_certified(LEQ_INT_ORDER, xs)
+        assert (res.ys, res.perm, res.ord_cert) == (oracle.ys, oracle.perm, oracle.ord_cert)
+        assert verify_sort_result(int_order(), xs, res)
+
+
+def test_int_order_takes_the_leq_route_unless_every_element_is_an_int(monkeypatch):
+    keyed = []
+
+    def counting_cmp_to_key(cmp):
+        keyed.append(cmp)
+        return cmp_to_key(cmp)
+
+    monkeypatch.setattr(certlists, "cmp_to_key", counting_cmp_to_key)
+    sort_certified(int_order(), [3, 1, 2])
+    assert keyed == []
+    for xs in ([3, True, 0, False, 1], [2, 1.5, 1]):
+        keyed.clear()
+        res = sort_certified(int_order(), xs)
+        assert len(keyed) == 1
+        oracle = sort_certified(LEQ_INT_ORDER, xs)
+        assert (res.ys, res.perm, res.ord_cert) == (oracle.ys, oracle.perm, oracle.ord_cert)
+        assert all(res.ys[res.perm[i]] is x for i, x in enumerate(xs))
+        assert verify_sort_result(int_order(), xs, res)
+    keyed.clear()
+    sort_certified(LEQ_INT_ORDER, [3, 1, 2])
+    assert len(keyed) == 1
 
 
 def test_orders_return_the_shared_verdicts():

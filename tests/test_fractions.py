@@ -1,6 +1,7 @@
 """Canonical fractions over the integers and the two addition routes."""
 
 import fractions as stdlib_fractions
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from certalg.fractions import (Fraction, add_naive, add_optimized,
                                build_fraction_field, fraction_field, inverse,
                                is_canonical, mk_fraction, mul_fractions,
                                neg_fraction)
-from certalg.structures import Kind, check_laws
+from certalg.structures import Kind, StructureInstance, check_laws
 
 RING = int_ring()
 
@@ -102,3 +103,83 @@ def test_build_fraction_field_equality_ignores_representation():
     f = build_fraction_field(RING)
     assert f.base.eq(Fraction(1, 2), Fraction(1, 2)).holds
     assert not f.base.eq(Fraction(1, 2), Fraction(1, 3)).holds
+
+
+# ================================================================
+# the native route over int_ring() against the generic route
+# ================================================================
+
+
+# int_ring()'s ops table under another StructureInstance: the fraction
+# functions take the generic route over it, the oracle for the int route
+GENERIC = StructureInstance(RING.kind, RING.base, dict(RING.ops), RING.name)
+
+
+def _outcome(fn, *args):
+    """The result's fields and their types, or the type of the exception."""
+    try:
+        r = fn(*args)
+    except Exception as e:  # the two routes must raise the same type
+        return type(e)
+    if isinstance(r, Fraction):
+        return (r.num, type(r.num), r.den, type(r.den))
+    return r
+
+
+def _edge_ints(rng, bits):
+    x = rng.getrandbits(bits) or 1
+    return [0, 1, -1, x, -x, 2 * x, -3 * x, rng.getrandbits(bits), -rng.getrandbits(bits)]
+
+
+def _raw_fractions(rng):
+    """Seeded Fraction records straight from their fields: zero, +-1, negative
+    and zero denominators, unreduced, at 1 to 256 bits."""
+    out = []
+    for bits in (1, 2, 3, 8, 16, 31, 64, 65, 128, 256):
+        ints = _edge_ints(rng, bits)
+        out += [Fraction(n, d) for n in ints for d in ints]
+        k = rng.getrandbits(bits) + 2
+        out += [Fraction(n * k, d * k) for n, d in zip(ints, reversed(ints))]
+    return out
+
+
+def test_int_route_matches_the_generic_route_field_by_field():
+    assert GENERIC is not int_ring()
+    rng = random.Random(71)
+    xs = _raw_fractions(rng)
+    for x in xs:
+        assert (_outcome(mk_fraction, RING, x.num, x.den)
+                == _outcome(mk_fraction, GENERIC, x.num, x.den))
+        for fn in (neg_fraction, inverse, is_canonical):
+            assert _outcome(fn, RING, x) == _outcome(fn, GENERIC, x)
+    for _ in range(4000):
+        x, y = rng.choice(xs), rng.choice(xs)
+        for fn in (add_optimized, mul_fractions):
+            assert _outcome(fn, RING, x, y) == _outcome(fn, GENERIC, x, y)
+
+
+def test_twelve_step_chains_match_stdlib():
+    rng = random.Random(72)
+    for bits in (1, 8, 64, 256):
+        for _ in range(150):
+            def draw():
+                return mk_fraction(RING, rng.choice((1, -1)) * rng.getrandbits(bits),
+                                   rng.getrandbits(bits) or 1)
+            acc = draw()
+            want = as_stdlib(acc)
+            for _ in range(12):
+                op = rng.choice(("add", "add", "mul", "mul", "neg", "inv"))
+                if op == "inv" and want == 0:
+                    op = "neg"
+                if op == "add":
+                    arg = draw()
+                    acc, want = add_optimized(RING, acc, arg), want + as_stdlib(arg)
+                elif op == "mul":
+                    arg = draw()
+                    acc, want = mul_fractions(RING, acc, arg), want * as_stdlib(arg)
+                elif op == "neg":
+                    acc, want = neg_fraction(RING, acc), -want
+                else:
+                    acc, want = inverse(RING, acc), 1 / want
+                assert (acc.num, acc.den) == (want.numerator, want.denominator)
+                assert is_canonical(RING, acc)

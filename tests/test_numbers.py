@@ -94,6 +94,50 @@ def test_bin_coding_matches_the_per_bit_oracle():
         to_bin(-(2**70))
 
 
+def test_a_float_is_no_bit():
+    # 1.0 == 1 and hashes alike, but bytes() and int() take no float
+    for bits in ([1.0], [0, 1.0], [0.0, 1], (1.0,)):
+        assert not is_canonical_bin(bits)
+        with pytest.raises(InvalidInputError):
+            from_bin(bits)
+    assert is_canonical_bin([True]) and from_bin([True]) == 1
+    assert is_canonical_bin([False, True]) and from_bin([False, True]) == 2
+
+
+def test_from_bin_errors_name_the_input():
+    for bad in ([2], [1, 0], [-1], [256], ["1"], [[1]]):
+        with pytest.raises(InvalidInputError) as err:
+            from_bin(bad)
+        assert str(err.value) == f"non-canonical bit list {bad!r}"
+
+
+def test_from_bin_takes_lists_tuples_and_bytes_alike():
+    rng = random.Random(13)
+    for n in [0, 1, 2, 5] + [rng.getrandbits(rng.randint(1, 3000)) for _ in range(50)]:
+        bits = to_bin(n)
+        assert from_bin(bits) == from_bin(tuple(bits)) == from_bin(bytes(bits)) == n
+
+
+def _from_bin_oracle(bits):
+    if not is_canonical_bin(bits):
+        return InvalidInputError
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+def test_from_bin_agrees_with_is_canonical_bin():
+    rng = random.Random(14)
+    alphabet = (0, 1, 0, 1, True, False, 2, -1, 255, 256, 1.0, 0.0, "1", None)
+    for _ in range(3000):
+        bits = [rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            bits.append(1)
+        try:
+            got = from_bin(bits)
+        except InvalidInputError:
+            got = InvalidInputError
+        assert got == _from_bin_oracle(bits), bits
+
+
 @given(st.integers(min_value=0, max_value=2**80))
 def test_bin_suc_is_the_successor_homomorphism(n):
     assert bin_suc(to_bin(n)) == to_bin(n + 1)
