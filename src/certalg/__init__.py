@@ -15,7 +15,7 @@ monoid and semiring theories.
 from .errors import (CertAlgError, CompositeModulusError, InvalidInputError,
                      ParseError, StructuralError)
 from .structures import (DSet, Decision, Kind, LawReport, StructureInstance,
-                         ancestors, check_laws, decide_eq, direct_product,
+                         ancestors, check_laws, direct_product,
                          multiplicative_monoid, recheck_failure,
                          validate_instance, view_as)
 from .numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
@@ -52,7 +52,7 @@ __all__ = [
     "CertAlgError", "CompositeModulusError", "InvalidInputError",
     "ParseError", "StructuralError",
     "DSet", "Decision", "Kind", "LawReport", "StructureInstance",
-    "ancestors", "check_laws", "decide_eq", "direct_product",
+    "ancestors", "check_laws", "direct_product",
     "multiplicative_monoid", "recheck_failure", "validate_instance",
     "view_as",
     "bin_add_monoid", "bin_suc", "bin_to_str", "from_bin", "int_add_group",

@@ -11,6 +11,8 @@ Integers obey the interpreter's digit limit for int <-> str conversion
 error (exit 2); a longer result is exit 7 (`pow nat-mul` refuses it upfront).
 `pow bin-add` takes time quadratic in the exponent's bits, so it refuses
 upfront (exit 7) when exponent bits * (base bits + exponent bits) > 2^24.
+`prove` refuses (exit 7) a product of polynomials whose term counts multiply
+past 2^16.
 
 Exit codes: 0 ok, 2 usage or parse error, 3 division by zero, 4 composite
 modulus where a prime is required, 5 law failures found, 6 structural

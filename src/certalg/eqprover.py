@@ -7,8 +7,9 @@ commsemiring: commutative multiplication; normal forms are coefficiented
 monomial sums (monomials sorted by degree then lexicographically).
 
 prove_eq answers Yes exactly when both normal forms coincide, which for
-these free theories is provability. Fuel-bounded iteration utilities live
-here too.
+these free theories is provability. A product whose factors' term counts
+multiply past MAX_PRODUCT_TERMS raises InvalidInputError. Fuel-bounded
+iteration utilities live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import StructuralError
+from .errors import InvalidInputError, StructuralError
 from .structures import Decision
 
 
@@ -45,6 +46,10 @@ class Apply:
 Term = Union[Var, NatConst, UnitConst, Apply]
 
 THEORIES = ("monoid", "semiring", "commsemiring")
+
+# (x+y)^n has 2^n words in the semiring theory; past this many term pairs a
+# product is refused rather than expanded until memory runs out
+MAX_PRODUCT_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,10 @@ def _poly(t: Term, commutative: bool) -> dict:
                 out[k] = out.get(k, 0) + c
             return out
         if t.op == "*":
+            if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
+                raise InvalidInputError(
+                    f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
+                    f"makes more than {MAX_PRODUCT_TERMS} term pairs")
             out = {}
             for k1, c1 in lp.items():
                 for k2, c2 in rp.items():

@@ -3,7 +3,8 @@
 A StructureInstance packages a carrier (DSet) with named operations for one
 kind in the tower Magma .. Field. check_laws runs the kind's law catalogue
 over a small exhaustive sweep plus seeded random samples and reports every
-counterexample it finds.
+counterexample it finds. One builder writes the laws of a binary operation
+once: a group-like kind applies it to op, a ring to add and then to mul.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class Kind(Enum):
     FIELD = "Field"
 
 
-# Immediate parents in the tower; a kind inherits every ancestor's laws.
+# Immediate parents in the tower. A kind inherits every ancestor's laws, but a ring
+# kind checks its additive group's axioms, not inverse-uniqueness or inverse-antihomomorphism.
 KIND_PARENTS = {
     Kind.MAGMA: (),
     Kind.SEMIGROUP: (Kind.MAGMA,),
@@ -147,10 +149,6 @@ class DSet:
     variants: Optional[Callable[[Any, random.Random], list]] = None
 
 
-def decide_eq(dset: DSet, x, y) -> Decision:
-    return dset.eq(x, y)
-
-
 @dataclass(frozen=True)
 class StructureInstance:
     kind: Kind
@@ -234,33 +232,69 @@ def _congruence_case(chunk, rng, dset):
     return (x, xv) + tuple(chunk[1:])
 
 
+def _op_laws(beq, op, tag, assoc, comm, identity=None) -> list:
+    """congruence(tag), plus associativity, commutativity and, given the identity
+    role's thunk, identity. Callers gate on the kind: an identity may be None."""
+    laws = [_Law(
+        f"congruence({tag})", 2, 3,
+        lambda x, xv, y: not beq(x, xv)
+        or (beq(op(x, y), op(xv, y)) and beq(op(y, x), op(y, xv))),
+        uses_variant=True)]
+    if assoc:
+        laws.append(_Law(
+            f"associativity({tag})", 3, 3,
+            lambda x, y, z: beq(op(op(x, y), z), op(x, op(y, z)))))
+    if comm:
+        laws.append(_Law(
+            f"commutativity({tag})", 2, 2,
+            lambda x, y: beq(op(x, y), op(y, x))))
+    if identity is not None:
+        e = identity()
+        laws.append(_Law(
+            f"identity({tag})", 1, 1,
+            lambda x: beq(op(e, x), x) and beq(op(x, e), x)))
+    return laws
+
+
+def _inverse_laws(beq, op, inv, e, tag, inv_tag) -> list:
+    """inv(x) is a two-sided inverse of x under op with identity e."""
+    return [
+        _Law(f"inverse({tag})", 1, 1,
+             lambda x: beq(op(inv(x), x), e) and beq(op(x, inv(x)), e)),
+        _Law(f"congruence({inv_tag})", 1, 2,
+             lambda x, xv: not beq(x, xv) or beq(inv(x), inv(xv)),
+             uses_variant=True),
+    ]
+
+
+def _reconstructs_law(beq, op, factor, zero=None) -> _Law:
+    """The unit times the primes of factor(x), multiplied with op, gives x back;
+    the zero role, when given, marks the one element that is skipped."""
+    z = zero() if zero is not None else None
+
+    def reconstructs(x, _beq=beq):
+        if zero is not None and _beq(x, z):
+            return True
+        data = factor(x)
+        acc = data.unit
+        for entry in data.entries:
+            for _ in range(entry.multiplicity):
+                acc = op(acc, entry.prime)
+        return _beq(acc, x)
+
+    return _Law("factorization-reconstructs", 1, 1, reconstructs)
+
+
 def _laws_for(inst: StructureInstance) -> list:
-    dset = inst.base
-    eq = dset.eq
+    eq = inst.base.eq
     beq = lambda a, b: eq(a, b).holds
     kinds = ancestors(inst.kind)
-    laws = []
 
     if inst.kind in GROUP_LIKE_KINDS:
         op = inst.ops["op"]
-        laws.append(_Law(
-            "congruence(op)", 2, 3,
-            lambda x, xv, y: not beq(x, xv)
-            or (beq(op(x, y), op(xv, y)) and beq(op(y, x), op(y, xv))),
-            uses_variant=True))
-        if Kind.SEMIGROUP in kinds:
-            laws.append(_Law(
-                "associativity(op)", 3, 3,
-                lambda x, y, z: beq(op(op(x, y), z), op(x, op(y, z)))))
-        if Kind.COMMUTATIVE_SEMIGROUP in kinds:
-            laws.append(_Law(
-                "commutativity(op)", 2, 2,
-                lambda x, y: beq(op(x, y), op(y, x))))
-        if Kind.MONOID in kinds:
-            e = inst.ops["identity"]()
-            laws.append(_Law(
-                "identity(op)", 1, 1,
-                lambda x: beq(op(e, x), x) and beq(op(x, e), x)))
+        laws = _op_laws(beq, op, "op", Kind.SEMIGROUP in kinds,
+                        Kind.COMMUTATIVE_SEMIGROUP in kinds,
+                        inst.ops["identity"] if Kind.MONOID in kinds else None)
         if Kind.CC_MONOID in kinds:
             laws.append(_Law(
                 "cancellation-left", 3, 3,
@@ -271,13 +305,7 @@ def _laws_for(inst: StructureInstance) -> list:
         if Kind.GROUP in kinds:
             e = inst.ops["identity"]()
             inv = inst.ops["inverse"]
-            laws.append(_Law(
-                "inverse(op)", 1, 1,
-                lambda x: beq(op(inv(x), x), e) and beq(op(x, inv(x)), e)))
-            laws.append(_Law(
-                "congruence(inverse)", 1, 2,
-                lambda x, xv: not beq(x, xv) or beq(inv(x), inv(xv)),
-                uses_variant=True))
+            laws += _inverse_laws(beq, op, inv, e, "op", "inverse")
             laws.append(_Law(
                 "inverse-uniqueness", 2, 2,
                 lambda x, y: not beq(op(x, y), e) or beq(y, inv(x))))
@@ -285,71 +313,23 @@ def _laws_for(inst: StructureInstance) -> list:
                 "inverse-antihomomorphism", 2, 2,
                 lambda x, y: beq(inv(op(x, y)), op(inv(y), inv(x)))))
         if Kind.FACTORIZATION_MONOID in kinds:
-            e = inst.ops["identity"]()
-            factor = inst.ops["factor"]
-
-            def reconstructs(x, _op=op, _e=e, _factor=factor, _beq=beq):
-                data = _factor(x)
-                acc = data.unit
-                for entry in data.entries:
-                    for _ in range(entry.multiplicity):
-                        acc = _op(acc, entry.prime)
-                return _beq(acc, x)
-
-            laws.append(_Law("factorization-reconstructs", 1, 1, reconstructs))
+            laws.append(_reconstructs_law(beq, op, inst.ops["factor"]))
         return laws
 
     add = inst.ops["add"]
-    neg = inst.ops["neg"]
     zero = inst.ops["zero"]()
     mul = inst.ops["mul"]
-
-    laws.append(_Law(
-        "congruence(add)", 2, 3,
-        lambda x, xv, y: not beq(x, xv)
-        or (beq(add(x, y), add(xv, y)) and beq(add(y, x), add(y, xv))),
-        uses_variant=True))
-    laws.append(_Law(
-        "congruence(neg)", 1, 2,
-        lambda x, xv: not beq(x, xv) or beq(neg(x), neg(xv)),
-        uses_variant=True))
-    laws.append(_Law(
-        "congruence(mul)", 2, 3,
-        lambda x, xv, y: not beq(x, xv)
-        or (beq(mul(x, y), mul(xv, y)) and beq(mul(y, x), mul(y, xv))),
-        uses_variant=True))
-    laws.append(_Law(
-        "associativity(add)", 3, 3,
-        lambda x, y, z: beq(add(add(x, y), z), add(x, add(y, z)))))
-    laws.append(_Law(
-        "commutativity(add)", 2, 2,
-        lambda x, y: beq(add(x, y), add(y, x))))
-    laws.append(_Law(
-        "identity(add)", 1, 1,
-        lambda x: beq(add(zero, x), x) and beq(add(x, zero), x)))
-    laws.append(_Law(
-        "inverse(add)", 1, 1,
-        lambda x: beq(add(x, neg(x)), zero) and beq(add(neg(x), x), zero)))
-
+    laws = _op_laws(beq, add, "add", True, True, inst.ops["zero"])
+    laws += _inverse_laws(beq, add, inst.ops["neg"], zero, "add", "neg")
+    laws += _op_laws(beq, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
+                     inst.ops["one"] if Kind.RING_WITH_ONE in kinds else None)
     if Kind.RING in kinds:
-        laws.append(_Law(
-            "associativity(mul)", 3, 3,
-            lambda x, y, z: beq(mul(mul(x, y), z), mul(x, mul(y, z)))))
         laws.append(_Law(
             "distributivity-left", 3, 3,
             lambda x, y, z: beq(mul(x, add(y, z)), add(mul(x, y), mul(x, z)))))
         laws.append(_Law(
             "distributivity-right", 3, 3,
             lambda x, y, z: beq(mul(add(x, y), z), add(mul(x, z), mul(y, z)))))
-    if Kind.RING_WITH_ONE in kinds:
-        one = inst.ops["one"]()
-        laws.append(_Law(
-            "identity(mul)", 1, 1,
-            lambda x: beq(mul(one, x), x) and beq(mul(x, one), x)))
-    if Kind.COMMUTATIVE_RING in kinds:
-        laws.append(_Law(
-            "commutativity(mul)", 2, 2,
-            lambda x, y: beq(mul(x, y), mul(y, x))))
     if Kind.INTEGRAL_RING in kinds:
         laws.append(_Law(
             "no-zero-divisors", 2, 2,
@@ -373,26 +353,11 @@ def _laws_for(inst: StructureInstance) -> list:
             if _beq(b, zero):
                 return True
             q, r = div_mod(a, b)
-            if not _beq(a, add(mul(q, b), r)):
-                return False
-            return _beq(r, zero) or norm(r) < norm(b)
+            return _beq(a, add(mul(q, b), r)) and (_beq(r, zero) or norm(r) < norm(b))
 
         laws.append(_Law("division-contract", 2, 2, division_contract))
     if "factor" in inst.ops and Kind.RING_WITH_ONE in kinds:
-        one = inst.ops["one"]()
-        factor = inst.ops["factor"]
-
-        def ring_reconstructs(x, _beq=beq):
-            if _beq(x, zero):
-                return True
-            data = factor(x)
-            acc = data.unit
-            for entry in data.entries:
-                for _ in range(entry.multiplicity):
-                    acc = mul(acc, entry.prime)
-            return _beq(acc, x)
-
-        laws.append(_Law("factorization-reconstructs", 1, 1, ring_reconstructs))
+        laws.append(_reconstructs_law(beq, mul, inst.ops["factor"], inst.ops["zero"]))
     if Kind.FIELD in kinds:
         one = inst.ops["one"]()
         inv = inst.ops["inv"]
@@ -510,7 +475,6 @@ def view_as(inst: StructureInstance, kind: Kind) -> StructureInstance:
     if inst.kind in RING_LIKE_KINDS and kind in GROUP_LIKE_KINDS:
         zero = inst.ops["zero"]()
         ops = {"op": inst.ops["add"], "identity": lambda: zero, "inverse": inst.ops["neg"]}
-        ops = {r: f for r, f in ops.items() if r in REQUIRED_OPS[kind] or r in ("identity", "inverse")}
         return StructureInstance(kind, inst.base, ops, f"{inst.name}@{kind.value}")
     return StructureInstance(kind, inst.base, dict(inst.ops), f"{inst.name}@{kind.value}")
 

@@ -257,6 +257,36 @@ def test_laws_json_lists_instances():
     assert [i["name"] for i in doc["instances"]] == ["nat-add", "int-add"]
 
 
+# (kind, cases) of each `laws --all` instance at seed 1, budget 200, sweep 4
+LAWS_ALL = {
+    "nat-add": ("CommutativeMonoid", 948),
+    "nat-mul": ("CommutativeMonoid", 948),
+    "nat-pos-mul": ("CCMonoid", 1476),
+    "int-add": ("CommutativeGroup", 1800),
+    "int-ring": ("EuclideanRing", 3492),
+    "int-ufd": ("UniqueFactorizationRing", 3480),
+    "nat-factor-monoid": ("FactorizationMonoid", 1680),
+    "bin-add": ("CommutativeMonoid", 948),
+    "frac-field": ("Field", 3480),
+    "poly-int-add": ("CommutativeGroup", 1800),
+    "poly-zmod7-add": ("CommutativeGroup", 1800),
+    "zmod6-ring": ("CommutativeRing", 2844),
+    "zmod12-ring": ("CommutativeRing", 2844),
+    "zmod7-field": ("Field", 3480),
+    "zmod97-field": ("Field", 3480),
+}
+
+
+def test_laws_all_json_pins_kinds_and_case_counts(monkeypatch):
+    monkeypatch.delenv("CERTALG_SEED", raising=False)
+    code, text = run_argv(["laws", "--all", "--json"])
+    assert code == 0
+    doc = json.loads(text)
+    assert (doc["seed"], doc["budget"], doc["sweep"], doc["ok"]) == (1, 200, 4, True)
+    assert {i["name"]: (i["kind"], i["cases"]) for i in doc["instances"]} == LAWS_ALL
+    assert all(i["failures"] == [] for i in doc["instances"])
+
+
 # ================================================================
 # exit codes, one fixture each
 # ================================================================
@@ -447,6 +477,13 @@ def test_hang_guard_bin_add_power_refuses_a_4300_digit_exponent(as_json):
         assert doc["error"] == "invalid-input" and "too large" in doc["message"]
     else:
         assert proc.stderr.startswith("error:") and "too large" in proc.stderr
+
+
+def test_hang_guard_prove_refuses_a_normal_form_past_the_term_bound():
+    # (x+y)^30 has 2^30 semiring words; the product past 2^16 terms is refused
+    code, doc = _cli("prove", "--theory", "semiring", "*".join(["(x+y)"] * 30) + " = x")
+    assert code == 7
+    assert doc["error"] == "invalid-input" and "too large" in doc["message"]
 
 
 def test_bin_add_power_bound_counts_the_base_bits():

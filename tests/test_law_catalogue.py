@@ -1,0 +1,238 @@
+"""The law catalogue per instance, and ring laws that catch broken rings."""
+
+import pytest
+
+from certalg.cli import LAWFUL_INSTANCE_NAMES, resolve_instance
+from certalg.euclid import int_ring, residue_ring
+from certalg.factorization import int_factorization_ring
+from certalg.fractions import (Fraction, fraction_field, inverse, is_canonical,
+                               neg_fraction)
+from certalg.numbers import int_add_group
+from certalg.structures import (NO, YES, DSet, Kind, StructureInstance,
+                                _laws_for, check_laws, direct_product,
+                                recheck_failure)
+
+
+# ============================================================
+# the catalogue, pinned: sorted (name, sample arity, case arity, variant)
+# ============================================================
+
+
+_SEMIGROUP = [
+    ("associativity(op)", 3, 3, False),
+    ("congruence(op)", 2, 3, True),
+]
+
+_COMMUTATIVE_MONOID = [
+    ("associativity(op)", 3, 3, False),
+    ("commutativity(op)", 2, 2, False),
+    ("congruence(op)", 2, 3, True),
+    ("identity(op)", 1, 1, False),
+]
+
+_CC_MONOID = [
+    ("associativity(op)", 3, 3, False),
+    ("cancellation-left", 3, 3, False),
+    ("cancellation-right", 3, 3, False),
+    ("commutativity(op)", 2, 2, False),
+    ("congruence(op)", 2, 3, True),
+    ("identity(op)", 1, 1, False),
+]
+
+_FACTORIZATION_MONOID = [
+    ("associativity(op)", 3, 3, False),
+    ("cancellation-left", 3, 3, False),
+    ("cancellation-right", 3, 3, False),
+    ("commutativity(op)", 2, 2, False),
+    ("congruence(op)", 2, 3, True),
+    ("factorization-reconstructs", 1, 1, False),
+    ("identity(op)", 1, 1, False),
+]
+
+_COMMUTATIVE_GROUP = [
+    ("associativity(op)", 3, 3, False),
+    ("commutativity(op)", 2, 2, False),
+    ("congruence(inverse)", 1, 2, True),
+    ("congruence(op)", 2, 3, True),
+    ("identity(op)", 1, 1, False),
+    ("inverse(op)", 1, 1, False),
+    ("inverse-antihomomorphism", 2, 2, False),
+    ("inverse-uniqueness", 2, 2, False),
+]
+
+_COMMUTATIVE_RING = [
+    ("associativity(add)", 3, 3, False),
+    ("associativity(mul)", 3, 3, False),
+    ("commutativity(add)", 2, 2, False),
+    ("commutativity(mul)", 2, 2, False),
+    ("congruence(add)", 2, 3, True),
+    ("congruence(mul)", 2, 3, True),
+    ("congruence(neg)", 1, 2, True),
+    ("distributivity-left", 3, 3, False),
+    ("distributivity-right", 3, 3, False),
+    ("identity(add)", 1, 1, False),
+    ("identity(mul)", 1, 1, False),
+    ("inverse(add)", 1, 1, False),
+]
+
+_EUCLIDEAN_RING = [
+    ("associativity(add)", 3, 3, False),
+    ("associativity(mul)", 3, 3, False),
+    ("commutativity(add)", 2, 2, False),
+    ("commutativity(mul)", 2, 2, False),
+    ("congruence(add)", 2, 3, True),
+    ("congruence(mul)", 2, 3, True),
+    ("congruence(neg)", 1, 2, True),
+    ("distributivity-left", 3, 3, False),
+    ("distributivity-right", 3, 3, False),
+    ("division-contract", 2, 2, False),
+    ("gcd-divides", 2, 2, False),
+    ("identity(add)", 1, 1, False),
+    ("identity(mul)", 1, 1, False),
+    ("inverse(add)", 1, 1, False),
+    ("no-zero-divisors", 2, 2, False),
+]
+
+_UNIQUE_FACTORIZATION_RING = [
+    ("associativity(add)", 3, 3, False),
+    ("associativity(mul)", 3, 3, False),
+    ("commutativity(add)", 2, 2, False),
+    ("commutativity(mul)", 2, 2, False),
+    ("congruence(add)", 2, 3, True),
+    ("congruence(mul)", 2, 3, True),
+    ("congruence(neg)", 1, 2, True),
+    ("distributivity-left", 3, 3, False),
+    ("distributivity-right", 3, 3, False),
+    ("factorization-reconstructs", 1, 1, False),
+    ("gcd-divides", 2, 2, False),
+    ("identity(add)", 1, 1, False),
+    ("identity(mul)", 1, 1, False),
+    ("inverse(add)", 1, 1, False),
+    ("no-zero-divisors", 2, 2, False),
+]
+
+_FIELD = [
+    ("associativity(add)", 3, 3, False),
+    ("associativity(mul)", 3, 3, False),
+    ("commutativity(add)", 2, 2, False),
+    ("commutativity(mul)", 2, 2, False),
+    ("congruence(add)", 2, 3, True),
+    ("congruence(inv)", 1, 2, True),
+    ("congruence(mul)", 2, 3, True),
+    ("congruence(neg)", 1, 2, True),
+    ("distributivity-left", 3, 3, False),
+    ("distributivity-right", 3, 3, False),
+    ("identity(add)", 1, 1, False),
+    ("identity(mul)", 1, 1, False),
+    ("inverse(add)", 1, 1, False),
+    ("multiplicative-inverse", 1, 1, False),
+    ("no-zero-divisors", 2, 2, False),
+]
+
+CATALOGUE = {
+    "nat-add": _COMMUTATIVE_MONOID,
+    "nat-mul": _COMMUTATIVE_MONOID,
+    "nat-pos-mul": _CC_MONOID,
+    "int-add": _COMMUTATIVE_GROUP,
+    "int-ring": _EUCLIDEAN_RING,
+    "int-ufd": _UNIQUE_FACTORIZATION_RING,
+    "nat-factor-monoid": _FACTORIZATION_MONOID,
+    "bin-add": _COMMUTATIVE_MONOID,
+    "frac-field": _FIELD,
+    "poly-int-add": _COMMUTATIVE_GROUP,
+    "poly-zmod7-add": _COMMUTATIVE_GROUP,
+    "zmod6-ring": _COMMUTATIVE_RING,
+    "zmod12-ring": _COMMUTATIVE_RING,
+    "zmod7-field": _FIELD,
+    "zmod97-field": _FIELD,
+    "nat-monus": _SEMIGROUP,
+    "int-add x int-add": _COMMUTATIVE_GROUP,
+}
+
+
+def _catalogue_instance(name):
+    if name == "int-add x int-add":
+        return direct_product(int_add_group(), int_add_group())
+    return resolve_instance(name)
+
+
+def test_the_catalogue_covers_the_whole_laws_roster():
+    assert set(LAWFUL_INSTANCE_NAMES) <= set(CATALOGUE)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_law_catalogue_is_pinned(name):
+    rows = sorted((law.name, law.sample_arity, law.case_arity, law.uses_variant)
+                  for law in _laws_for(_catalogue_instance(name)))
+    assert rows == CATALOGUE[name]
+
+
+# ============================================================
+# ring laws against deliberately broken rings
+# ============================================================
+
+
+def _broken(inst, kind=None, base=None, **ops):
+    return StructureInstance(kind or inst.kind, base or inst.base,
+                             {**inst.ops, **ops}, f"broken-{inst.name}")
+
+
+def _value_eq(x, y):
+    return YES if x.num * y.den == y.num * x.den else NO
+
+
+def _unreduced_variants(x, rng):
+    k = rng.randint(2, 5)
+    return [Fraction(x.num * k, x.den * k)]
+
+
+def _unreduced_fractions():
+    """ℚ whose variants are unreduced pairs, equal to the original by value,
+    so an op that reads the representation shows as a congruence failure."""
+    base = fraction_field().base
+    return DSet("frac-unreduced", _value_eq, base.sample, base.enumeration,
+                _unreduced_variants)
+
+
+_Z = int_ring()
+_Q = fraction_field()
+
+
+def _canonical_only(op):
+    """op on a reduced fraction, and the input itself on any other."""
+    return lambda x: op(_Z, x) if is_canonical(_Z, x) else x
+
+
+def _doubled_factor(x):
+    return int_factorization_ring().ops["factor"](2 * x)
+
+
+BROKEN_RINGS = {
+    "associativity(mul)": lambda: _broken(_Z, mul=lambda a, b: a * b + 1),
+    "distributivity-left": lambda: _broken(_Z, mul=lambda a, b: a * b * b),
+    "distributivity-right": lambda: _broken(_Z, mul=lambda a, b: a * a * b),
+    "identity(mul)": lambda: _broken(_Z, one=lambda: 2),
+    "commutativity(mul)": lambda: _broken(_Z, mul=lambda a, b: a * b + a - b),
+    "inverse(add)": lambda: _broken(_Z, neg=lambda a: a),
+    "congruence(neg)": lambda: _broken(
+        _Q, base=_unreduced_fractions(), neg=_canonical_only(neg_fraction)),
+    "no-zero-divisors": lambda: _broken(residue_ring(_Z, 6), kind=Kind.INTEGRAL_RING),
+    "gcd-divides": lambda: _broken(_Z, gcd=lambda a, b: 2 * _Z.ops["gcd"](a, b)),
+    "division-contract": lambda: _broken(_Z, norm=lambda a: 0),
+    "factorization-reconstructs": lambda: _broken(int_factorization_ring(),
+                                                  factor=_doubled_factor),
+    "multiplicative-inverse": lambda: _broken(_Q, inv=lambda x: x),
+    "congruence(inv)": lambda: _broken(
+        _Q, base=_unreduced_fractions(), inv=_canonical_only(inverse)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_RINGS))
+def test_broken_ring_is_reported_under_its_law(law):
+    inst = BROKEN_RINGS[law]()
+    assert law in {l.name for l in _laws_for(inst)}
+    report = check_laws(inst, seed=1, budget=60, sweep=4)
+    cases = [case for name, case in report.failures if name == law]
+    assert cases, f"{law} not reported; got {sorted({n for n, _ in report.failures})}"
+    for case in cases[:5]:
+        assert recheck_failure(inst, law, case)

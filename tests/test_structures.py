@@ -4,7 +4,7 @@ import pytest
 
 from certalg.errors import StructuralError
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
-                                _laws_for, ancestors, check_laws, decide_eq,
+                                _laws_for, ancestors, check_laws,
                                 direct_product, multiplicative_monoid,
                                 recheck_failure, validate_instance, view_as)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid,
@@ -49,14 +49,6 @@ def test_decision_truthiness():
     assert not Decision.no()
     assert Decision.yes(41).evidence == 41
     assert Decision.no(("a", "b")).evidence == ("a", "b")
-
-
-def test_decide_eq_delegates_to_the_carrier():
-    d = DSet(name="flat",
-             eq=lambda a, b: Decision.yes() if a == b else Decision.no((a, b)),
-             sample=lambda seed, count: list(range(count)))
-    assert decide_eq(d, 3, 3).holds
-    assert not decide_eq(d, 3, 4).holds
 
 
 # ============================================================
