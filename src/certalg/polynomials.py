@@ -5,15 +5,19 @@ with no zero coefficients; the zero polynomial has no terms. Values carry
 their coefficient-ring handle; mixing handles is a structural error.
 Addition is a single merge pass. poly_mul convolves through the
 coefficient ring's ops; over a quotient of the integers (a ring with the
-to_int and from_int roles) it sums each exponent's products as plain ints
-and maps every sum back once.
+to_int and from_int roles) it computes each exponent's integer sum and maps
+every sum back once. A dense product of long enough operands packs each
+operand's integers into one big int and multiplies once (Kronecker
+substitution); a sparse or short product sums term pairs in a loop.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
+from struct import calcsize
 
 from .errors import StructuralError
 from .structures import NO, YES, DSet, Kind, StructureInstance
@@ -94,7 +98,12 @@ def degree(p: Poly):
 def poly_mul(p: Poly, q: Poly) -> Poly:
     """Convolution, then re-canonicalization. from_int is a ring
     homomorphism with from_int(to_int(c)) == c, so mapping each exponent's
-    integer sum back gives the coefficient the ring ops would."""
+    integer sum back gives the coefficient the ring ops would, however the
+    sums are computed: by one big-int product (_kronecker) when the product
+    is dense and both operands have _PACK_MIN_TERMS terms, else by the pair
+    loop. Dense means no more exponent slots, from the lowest exponent, than
+    term pairs. That bounds slots, not bytes: every slot is as wide as the
+    largest possible sum, so one huge coefficient widens them all."""
     _check_handles(p, q)
     ring = p.ring
     to_int, from_int = ring.ops.get("to_int"), ring.ops.get("from_int")
@@ -102,15 +111,68 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         mul = ring.ops["mul"]
         return mk_poly(ring, [(mul(c1, c2), e1 + e2)
                               for c1, e1 in p.terms for c2, e2 in q.terms])
+    ps = [(to_int(c), e) for c, e in p.terms]
     qs = [(to_int(c), e) for c, e in q.terms]
-    sums = defaultdict(int)
-    for c1, e1 in p.terms:
-        a = to_int(c1)
-        for c2, e2 in qs:
-            sums[e1 + e2] += a * c2
+    if (min(len(ps), len(qs)) >= _PACK_MIN_TERMS
+            and ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] < len(ps) * len(qs)):
+        low = ps[-1][1] + qs[-1][1]
+        sums = _kronecker(ps, qs)
+        items = zip(reversed(sums), range(low + len(sums) - 1, low - 1, -1))
+    else:
+        by_exp = defaultdict(int)
+        for a, e1 in ps:
+            for b, e2 in qs:
+                by_exp[e1 + e2] += a * b
+        items = ((by_exp[e], e) for e in sorted(by_exp, reverse=True))
     eq, zero = ring.base.eq, ring.ops["zero"]()
-    terms = ((from_int(sums[e]), e) for e in sorted(sums, reverse=True))
-    return Poly(ring, tuple((c, e) for c, e in terms if not eq(c, zero).holds))
+    return Poly(ring, tuple((c, e) for s, e in items
+                            if s and not eq(c := from_int(s), zero).holds))
+
+
+# The packed route costs a pass over each operand and each exponent slot
+# plus a few µs fixed; the pair loop one step per term pair. So the shorter
+# operand's length decides which is faster: below about 10 terms the loop is.
+_PACK_MIN_TERMS = 10
+
+# memoryview cast codes by native width; slots are little-endian
+_CAST = {calcsize(code): code for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _kronecker(ps, qs) -> list:
+    """Integer coefficients of the product of two nonempty descending
+    (int, exponent) lists, lowest exponent first: each operand is packed
+    into one int with a kb-byte slot per exponent, and the two multiply once.
+
+    Every slot sum is bounded by max|a| * max|b| * min(len), which stays
+    below 2^(8kb-1); adding 2^(8kb-1) to each slot makes every slot a
+    non-negative kb-byte number, so the slots decode independently.
+    """
+    bound = max(abs(a) for a, _ in ps) * max(abs(b) for b, _ in qs) * min(len(ps), len(qs))
+    kb = bound.bit_length() // 8 + 1
+    if kb <= 8 and _CAST:
+        kb = 1 << (kb - 1).bit_length()  # 1, 2, 4 or 8: slots decode as one array
+
+    def pack(terms):
+        low = terms[-1][1]
+        size = kb * (terms[0][1] - low + 1)
+        pos, neg = bytearray(size), bytearray(size)
+        for a, e in terms:
+            at = kb * (e - low)
+            if a >= 0:
+                pos[at:at + kb] = a.to_bytes(kb, "little")
+            else:
+                neg[at:at + kb] = (-a).to_bytes(kb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    n = ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] + 1
+    half = 1 << (8 * kb - 1)
+    bias = int.from_bytes(half.to_bytes(kb, "little") * n, "little")
+    raw = (pack(ps) * pack(qs) + bias).to_bytes(kb * n, "little")
+    if kb in _CAST:
+        slots = memoryview(raw).cast(_CAST[kb]).tolist()
+    else:
+        slots = [int.from_bytes(raw[i:i + kb], "little") for i in range(0, kb * n, kb)]
+    return [s - half for s in slots]
 
 
 def poly_group(ring: StructureInstance) -> StructureInstance:

@@ -1,6 +1,7 @@
 """Multisets, certified sorting, and the list lemmas."""
 
 import random
+from collections import Counter
 from functools import cmp_to_key
 
 import pytest
@@ -266,6 +267,95 @@ def test_orders_return_the_shared_verdicts():
     half, third = mk_fraction(int_ring(), 1, 2), mk_fraction(int_ring(), 1, 3)
     assert fraction_order().leq(third, half) is YES
     assert fraction_order().leq(half, third) is NO
+
+
+def verify_sort_result_with_counts(dto, xs, result) -> bool:
+    """The former verifier, kept as the oracle: the same checks followed by
+    a multiset comparison, through Counter or, for unhashable elements, the
+    carrier's mset_eq."""
+    xs = list(xs)
+    ys = result.ys
+    perm = result.perm
+    n = len(xs)
+    if len(ys) != n or len(perm) != n:
+        return False
+    if len(result.ord_cert) != max(n - 1, 0):
+        return False
+    if sorted(perm) != list(range(n)):
+        return False
+    eq = dto.base.eq
+    for i, x in enumerate(xs):
+        if not eq(ys[perm[i]], x).holds:
+            return False
+    leq = dto.leq
+    for i in range(n - 1):
+        if not result.ord_cert[i].holds:
+            return False
+        if not leq(ys[i], ys[i + 1]).holds:
+            return False
+    try:
+        if Counter(xs) != Counter(ys):
+            return False
+    except TypeError:
+        if not mset_eq(mset_of_list(dto.base, xs), mset_of_list(dto.base, ys)):
+            return False
+    return True
+
+
+def _forgeries(res, rng, other):
+    """Forged variants of a valid result; other() draws a carrier element."""
+    ys, cert, perm = list(res.ys), res.ord_cert, list(res.perm)
+    n = len(ys)
+    replaced = ys[:]
+    if n:
+        replaced[rng.randrange(n)] = other()
+        yield SortResult(tuple(replaced), cert, tuple(perm))
+    yield SortResult(tuple(ys + [other()]), cert + (YES,) * (n > 0), tuple(perm))
+    if n < 2:
+        return
+    i, j = rng.sample(range(n), 2)
+    swapped = ys[:]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield SortResult(tuple(swapped), cert, tuple(perm))  # perm left as it was
+    moved = tuple(j if p == i else i if p == j else p for p in perm)
+    yield SortResult(tuple(swapped), cert, moved)  # perm follows the swap
+    duplicated = ys[:]
+    duplicated[i] = ys[j]
+    yield SortResult(tuple(duplicated), cert, tuple(perm))
+    glued = perm[:]
+    glued[i] = glued[j]
+    yield SortResult(tuple(ys), cert, tuple(glued))
+    yield SortResult(tuple(ys), cert[:-1], tuple(perm))
+    yield SortResult(tuple(reversed(ys)), cert, tuple(n - 1 - p for p in perm))
+
+
+def _order_cases():
+    """(order, input, element draw, whether the draws are all distinct)."""
+    rng = random.Random(23)
+    ring = int_ring()
+    small = lambda: rng.randint(-5, 5)
+    wide = lambda: rng.randint(-10**9, 10**9)
+    frac = lambda: mk_fraction(ring, rng.randint(-6, 6), rng.randint(1, 6))
+    for dto, draw, distinct in ((int_order(), small, False), (int_order(), wide, True),
+                                (PARITY, small, False), (fraction_order(), frac, False)):
+        for n in (0, 1, 2, 3, 8, 40):
+            for _ in range(12):
+                yield dto, [draw() for _ in range(n)], draw, distinct, rng
+
+
+def test_verify_without_counts_matches_the_counting_verifier():
+    verdicts = Counter()
+    for dto, xs, draw, distinct, rng in _order_cases():
+        res = sort_certified(dto, xs)
+        assert verify_sort_result(dto, xs, res)
+        assert verify_sort_result_with_counts(dto, xs, res)
+        for f in _forgeries(res, rng, draw):
+            verdict = verify_sort_result(dto, xs, f)
+            assert verdict == verify_sort_result_with_counts(dto, xs, f), (xs, f)
+            # with repeated values a forgery can be a valid result by accident
+            assert not (verdict and distinct), (xs, f)
+            verdicts[verdict] += 1
+    assert verdicts[False] > 2 * verdicts[True] > 0
 
 
 # ================================================================

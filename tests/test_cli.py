@@ -486,6 +486,17 @@ def test_hang_guard_prove_refuses_a_normal_form_past_the_term_bound():
     assert doc["error"] == "invalid-input" and "too large" in doc["message"]
 
 
+@pytest.mark.parametrize("expr, out", [
+    ("x^99999999999 * (x + 1)", "x^100000000000 + x^99999999999"),
+    ("(x^99999999999 + 1) * (x^99999999999 - 1)", "x^199999999998 - 1"),
+])
+def test_hang_guard_sparse_poly_product_with_a_huge_exponent(expr, out):
+    # poly_mul never takes more exponent slots than term pairs, not 10^11
+    proc = _child("poly", expr)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == out + "\n"
+
+
 def test_bin_add_power_bound_counts_the_base_bits():
     # 1201 * (3 + 1201) is far below 2^24; 1201 * (13288 + 1201) is above it
     n = 2**1200

@@ -1,10 +1,13 @@
 """Sparse univariate polynomials as additive groups over a coefficient ring."""
 
 import random
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
+from certalg import polynomials
 from certalg.errors import StructuralError
 from certalg.euclid import int_ring, make_residue, residue_ring
 from certalg.polynomials import (Poly, degree, mk_poly, poly_add, poly_group,
@@ -172,3 +175,166 @@ def test_poly_mul_products_that_cancel():
     p = mk_poly(z2, [(one, 1), (one, 0)])
     assert terms_of(poly_mul(p, p)) == [(one, 2), (one, 0)]  # 2x vanishes
     assert poly_mul(mk_poly(RING, [(1, 1)]), Poly(RING, ())).terms == ()
+
+
+# ================================================================
+# the packed (Kronecker) route against the int-sum loop and the ring ops
+# ================================================================
+
+
+def int_sum_poly_mul(p, q):
+    """The int-sum pair loop that poly_mul ran on every product before the
+    packed route, kept as an oracle."""
+    ring = p.ring
+    to_int, from_int = ring.ops["to_int"], ring.ops["from_int"]
+    qs = [(to_int(c), e) for c, e in q.terms]
+    sums = defaultdict(int)
+    for c1, e1 in p.terms:
+        a = to_int(c1)
+        for c2, e2 in qs:
+            sums[e1 + e2] += a * c2
+    eq, zero = ring.base.eq, ring.ops["zero"]()
+    terms = ((from_int(sums[e]), e) for e in sorted(sums, reverse=True))
+    return Poly(ring, tuple((c, e) for c, e in terms if not eq(c, zero).holds))
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """Count the products that take the packed route."""
+    calls = []
+    real = polynomials._kronecker
+
+    def counting(ps, qs):
+        calls.append((ps, qs))
+        return real(ps, qs)
+
+    monkeypatch.setattr(polynomials, "_kronecker", counting)
+    return calls
+
+
+@pytest.fixture
+def packed(kronecker_calls, monkeypatch):
+    """Count the packed products, and pack every dense product however
+    short its operands, so that small cases exercise the packed route."""
+    monkeypatch.setattr(polynomials, "_PACK_MIN_TERMS", 1)
+    return kronecker_calls
+
+
+def _packs(p, q):
+    """Whether poly_mul should take the packed route: dense, and the shorter
+    operand has at least _PACK_MIN_TERMS terms."""
+    if min(len(p.terms), len(q.terms)) < polynomials._PACK_MIN_TERMS:
+        return False
+    span = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
+    return span <= len(p.terms) * len(q.terms)
+
+
+def _check_all_routes(ring, raw_p, raw_q, packed):
+    """poly_mul in both operand orders equals the int-sum loop and the
+    role-less ring-ops route, and takes the packed route iff _packs says so."""
+    plain = _without_int_roles(ring)
+    p, q = mk_poly(ring, raw_p), mk_poly(ring, raw_q)
+    for a, b in ((p, q), (q, p)):
+        packed.clear()
+        got = poly_mul(a, b)
+        assert len(packed) == _packs(a, b)
+        assert got.ring is ring
+        assert got.terms == int_sum_poly_mul(a, b).terms
+        assert got.terms == poly_mul(Poly(plain, a.terms), Poly(plain, b.terms)).terms
+    return got
+
+
+def _random_products(ring, draw, rng, packed) -> int:
+    """Random operand pairs from dense to sparse through _check_all_routes;
+    returns how many took the packed route."""
+    dense = 0
+    for n in (1, 2, 3, 5, 20, 60):
+        for spread in (1, 3, 40):  # exponents drawn below spread * n + 1
+            for _ in range(3):
+                raw_p, raw_q = ([(draw(), rng.randrange(spread * k + 1)) for _ in range(k)]
+                                for k in (n, rng.randint(1, n)))
+                _check_all_routes(ring, raw_p, raw_q, packed)
+                dense += bool(packed)
+    return dense
+
+
+@pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 63, 64, 65, 128, 256])
+def test_packed_route_over_int_with_mixed_sign_coefficients(bits, packed):
+    rng = random.Random(bits)
+
+    def draw():  # a nonzero coefficient of 1 to `bits` bits, either sign
+        width = rng.randint(1, bits)
+        return rng.choice((1, -1)) * (rng.getrandbits(width - 1) | 1 << (width - 1))
+
+    assert _random_products(RING, draw, rng, packed) > 20
+
+
+@pytest.mark.parametrize("m", [2, 7, 12, -7, 9973, 2**61 - 1])
+def test_packed_route_over_zmod(m, packed):
+    rng = random.Random(m)
+    draw = lambda: make_residue(RING, m, rng.randrange(1, abs(m)))
+    assert _random_products(residue_ring(RING, m), draw, rng, packed) > 20
+
+
+def test_packed_route_on_zero_constant_and_single_term_operands(packed):
+    z12, z2 = residue_ring(RING, 12), residue_ring(RING, 2)
+    r12 = lambda v: make_residue(RING, 12, v)
+    one2 = make_residue(RING, 2, 1)
+    # (4x^2 + 4x + 4)(3x + 3) is 12 times something: the zero polynomial
+    assert _check_all_routes(z12, [(r12(4), 2), (r12(4), 1), (r12(4), 0)],
+                             [(r12(3), 1), (r12(3), 0)], packed).terms == ()
+    assert packed
+    # (x + 1)^2 = x^2 + 1 over Z/(2)
+    got = _check_all_routes(z2, [(one2, 1), (one2, 0)], [(one2, 1), (one2, 0)], packed)
+    assert terms_of(got) == [(one2, 2), (one2, 0)]
+    dense_p = [(c, e) for e, c in enumerate((3, -1, 4, -1, 5, -9, 2, 6))]
+    for raw_q in ([(7, 0)], [(-7, 0)], [(5, 11)], [(-1, 10**12)], []):
+        _check_all_routes(RING, dense_p, raw_q, packed)
+        _check_all_routes(RING, raw_q, raw_q, packed)
+    assert terms_of(poly_mul(mk_poly(RING, [(3, 4)]), mk_poly(RING, [(-5, 6)]))) == [(-15, 10)]
+
+
+@pytest.mark.parametrize("kb, copies, past", [
+    (1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 7, 0), (2, 1, 1), (8, 7, 0), (8, 1, 1),
+    (12, 31, 0), (12, 1, 1), (33, 1, 0), (33, 1, 1)])
+def test_packed_route_decodes_slot_sums_at_the_slot_limit(kb, copies, past, packed):
+    # every pair in a 'copies'-term run contributes big*(+-1) with one sign,
+    # so one slot sums to +limit and another to -limit. 2^(8kb-1) - 1 is the
+    # largest |sum| a kb-byte slot holds; one past it needs a wider slot.
+    limit = 2 ** (8 * kb - 1) - 1 + past
+    big, rest = divmod(limit, copies)
+    assert rest == 0
+    run = lambda c, shift: [(c, k + shift) for k in range(copies)]
+    p = run(big, 0)
+    q = run(1, copies) + run(-1, 0)
+    got = _check_all_routes(RING, p, q, packed)
+    assert packed
+    coeffs = {c for c, _ in got.terms}
+    assert max(coeffs) == limit and min(coeffs) == -limit
+
+
+def test_sparse_products_stay_in_the_pair_loop(packed):
+    p = mk_poly(RING, [(1, 10**9 + 7), (3, 5)])
+    q = mk_poly(RING, [(1, 10**9), (-2, 0)])
+    tracemalloc.start()
+    try:
+        got = poly_mul(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not packed and peak < 2**20
+    assert terms_of(got) == [(1, 2 * 10**9 + 7), (-2, 10**9 + 7), (3, 10**9 + 5), (-6, 5)]
+
+
+def test_short_products_stay_in_the_pair_loop(kronecker_calls):
+    # below _PACK_MIN_TERMS terms on the shorter side the pair loop is the
+    # faster route, however dense the product
+    rng = random.Random(9)
+    short = polynomials._PACK_MIN_TERMS - 1
+    draw = lambda k: [(rng.choice((1, -1)) * rng.randint(1, 99), e) for e in range(k)]
+    for n, m in ((1, 1), (2, 2), (1, 200), (2, 64), (short, short), (short, 400)):
+        _check_all_routes(RING, draw(n), draw(m), kronecker_calls)
+        assert not kronecker_calls
+    for n, m in ((short + 1, short + 1), (short + 1, 300), (50, 50)):
+        _check_all_routes(RING, draw(n), draw(m), kronecker_calls)
+        assert kronecker_calls
