@@ -23,7 +23,7 @@ from .numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
                       nat_dset, nat_monus_semigroup, nat_mul_monoid,
                       pos_nat_mul_monoid, power, power_instrumented, to_bin)
 from .euclid import (BezoutCertificate, DividesWitness, PrattCertificate,
-                     PrimalityCert, Residue, check_divides, div_mod,
+                     PrimalityCert, Residue, check_divides,
                      euclidean_div_mod, extended_gcd, int_ring, is_prime, make_residue,
                      prime_split, residue_field, residue_ring, verify_bezout,
                      verify_primality)
@@ -38,13 +38,11 @@ from .fractions import (Fraction, add_naive, add_optimized,
                         neg_fraction)
 from .polynomials import (Poly, degree, mk_poly, poly_add, poly_group,
                           poly_mul, poly_neg)
-from .certlists import (DecTotalOrder, Multiset, SortResult, append,
-                        fraction_order, int_order, mset_eq, mset_of_list,
-                        mset_sum, rev, sort_certified, verify_sort_result)
-from .eqprover import (Apply, Completed, Exhausted, Finite, NatConst,
-                       NormalForm, PracticallyInfinite, Term, UnitConst, Var,
-                       eval_mat2, eval_nat, eval_word, embed, normalize,
-                       prove_eq, term_vars, with_fuel)
+from .certlists import (DecTotalOrder, SortResult, append, fraction_order,
+                        int_order, rev, sort_certified, verify_sort_result)
+from .eqprover import (Apply, NatConst, NormalForm, Term, UnitConst, Var,
+                       eval_mat2, eval_nat, eval_word, normalize, prove_eq,
+                       term_vars)
 
 __version__ = "0.1.0"
 
@@ -61,7 +59,7 @@ __all__ = [
     "to_bin",
     "BezoutCertificate", "DividesWitness", "PrattCertificate", "PrimalityCert",
     "Residue",
-    "check_divides", "div_mod", "euclidean_div_mod", "extended_gcd",
+    "check_divides", "euclidean_div_mod", "extended_gcd",
     "int_ring", "is_prime", "make_residue", "prime_split", "residue_field",
     "residue_ring", "verify_bezout", "verify_primality",
     "FactorEntry", "FactorizationData", "check_factorization",
@@ -73,11 +71,9 @@ __all__ = [
     "mul_fractions", "neg_fraction",
     "Poly", "degree", "mk_poly", "poly_add", "poly_group", "poly_mul",
     "poly_neg",
-    "DecTotalOrder", "Multiset", "SortResult", "append", "fraction_order",
-    "int_order", "mset_eq", "mset_of_list", "mset_sum", "rev",
-    "sort_certified", "verify_sort_result",
-    "Apply", "Completed", "Exhausted", "Finite", "NatConst", "NormalForm",
-    "PracticallyInfinite", "Term", "UnitConst", "Var", "eval_mat2",
-    "eval_nat", "eval_word", "embed", "normalize", "prove_eq", "term_vars",
-    "with_fuel",
+    "DecTotalOrder", "SortResult", "append", "fraction_order", "int_order",
+    "rev", "sort_certified", "verify_sort_result",
+    "Apply", "NatConst", "NormalForm", "Term", "UnitConst", "Var",
+    "eval_mat2", "eval_nat", "eval_word", "normalize", "prove_eq",
+    "term_vars",
 ]

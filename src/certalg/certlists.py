@@ -1,6 +1,6 @@
-"""List certificates: multisets keyed by decidable equality, a stable sort
-returning an order certificate plus a permutation witness, and the
-append-based reversal functions used by the lemma corpus.
+"""List certificates: a stable sort returning an order certificate plus a
+permutation witness, and the append-based reversal functions used by the
+lemma corpus.
 
 The sort runs through the builtin sorted() with a key derived from the
 order's leq. Under the shipped int_order() itself, on a list of plain ints,
@@ -16,64 +16,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Callable
 
-from .errors import StructuralError
-from .structures import NO, YES, DSet, Decision, StructureInstance
-
-
-@dataclass(frozen=True)
-class Multiset:
-    """Association list of (key, count); keys pairwise distinct under the
-    carrier's equality, counts >= 1."""
-
-    dset: DSet
-    entries: tuple
-
-
-def mset_of_list(dset: DSet, xs) -> Multiset:
-    eq = dset.eq
-    entries = []
-    for x in xs:
-        for i, (k, c) in enumerate(entries):
-            if eq(k, x).holds:
-                entries[i] = (k, c + 1)
-                break
-        else:
-            entries.append((x, 1))
-    return Multiset(dset, tuple(entries))
-
-
-def mset_sum(a: Multiset, b: Multiset) -> Multiset:
-    if a.dset is not b.dset:
-        raise StructuralError("multisets over different carriers")
-    eq = a.dset.eq
-    entries = list(a.entries)
-    for k2, c2 in b.entries:
-        for i, (k1, c1) in enumerate(entries):
-            if eq(k1, k2).holds:
-                entries[i] = (k1, c1 + c2)
-                break
-        else:
-            entries.append((k2, c2))
-    return Multiset(a.dset, tuple(entries))
-
-
-def mset_eq(a: Multiset, b: Multiset) -> bool:
-    if a.dset is not b.dset:
-        raise StructuralError("multisets over different carriers")
-    if len(a.entries) != len(b.entries):
-        return False
-    eq = a.dset.eq
-    used = [False] * len(b.entries)
-    for k1, c1 in a.entries:
-        for i, (k2, c2) in enumerate(b.entries):
-            if not used[i] and eq(k1, k2).holds:
-                if c1 != c2:
-                    return False
-                used[i] = True
-                break
-        else:
-            return False
-    return True
+from .structures import NO, YES, DSet, Decision
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ Integers obey the interpreter's digit limit for int <-> str conversion
 error (exit 2); a longer result is exit 7 (`pow nat-mul` refuses it upfront).
 `pow bin-add` takes time quadratic in the exponent's bits, so it refuses
 upfront (exit 7) when exponent bits * (base bits + exponent bits) > 2^24.
-`prove` refuses (exit 7) a product of polynomials whose term counts multiply
-past 2^16.
+`poly` refuses (exit 7) a product with more than 2^16 term pairs over more
+than 2^16 exponents. `prove` refuses (exit 7) a product of normal forms whose
+term counts multiply past 2^16, and a sum whose normal form has more than
+2^16 terms. `laws --budget` is at most 2^16 (exit 2).
 
 Exit codes: 0 ok, 2 usage or parse error, 3 division by zero, 4 composite
 modulus where a prime is required, 5 law failures found, 6 structural
@@ -41,6 +43,9 @@ from .numbers import (bin_add_monoid, bin_to_str, int_add_group,
 from .structures import StructureInstance, check_laws, multiplicative_monoid
 
 DEFAULT_BUDGET = 200
+# check_laws draws a sample pool linear in the budget, so time and memory
+# grow with it
+MAX_BUDGET = 1 << 16
 DEFAULT_SWEEP = 4
 SEED_ENV_VAR = "CERTALG_SEED"
 
@@ -298,7 +303,7 @@ def format_expr(node) -> str:
 def eval_in(ops, leaf, node):
     """Evaluate an expression tree through ops' add, neg, mul and inv:
     a - b is add(a, neg(b)) and a / b is mul(a, inv(b)). leaf maps the
-    Num and PowSym nodes into the carrier."""
+    Num, PowSym and Sym nodes into the carrier."""
     if isinstance(node, Neg):
         return ops["neg"](eval_in(ops, leaf, node.operand))
     if isinstance(node, BinOp):
@@ -324,8 +329,26 @@ def _poly_leaf(node) -> polynomials.Poly:
     return polynomials.mk_poly(int_ring(), [term])
 
 
+# A product has at most min(term pairs, exponent slots) terms. Past this many
+# of both, a `poly` input such as (1 + x)*(1 + x^2)*...*(1 + x^(2^(k-1)))
+# grows fourfold per two more factors, so the product is refused unmade.
+_MAX_POLY_PRODUCT = 1 << 16
+
+
+def _bounded_poly_mul(p: polynomials.Poly, q: polynomials.Poly) -> polynomials.Poly:
+    if p.terms and q.terms:
+        pairs = len(p.terms) * len(q.terms)
+        slots = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
+        if min(pairs, slots) > _MAX_POLY_PRODUCT:
+            raise InvalidInputError(
+                f"polynomial product too large: {pairs} term pairs over {slots} "
+                f"exponents, both more than 2^16")
+    return polynomials.poly_mul(p, q)
+
+
 _POLY_OPS = {"add": polynomials.poly_add, "neg": polynomials.poly_neg,
-             "mul": polynomials.poly_mul}
+             "mul": _bounded_poly_mul}
+_TERM_OPS = {"add": partial(eqprover.Apply, "+"), "mul": partial(eqprover.Apply, "*")}
 
 
 def eval_int(node) -> int:
@@ -341,34 +364,14 @@ def eval_poly(node) -> polynomials.Poly:
     return eval_in(_POLY_OPS, _poly_leaf, node)
 
 
-def expr_to_term(node) -> eqprover.Term:
+def _term_leaf(node) -> eqprover.Term:
     if isinstance(node, Sym):
         return eqprover.UnitConst() if node.name == "e" else eqprover.Var(node.name)
-    if isinstance(node, Num):
-        return eqprover.NatConst(node.value)
-    if isinstance(node, BinOp) and node.op in ("+", "*"):
-        return eqprover.Apply(node.op, expr_to_term(node.left), expr_to_term(node.right))
-    raise StructuralError(f"cannot interpret {node!r} as a prover term")
+    return eqprover.NatConst(_int_leaf(node))
 
 
-def poly_to_text(p: polynomials.Poly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for i, (c, e) in enumerate(p.terms):
-        negative = isinstance(c, int) and c < 0
-        a = -c if negative else c
-        if e == 0:
-            body = str(a)
-        elif e == 1:
-            body = "x" if a == 1 else f"{a}*x"
-        else:
-            body = f"x^{e}" if a == 1 else f"{a}*x^{e}"
-        if i == 0:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+def expr_to_term(node) -> eqprover.Term:
+    return eval_in(_TERM_OPS, _term_leaf, node)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def _run_poly(ns):
     deg = polynomials.degree(value)
     doc = {"command": "poly", "expr": format_expr(tree),
            "poly": value, "degree": deg if deg is not None else "-inf"}
-    return 0, doc, lambda: poly_to_text(value)
+    return 0, doc, lambda: str(value)
 
 
 def _run_sort(ns):
@@ -689,6 +692,9 @@ def parse_command(argv) -> argparse.Namespace:
             ns.names = list(LAWFUL_INSTANCE_NAMES) + ns.names
         if not ns.names:
             raise ParseError("laws needs instance names or --all")
+        if ns.budget > MAX_BUDGET:
+            raise ParseError(f"argument --budget: at most 2^16 = {MAX_BUDGET}, "
+                             f"got {ns.budget}")
         if ns.budget == 0 and ns.sweep == 0:
             raise ParseError("--budget 0 with --sweep 0 checks no case")
         if ns.seed is None:
@@ -707,8 +713,6 @@ def _jsonable(x):
         return {"value": x.value, "modulus": x.modulus}
     if isinstance(x, fractions.Fraction):
         return {"num": x.num, "den": x.den}
-    if isinstance(x, polynomials.Poly):
-        return poly_to_text(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):

@@ -8,14 +8,15 @@ monomial sums (monomials sorted by degree then lexicographically).
 
 prove_eq answers Yes exactly when both normal forms coincide, which for
 these free theories is provability. A product whose factors' term counts
-multiply past MAX_PRODUCT_TERMS raises InvalidInputError. Fuel-bounded
-iteration utilities live here too.
+multiply past MAX_PRODUCT_TERMS, or a sum whose normal form has more terms
+than that, raises InvalidInputError. eval_nat, eval_word and eval_mat2 are
+models in which a refuted equation can be checked to fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .errors import InvalidInputError, StructuralError
 from .structures import Decision
@@ -48,7 +49,8 @@ Term = Union[Var, NatConst, UnitConst, Apply]
 THEORIES = ("monoid", "semiring", "commsemiring")
 
 # (x+y)^n has 2^n words in the semiring theory; past this many term pairs a
-# product is refused rather than expanded until memory runs out
+# product, and past this many terms a sum, is refused rather than expanded
+# until memory runs out
 MAX_PRODUCT_TERMS = 1 << 16
 
 
@@ -107,6 +109,10 @@ def _poly(t: Term, commutative: bool) -> dict:
             out = dict(lp)
             for k, c in rp.items():
                 out[k] = out.get(k, 0) + c
+            if len(out) > MAX_PRODUCT_TERMS:
+                raise InvalidInputError(
+                    f"normal form too large: a sum of {len(lp)} and {len(rp)} terms "
+                    f"has more than {MAX_PRODUCT_TERMS} terms")
             return out
         if t.op == "*":
             if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
@@ -134,35 +140,6 @@ def normalize(theory: str, t: Term) -> NormalForm:
     else:
         body = tuple(sorted(poly.items(), key=lambda kv: kv[0]))
     return NormalForm(theory, body)
-
-
-def embed(nf: NormalForm) -> Term:
-    """Re-embed a normal form as a term (left-associated chains)."""
-
-    def product(names) -> Term:
-        if not names:
-            return UnitConst() if nf.theory == "monoid" else NatConst(1)
-        acc: Term = Var(names[0])
-        for name in names[1:]:
-            acc = Apply("*", acc, Var(name))
-        return acc
-
-    if nf.theory == "monoid":
-        return product(nf.body)
-    terms = []
-    for key, coeff in nf.body:
-        if not key:
-            terms.append(NatConst(coeff))
-        elif coeff == 1:
-            terms.append(product(key))
-        else:
-            terms.append(Apply("*", NatConst(coeff), product(key)))
-    if not terms:
-        return NatConst(0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Apply("+", acc, t)
-    return acc
 
 
 def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
@@ -247,53 +224,3 @@ def eval_mat2(t: Term, env: dict):
         l, r = eval_mat2(t.left, env), eval_mat2(t.right, env)
         return _mat_add(l, r) if t.op == "+" else _mat_mul(l, r)
     raise StructuralError(f"cannot evaluate {t!r} into matrices")
-
-
-# ---------------------------------------------------------------------------
-# fuel
-
-
-@dataclass(frozen=True, slots=True)
-class Finite:
-    remaining: int
-
-
-@dataclass(frozen=True, slots=True)
-class PracticallyInfinite:
-    """Symbolic unbounded fuel: never exhausts, counts steps taken."""
-
-    steps_taken: int = 0
-
-
-Fuel = Union[Finite, PracticallyInfinite]
-
-
-@dataclass(frozen=True, slots=True)
-class Completed:
-    result: object
-    fuel_left: Fuel
-
-
-@dataclass(frozen=True, slots=True)
-class Exhausted:
-    state: object
-
-
-def with_fuel(fuel: Fuel, step: Callable, halted: Callable, s0):
-    """Apply step until halted or the fuel runs out. Finite fuel decrements
-    strictly per step; PracticallyInfinite only counts."""
-    state = s0
-    if isinstance(fuel, Finite):
-        n = fuel.remaining
-        while True:
-            if halted(state):
-                return Completed(state, Finite(n))
-            if n == 0:
-                return Exhausted(state)
-            state = step(state)
-            n -= 1
-    k = fuel.steps_taken
-    while not halted(state):
-        state = step(state)
-        k += 1
-    return Completed(state, PracticallyInfinite(k))

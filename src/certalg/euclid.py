@@ -110,10 +110,6 @@ def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
     return ring.base.eq(w.dividend, mul(w.divisor, w.quotient)).holds
 
 
-def div_mod(ring: StructureInstance, a, b):
-    return ring.ops["div_mod"](a, b)
-
-
 def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
     """Extended Euclidean algorithm over any ring with div_mod.
 

@@ -17,8 +17,7 @@ from .errors import InvalidInputError, StructuralError
 from .structures import DSet, Decision, Kind, LawReport, StructureInstance
 from .euclid import (DividesWitness, PrimalityCert, certified_factors,
                      check_divides, int_ring, prime_split, verify_primality)
-from .numbers import int_dset, pos_nat_dset
-from . import certlists
+from .numbers import pos_nat_dset
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,16 +77,13 @@ def factorizations_equal(f1: FactorizationData, f2: FactorizationData) -> bool:
 
 
 def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> FactorizationData:
-    """Factorization of a product from the factors' data, combining the prime
-    multisets with the multiset sum and multiplying the units."""
-    d = int_dset()
-    m1 = certlists.Multiset(d, tuple((e.prime, e.multiplicity) for e in f1.entries))
-    m2 = certlists.Multiset(d, tuple((e.prime, e.multiplicity) for e in f2.entries))
-    merged = certlists.mset_sum(m1, m2)
-    certs = {e.prime: e.cert for e in f1.entries}
-    certs.update({e.prime: e.cert for e in f2.entries})
-    entries = tuple(FactorEntry(p, m, certs[p])
-                    for p, m in sorted(merged.entries))
+    """Factorization of a product from the factors' data, adding the
+    multiplicities of each prime and multiplying the units."""
+    counts, certs = {}, {}
+    for e in f1.entries + f2.entries:
+        counts[e.prime] = counts.get(e.prime, 0) + e.multiplicity
+        certs[e.prime] = e.cert
+    entries = tuple(FactorEntry(p, m, certs[p]) for p, m in sorted(counts.items()))
     return FactorizationData(f1.unit * f2.unit, entries)
 
 

@@ -29,9 +29,25 @@ class Poly:
     terms: tuple = ()
 
     def __str__(self):
+        """Highest power first, as in "3*x^2 - x + 1": the sign of a negative
+        integer coefficient becomes the operator before its term."""
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*x^{e}" if e else f"{c}" for c, e in self.terms)
+        parts = []
+        for i, (c, e) in enumerate(self.terms):
+            negative = isinstance(c, int) and c < 0
+            a = -c if negative else c
+            if e == 0:
+                body = str(a)
+            elif e == 1:
+                body = "x" if a == 1 else f"{a}*x"
+            else:
+                body = f"x^{e}" if a == 1 else f"{a}*x^{e}"
+            if i == 0:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
 
 
 def mk_poly(ring: StructureInstance, raw) -> Poly:

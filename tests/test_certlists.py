@@ -1,4 +1,4 @@
-"""Multisets, certified sorting, and the list lemmas."""
+"""Certified sorting and the list lemmas."""
 
 import random
 from collections import Counter
@@ -8,47 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from certalg import certlists
-from certalg.certlists import (DecTotalOrder, Multiset, SortResult, append,
-                               fraction_order, int_order, mset_eq,
-                               mset_of_list, mset_sum, rev, sort_certified,
+from certalg.certlists import (DecTotalOrder, SortResult, append,
+                               fraction_order, int_order, rev, sort_certified,
                                verify_sort_result)
-from certalg.errors import StructuralError
 from certalg.euclid import int_ring
 from certalg.fractions import mk_fraction
 from certalg.numbers import int_dset
 from certalg.structures import NO, YES, Decision
-
-
-# ================================================================
-# multisets
-# ================================================================
-
-
-def test_mset_of_list_counts_duplicates():
-    m = mset_of_list(int_dset(), [3, 1, 3, 3])
-    counts = dict(m.entries)
-    assert counts == {3: 3, 1: 1}
-
-
-def test_mset_eq_ignores_order():
-    d = int_dset()
-    assert mset_eq(mset_of_list(d, [1, 2, 2, 3]), mset_of_list(d, [2, 3, 2, 1]))
-    assert not mset_eq(mset_of_list(d, [1, 2]), mset_of_list(d, [1, 2, 2]))
-    assert not mset_eq(mset_of_list(d, [1]), mset_of_list(d, [2]))
-
-
-def test_mset_sum_adds_multiplicities():
-    d = int_dset()
-    s = mset_sum(mset_of_list(d, [1, 2]), mset_of_list(d, [2, 3]))
-    assert mset_eq(s, mset_of_list(d, [1, 2, 2, 3]))
-
-
-def test_mset_sum_requires_the_same_carrier():
-    from certalg.numbers import nat_dset
-    a = mset_of_list(int_dset(), [1])
-    b = mset_of_list(nat_dset(), [1])
-    with pytest.raises(StructuralError):
-        mset_sum(a, b)
 
 
 # ================================================================
@@ -271,8 +237,8 @@ def test_orders_return_the_shared_verdicts():
 
 def verify_sort_result_with_counts(dto, xs, result) -> bool:
     """The former verifier, kept as the oracle: the same checks followed by
-    a multiset comparison, through Counter or, for unhashable elements, the
-    carrier's mset_eq."""
+    a multiset comparison, through Counter or, for unhashable elements, a
+    scan under the carrier's eq."""
     xs = list(xs)
     ys = result.ys
     perm = result.perm
@@ -297,7 +263,13 @@ def verify_sort_result_with_counts(dto, xs, result) -> bool:
         if Counter(xs) != Counter(ys):
             return False
     except TypeError:
-        if not mset_eq(mset_of_list(dto.base, xs), mset_of_list(dto.base, ys)):
+        rest = list(ys)
+        for x in xs:
+            match = next((j for j, y in enumerate(rest) if eq(y, x).holds), None)
+            if match is None:
+                return False
+            del rest[match]
+        if rest:
             return False
     return True
 

@@ -17,7 +17,7 @@ import certalg
 from certalg.cli import (MODES, default_seed,
                          eval_frac, eval_int, eval_poly, expr_to_term,
                          format_expr, main, parse_command, parse_expr,
-                         poly_to_text, resolve_instance, resolve_monoid, run,
+                         resolve_instance, resolve_monoid, run,
                          valid_instance_name, valid_monoid_name)
 from certalg.errors import ParseError
 from cli_exprgen import random_expr
@@ -109,7 +109,7 @@ def test_random_round_trip_per_mode(mode):
 def test_poly_text_round_trips_by_value():
     for text in ["x^2 + x + 2", "3*x^5 - 2*x - 1", "0", "-x", "7"]:
         p = eval_poly(parse_expr(text, "poly"))
-        assert eval_poly(parse_expr(poly_to_text(p), "poly")) == p
+        assert eval_poly(parse_expr(str(p), "poly")) == p
 
 
 def test_expr_to_term_maps_e_to_the_unit():
@@ -310,6 +310,17 @@ def test_laws_rejects_negative_budget_and_sweep(capsys):
     assert "natural" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_laws_budget_is_at_most_2_to_the_16(as_json, capsys):
+    # the sample pool grows with the budget; 2^16 + 1 is refused before any
+    # sampling, 2^16 is accepted
+    assert parse_command(["laws", "nat-add", "--budget", "65536"]).budget == 65536
+    assert main(["laws", "nat-add", "--budget", "65537"] + (["--json"] if as_json else [])) == 2
+    out, err = capsys.readouterr()
+    message = json.loads(err)["message"] if as_json else err
+    assert out == "" and "at most 2^16" in message and "65537" in message
+
+
 @pytest.mark.parametrize("argv", [
     ["laws", "nat-add", "--budget", "-5"],
     ["laws"],
@@ -484,6 +495,43 @@ def test_hang_guard_prove_refuses_a_normal_form_past_the_term_bound():
     code, doc = _cli("prove", "--theory", "semiring", "*".join(["(x+y)"] * 30) + " = x")
     assert code == 7
     assert doc["error"] == "invalid-input" and "too large" in doc["message"]
+
+
+def test_hang_guard_prove_refuses_a_sum_past_the_term_bound():
+    # each 16-factor product has 2^16 monomials; adding two of them is refused
+    products = ["*".join(f"({v}{i} + w{v}{i})" for i in range(16)) for v in "abc"]
+    code, doc = _cli("prove", "--theory", "csr", " + ".join(products) + " = x")
+    assert code == 7
+    assert doc["error"] == "invalid-input" and "too large" in doc["message"]
+    code, doc = _cli("prove", "--theory", "csr", products[0] + " = x")
+    assert code == 0 and doc["verdict"] is False
+    assert doc["left_normal"].count(" + ") == 2**16 - 1
+
+
+def _doubling_product(k):
+    """(1 + x)(1 + x^2)...(1 + x^(2^(k-1))): 2^k terms over 2^k exponents."""
+    return "*".join(f"(1 + x^{2**i})" for i in range(k))
+
+
+def test_hang_guard_poly_product_at_the_bound_still_answers():
+    proc = _child("poly", _doubling_product(16))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == " + ".join(f"x^{e}" for e in range(65535, 1, -1)) + " + x + 1\n"
+
+
+@pytest.mark.parametrize("k", [17, 30])
+def test_hang_guard_poly_product_past_the_bound_is_refused(k):
+    code, doc = _cli("poly", _doubling_product(k))
+    assert code == 7
+    assert doc["error"] == "invalid-input" and "too large" in doc["message"]
+
+
+def test_poly_bound_takes_the_fewer_of_term_pairs_and_exponents():
+    # 512 by 512 terms over 1023 exponents: dense, so it answers
+    p = f"({_doubling_product(9)})"
+    code, text = run_argv(["poly", f"{p} * {p}"])
+    assert code == 0 and text.startswith("x^1022 + 2*x^1021 + 3*x^1020 + ")
+    assert text.endswith(" + 3*x^2 + 2*x + 1")
 
 
 @pytest.mark.parametrize("expr, out", [

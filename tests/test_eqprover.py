@@ -1,15 +1,14 @@
-"""Equational provers by normalization, their soundness models, and fuel."""
+"""Equational provers by normalization and their soundness models."""
 
 import itertools
 import random
 
 import pytest
 
-from certalg.errors import StructuralError
-from certalg.eqprover import (MAT_CANDIDATES, Completed, Exhausted, Finite,
-                              PracticallyInfinite, embed, eval_mat2,
-                              eval_nat, eval_word, normalize, prove_eq,
-                              term_vars, with_fuel)
+from certalg import eqprover
+from certalg.errors import InvalidInputError, StructuralError
+from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
+                              normalize, prove_eq, term_vars)
 from eq_corpus import CORPUS, add, e, mul, nat, x, y, z
 
 
@@ -144,13 +143,6 @@ def test_semiring_keeps_word_order():
     assert nf1.body != nf2.body
 
 
-def test_embed_round_trip():
-    for theory, lhs, _, _ in CORPUS:
-        nf = normalize(theory, lhs)
-        again = normalize(theory, embed(nf))
-        assert again == nf, (theory, lhs)
-
-
 def test_prove_eq_decision_carries_both_normal_forms():
     d = prove_eq("monoid", mul(x, y), mul(y, x))
     nl, nr = d.evidence
@@ -175,36 +167,17 @@ def test_unknown_theory_is_rejected():
         prove_eq("grouplike", x, x)
 
 
+def test_a_sum_past_the_term_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(eqprover, "MAX_PRODUCT_TERMS", 4)
+    four = add(add(x, y), add(z, nat(1)))
+    assert len(normalize("commsemiring", four).body) == 4
+    assert len(normalize("commsemiring", add(four, add(x, nat(2)))).body) == 4
+    with pytest.raises(InvalidInputError, match="too large"):
+        normalize("commsemiring", add(four, mul(x, y)))
+    with pytest.raises(InvalidInputError, match="too large"):
+        normalize("semiring", add(mul(x, y), four))
+
+
 def test_term_vars():
     assert term_vars(mul(x, add(y, nat(3)))) == {"x", "y"}
     assert term_vars(e) == set()
-
-
-# ================================================================
-# fuel
-# ================================================================
-
-
-def test_finite_fuel_completes_when_enough():
-    out = with_fuel(Finite(100), lambda n: n - 1, lambda n: n == 0, 60)
-    assert isinstance(out, Completed)
-    assert out.result == 0
-    assert out.fuel_left == Finite(40)
-
-
-def test_finite_fuel_exhausts_midway():
-    out = with_fuel(Finite(3), lambda n: n - 1, lambda n: n == 0, 10)
-    assert isinstance(out, Exhausted)
-    assert out.state == 7
-
-
-def test_halted_start_spends_no_fuel():
-    out = with_fuel(Finite(0), lambda n: n - 1, lambda n: n == 0, 0)
-    assert isinstance(out, Completed)
-    assert out.fuel_left == Finite(0)
-
-
-def test_practically_infinite_fuel_counts_steps():
-    out = with_fuel(PracticallyInfinite(), lambda n: n - 1, lambda n: n == 0, 1000)
-    assert isinstance(out, Completed)
-    assert out.fuel_left.steps_taken == 1000

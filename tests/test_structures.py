@@ -229,3 +229,16 @@ def test_a_suite_that_checked_no_case_is_not_ok():
     assert report.cases == 0 and report.failures == ()
     assert not report.ok
     assert check_laws(nat_add_monoid(), seed=1, budget=1, sweep=0).ok
+
+
+# ============================================================
+# the package's exports
+# ============================================================
+
+
+def test_star_import_binds_every_exported_name_once():
+    import certalg
+    namespace = {}
+    exec("from certalg import *", namespace)
+    assert len(certalg.__all__) == len(set(certalg.__all__))
+    assert set(certalg.__all__) <= namespace.keys()
