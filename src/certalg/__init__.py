@@ -17,7 +17,7 @@ from .errors import (CertAlgError, CompositeModulusError, InvalidInputError,
 from .structures import (DSet, Decision, Kind, LawReport, StructureInstance,
                          ancestors, check_laws, direct_product,
                          multiplicative_monoid, recheck_failure,
-                         validate_instance, view_as)
+                         validate_instance)
 from .numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
                       int_add_group, int_dset, monus, nat_add_monoid,
                       nat_dset, nat_monus_semigroup, nat_mul_monoid,
@@ -52,7 +52,6 @@ __all__ = [
     "DSet", "Decision", "Kind", "LawReport", "StructureInstance",
     "ancestors", "check_laws", "direct_product",
     "multiplicative_monoid", "recheck_failure", "validate_instance",
-    "view_as",
     "bin_add_monoid", "bin_suc", "bin_to_str", "from_bin", "int_add_group",
     "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
     "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",

@@ -9,8 +9,6 @@ errors too (on stderr, parse errors included).
 Integers obey the interpreter's digit limit for int <-> str conversion
 (sys.get_int_max_str_digits(), 4300 by default): a longer literal is a parse
 error (exit 2); a longer result is exit 7 (`pow nat-mul` refuses it upfront).
-`pow bin-add` takes time quadratic in the exponent's bits, so it refuses
-upfront (exit 7) when exponent bits * (base bits + exponent bits) > 2^24.
 `poly` refuses (exit 7) a product with more than 2^16 term pairs over more
 than 2^16 exponents. `prove` refuses (exit 7) a product of normal forms whose
 term counts multiply past 2^16, and a sum whose normal form has more than
@@ -551,9 +549,6 @@ def _run_sort(ns):
                             f"verified: {str(ok).lower()}")
 
 
-_BIN_POW_WORK = 1 << 24
-
-
 def _run_pow(ns):
     monoid = resolve_monoid(ns.monoid)
     base, is_bin = ns.base, ns.monoid == "bin-add"
@@ -566,11 +561,6 @@ def _run_pow(ns):
             and min(ns.exponent, 4 * limit) * math.log10(base) >= limit):
         raise InvalidInputError(f"{base}^{ns.exponent} has more than {limit} digits, "
                                 "the interpreter's limit for printing an integer")
-    # each of the exponent's bits costs a bit-list addition as long as the result
-    nbits, bbits = ns.exponent.bit_length(), base.bit_length()
-    if is_bin and nbits * (bbits + nbits) > _BIN_POW_WORK:
-        raise InvalidInputError(f"bin-add power too large: a {bbits}-bit base and a "
-                                f"{nbits}-bit exponent, {nbits} * ({bbits} + {nbits}) > 2^24")
     unit = monoid.ops["identity"]()
     if isinstance(unit, Residue):
         base = make_residue(int_ring(), unit.modulus, base)
@@ -674,9 +664,7 @@ def _build_argparser() -> _ArgumentParser:
     sp = command("pow", _run_pow, "raise a monoid element to a natural power")
     sp.add_argument("monoid", type=partial(_registered, "monoid"))
     sp.add_argument("base", type=int)
-    sp.add_argument("exponent", type=natural,
-                    help="bin-add refuses exponent bits * (base bits + exponent bits) "
-                         "> 2^24 (exit 7)")
+    sp.add_argument("exponent", type=natural)
 
     sp = command("prove", _run_prove, "decide an equation by normalization")
     sp.add_argument("--theory", required=True, type=_theory)

@@ -3,7 +3,8 @@
 Bin values are lists of bits, least significant first, with no trailing
 zeros; the empty list is zero. A bit is an integer 0 or 1 (bool included;
 1.0 equals 1 but is no bit). power() raises an element of any monoid
-instance to a natural power by square-and-multiply over the bit list.
+instance to a natural power by square-and-multiply over the exponent's bit
+list; a monoid with a power role, such as bin-add, does that itself.
 """
 
 from __future__ import annotations
@@ -96,12 +97,15 @@ def power_instrumented(monoid: StructureInstance, x, n: int):
     """Like power, also returning (squarings, multiplications-into-result).
 
     Squarings happen once per bit below the highest set bit, so the count
-    is floor(log2 n) for n >= 1.
+    is floor(log2 n) for n >= 1. A monoid with a power role returns the
+    same triple itself (bin-add on plain ints).
     """
     if "op" not in monoid.ops or "identity" not in monoid.ops:
         raise StructuralError("power needs a monoid-shaped instance (op, identity)")
     if n < 0:
         raise InvalidInputError("exponent must be a natural number")
+    if "power" in monoid.ops:
+        return monoid.ops["power"](x, n)
     op = monoid.ops["op"]
     acc = monoid.ops["identity"]()
     bits = to_bin(n)
@@ -216,10 +220,16 @@ def nat_monus_semigroup() -> StructureInstance:
 
 @lru_cache(maxsize=None)
 def bin_add_monoid() -> StructureInstance:
-    """Addition transported onto canonical bit lists through the coding."""
+    """Addition transported onto canonical bit lists through the coding.
+    to_bin is an isomorphism onto (N, +), so power transports too: one
+    decode, nat-add's square-and-multiply, one encode, the same counts."""
 
     def op(a, b):
         return to_bin(from_bin(a) + from_bin(b))
 
-    ops = {"op": op, "identity": lambda: []}
+    def power(a, n):
+        value, squarings, mults = power_instrumented(nat_add_monoid(), from_bin(a), n)
+        return to_bin(value), squarings, mults
+
+    ops = {"op": op, "identity": lambda: [], "power": power}
     return StructureInstance(Kind.COMMUTATIVE_MONOID, bin_dset(), ops, "bin-add")

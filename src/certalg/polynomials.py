@@ -116,10 +116,11 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     homomorphism with from_int(to_int(c)) == c, so mapping each exponent's
     integer sum back gives the coefficient the ring ops would, however the
     sums are computed: by one big-int product (_kronecker) when the product
-    is dense and both operands have _PACK_MIN_TERMS terms, else by the pair
-    loop. Dense means no more exponent slots, from the lowest exponent, than
-    term pairs. That bounds slots, not bytes: every slot is as wide as the
-    largest possible sum, so one huge coefficient widens them all."""
+    is dense, both operands have _PACK_MIN_TERMS terms and the slots hold no
+    more bytes than the loop's products, else by the pair loop. Dense means
+    no more exponent slots, from the lowest exponent, than term pairs. Every
+    slot is as wide as the largest possible sum, so one huge coefficient
+    among small ones would widen them all; such products take the loop."""
     _check_handles(p, q)
     ring = p.ring
     to_int, from_int = ring.ops.get("to_int"), ring.ops.get("from_int")
@@ -129,10 +130,11 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
                               for c1, e1 in p.terms for c2, e2 in q.terms])
     ps = [(to_int(c), e) for c, e in p.terms]
     qs = [(to_int(c), e) for c, e in q.terms]
-    if (min(len(ps), len(qs)) >= _PACK_MIN_TERMS
-            and ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] < len(ps) * len(qs)):
+    dense = (min(len(ps), len(qs)) >= _PACK_MIN_TERMS
+             and ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] < len(ps) * len(qs))
+    sums = _kronecker(ps, qs) if dense else None
+    if sums is not None:
         low = ps[-1][1] + qs[-1][1]
-        sums = _kronecker(ps, qs)
         items = zip(reversed(sums), range(low + len(sums) - 1, low - 1, -1))
     else:
         by_exp = defaultdict(int)
@@ -154,10 +156,12 @@ _PACK_MIN_TERMS = 10
 _CAST = {calcsize(code): code for code in "BHIQ"} if sys.byteorder == "little" else {}
 
 
-def _kronecker(ps, qs) -> list:
+def _kronecker(ps, qs):
     """Integer coefficients of the product of two nonempty descending
     (int, exponent) lists, lowest exponent first: each operand is packed
     into one int with a kb-byte slot per exponent, and the two multiply once.
+    None when the n slots need more bytes than the pair loop's products,
+    len(q) * sum(bytes(a)) + len(p) * sum(bytes(b)).
 
     Every slot sum is bounded by max|a| * max|b| * min(len), which stays
     below 2^(8kb-1); adding 2^(8kb-1) to each slot makes every slot a
@@ -165,6 +169,10 @@ def _kronecker(ps, qs) -> list:
     """
     bound = max(abs(a) for a, _ in ps) * max(abs(b) for b, _ in qs) * min(len(ps), len(qs))
     kb = bound.bit_length() // 8 + 1
+    n = ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] + 1
+    if kb * n > (len(qs) * sum(a.bit_length() // 8 + 1 for a, _ in ps)
+                 + len(ps) * sum(b.bit_length() // 8 + 1 for b, _ in qs)):
+        return None
     if kb <= 8 and _CAST:
         kb = 1 << (kb - 1).bit_length()  # 1, 2, 4 or 8: slots decode as one array
 
@@ -180,7 +188,6 @@ def _kronecker(ps, qs) -> list:
                 neg[at:at + kb] = (-a).to_bytes(kb, "little")
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    n = ps[0][1] - ps[-1][1] + qs[0][1] - qs[-1][1] + 1
     half = 1 << (8 * kb - 1)
     bias = int.from_bytes(half.to_bytes(kb, "little") * n, "little")
     raw = (pack(ps) * pack(qs) + bias).to_bytes(kb * n, "little")

@@ -79,7 +79,7 @@ PRODUCT_KINDS = frozenset({
     Kind.COMMUTATIVE_MONOID, Kind.GROUP, Kind.COMMUTATIVE_GROUP,
 })
 
-_GROUP_ROLES = {"op", "identity", "inverse", "factor"}
+_GROUP_ROLES = {"op", "identity", "inverse", "factor", "power"}
 _RING_ROLES = {
     "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
     "factor", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
@@ -462,21 +462,6 @@ def direct_product(a: StructureInstance, b: StructureInstance) -> StructureInsta
         inva, invb = a.ops["inverse"], b.ops["inverse"]
         ops["inverse"] = lambda p: (inva(p[0]), invb(p[1]))
     return StructureInstance(a.kind, dset, ops, f"({a.name} x {b.name})")
-
-
-def view_as(inst: StructureInstance, kind: Kind) -> StructureInstance:
-    """View an instance at an ancestor kind (ring kinds expose their additive
-    group when viewed at a one-operation kind)."""
-    if kind == inst.kind:
-        return inst
-    if kind not in ancestors(inst.kind):
-        raise StructuralError(
-            f"{kind.value} is not an ancestor of {inst.kind.value}")
-    if inst.kind in RING_LIKE_KINDS and kind in GROUP_LIKE_KINDS:
-        zero = inst.ops["zero"]()
-        ops = {"op": inst.ops["add"], "identity": lambda: zero, "inverse": inst.ops["neg"]}
-        return StructureInstance(kind, inst.base, ops, f"{inst.name}@{kind.value}")
-    return StructureInstance(kind, inst.base, dict(inst.ops), f"{inst.name}@{kind.value}")
 
 
 def multiplicative_monoid(inst: StructureInstance) -> StructureInstance:

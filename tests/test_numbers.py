@@ -197,6 +197,56 @@ def test_power_requires_monoid_shape():
 
 
 # ----------------------------------------------------------------
+# bin-add's power role against the op route
+
+
+def _bin_add_without_power(op=None):
+    m = bin_add_monoid()
+    ops = {k: f for k, f in m.ops.items() if k != "power"}
+    if op is not None:
+        ops["op"] = op
+    return StructureInstance(m.kind, m.base, ops, m.name)
+
+
+def _bin_power_cases():
+    grid = [(b, n) for b in range(65) for n in range(130)]
+    rng = random.Random(200)
+    return grid + [(rng.getrandbits(200), rng.getrandbits(64)) for _ in range(300)]
+
+
+def test_bin_add_power_role_agrees_with_the_op_route():
+    shipped, generic = bin_add_monoid(), _bin_add_without_power()
+    assert "power" in shipped.ops
+    for b, n in _bin_power_cases():
+        fast = power_instrumented(shipped, to_bin(b), n)
+        assert fast == power_instrumented(generic, to_bin(b), n), (b, n)
+        assert fast[0] == to_bin(b * n) and fast[1] == max(n.bit_length() - 1, 0)
+
+
+def test_only_the_role_less_copy_goes_through_op(monkeypatch):
+    shipped = bin_add_monoid()
+    op, calls = shipped.ops["op"], []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return op(a, b)
+
+    _, squarings, mults = power_instrumented(_bin_add_without_power(spy), to_bin(5), 1000)
+    assert len(calls) == squarings + mults == 9 + 6
+    calls.clear()
+    monkeypatch.setitem(shipped.ops, "op", spy)
+    assert power(shipped, to_bin(5), 1000) == to_bin(5000)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bits", [[0], [1, 0], [2], [1, 1.0], "1"])
+def test_bin_add_power_refuses_a_non_canonical_base_at_every_exponent(bits):
+    for n in (0, 1, 2, 3, 2**64 + 1):
+        with pytest.raises(InvalidInputError, match="non-canonical"):
+            power(bin_add_monoid(), bits, n)
+
+
+# ----------------------------------------------------------------
 # shipped instances
 
 

@@ -205,8 +205,10 @@ def kronecker_calls(monkeypatch):
     real = polynomials._kronecker
 
     def counting(ps, qs):
-        calls.append((ps, qs))
-        return real(ps, qs)
+        sums = real(ps, qs)
+        if sums is not None:
+            calls.append((ps, qs))
+        return sums
 
     monkeypatch.setattr(polynomials, "_kronecker", counting)
     return calls
@@ -221,12 +223,20 @@ def packed(kronecker_calls, monkeypatch):
 
 
 def _packs(p, q):
-    """Whether poly_mul should take the packed route: dense, and the shorter
-    operand has at least _PACK_MIN_TERMS terms."""
+    """Whether poly_mul should take the packed route: dense, the shorter
+    operand has at least _PACK_MIN_TERMS terms, and the slots, each wide
+    enough for the largest possible sum, take no more bytes than the pair
+    loop's products."""
     if min(len(p.terms), len(q.terms)) < polynomials._PACK_MIN_TERMS:
         return False
     span = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
-    return span <= len(p.terms) * len(q.terms)
+    if span > len(p.terms) * len(q.terms):
+        return False
+    to_int = p.ring.ops["to_int"]
+    a, b = ([abs(to_int(c)) for c, _ in r.terms] for r in (p, q))
+    width = lambda v: v.bit_length() // 8 + 1
+    slot = width(max(a) * max(b) * min(len(a), len(b)))
+    return slot * span <= len(b) * sum(map(width, a)) + len(a) * sum(map(width, b))
 
 
 def _check_all_routes(ring, raw_p, raw_q, packed):
@@ -324,6 +334,25 @@ def test_sparse_products_stay_in_the_pair_loop(packed):
         tracemalloc.stop()
     assert not packed and peak < 2**20
     assert terms_of(got) == [(1, 2 * 10**9 + 7), (-2, 10**9 + 7), (3, 10**9 + 5), (-6, 5)]
+
+
+def test_one_wide_coefficient_keeps_a_dense_product_in_the_pair_loop(kronecker_calls):
+    # (10^1000 + x + ... + x^99) * sum of x^(100j), j < 100: 10,000 slots for
+    # 10,000 term pairs is dense, but every slot would be as wide as the
+    # 10^1000 term, about 4 MB against the loop's 60 KB of products
+    p = [(10**1000, 0)] + [(1, e) for e in range(1, 100)]
+    q = [(1, 100 * j) for j in range(100)]
+    assert 99 + 9900 + 1 <= len(p) * len(q)
+    got = _check_all_routes(RING, p, q, kronecker_calls)
+    assert not kronecker_calls
+    assert len(got.terms) == 10_000 and got.terms[-1] == (10**1000, 0)
+    tracemalloc.start()
+    try:
+        poly_mul(mk_poly(RING, p), mk_poly(RING, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not kronecker_calls and peak < 4 * 2**20
 
 
 def test_short_products_stay_in_the_pair_loop(kronecker_calls):

@@ -6,7 +6,7 @@ from certalg.errors import StructuralError
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
                                 _laws_for, ancestors, check_laws,
                                 direct_product, multiplicative_monoid,
-                                recheck_failure, validate_instance, view_as)
+                                recheck_failure, validate_instance)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid,
                              nat_dset, nat_monus_semigroup)
 from certalg.euclid import int_ring
@@ -186,19 +186,6 @@ def test_direct_product_requires_matching_kinds():
 def test_direct_product_rejects_ring_kinds():
     with pytest.raises(StructuralError):
         direct_product(int_ring(), int_ring())
-
-
-def test_view_ring_as_additive_group():
-    grp = view_as(int_ring(), Kind.COMMUTATIVE_GROUP)
-    assert grp.ops["op"](3, 4) == 7
-    assert grp.ops["identity"]() == 0
-    assert grp.ops["inverse"](5) == -5
-    assert check_laws(grp, seed=1, budget=80).ok
-
-
-def test_view_requires_an_ancestor_kind():
-    with pytest.raises(StructuralError):
-        view_as(nat_add_monoid(), Kind.GROUP)
 
 
 def test_multiplicative_monoid_of_commutative_ring():
