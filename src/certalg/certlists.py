@@ -3,10 +3,10 @@ permutation witness, and the append-based reversal functions used by the
 lemma corpus.
 
 The sort runs through the builtin sorted() with a key derived from the
-order's leq. Under the shipped int_order() itself, on a list of plain ints,
-the key is the element, so no comparison calls back into Python; every
-other order, and a list holding any other type (bool included), takes the
-leq route, which the tests use as the oracle. verify_sort_result
+order's leq. Under an order with the native_int role (int_order() or a
+copy of it), on a list of plain ints, the key is the element, so no
+comparison calls back into Python; any other order or element type (bool
+included) takes the leq route, the tests' oracle. verify_sort_result
 re-decides every adjacent pair, so it trusts neither route.
 """
 
@@ -27,6 +27,7 @@ from .structures import NO, YES, DSet, Decision
 class DecTotalOrder:
     base: DSet
     leq: Callable[[object, object], Decision]
+    native_int: bool = False  # a role: ints under <=, so they key the sort
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def sort_certified(dto: DecTotalOrder, xs) -> SortResult:
     """
     leq = dto.leq
     xs = tuple(xs)
-    if dto is int_order() and {*map(type, xs)} <= {int}:
+    if dto.native_int and {*map(type, xs)} <= {int}:
         keys = xs  # leq is <= on these, so the ints order themselves, in C
     else:
         keys = list(map(cmp_to_key(lambda x, y: 0 if leq(y, x).holds else -1), xs))
@@ -73,7 +74,7 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
         return False
     if len(result.ord_cert) != max(n - 1, 0):
         return False
-    if sorted(perm) != list(range(n)):
+    if not {*map(type, perm)} <= {int} or sorted(perm) != list(range(n)):
         return False
     eq = dto.base.eq
     for i, x in enumerate(xs):
@@ -95,7 +96,7 @@ def int_order() -> DecTotalOrder:
     def leq(a, b):
         return YES if a <= b else NO
 
-    return DecTotalOrder(int_dset(), leq)
+    return DecTotalOrder(int_dset(), leq, native_int=True)
 
 
 @lru_cache(maxsize=None)

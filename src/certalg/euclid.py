@@ -376,13 +376,13 @@ def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
         return False
     product = 1
     for q, e, cert in pratt.factors:
-        if q < 2 or not 1 <= e <= p.bit_length():
+        if not type(q) is type(e) is int or q < 2 or not 1 <= e <= p.bit_length():
             return False
         if cert.subject != q or cert.verdict != "prime":
             return False
         product *= q ** e
     a = pratt.base
-    if product != p - 1 or pow(a, p - 1, p) != 1:
+    if type(a) is not int or product != p - 1 or pow(a, p - 1, p) != 1:
         return False
     return all(pow(a, (p - 1) // q, p) != 1 and verify_primality(cert)
                for q, _, cert in pratt.factors)
@@ -391,15 +391,16 @@ def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
 def verify_primality(cert: PrimalityCert) -> bool:
     """Re-check a verdict from its own fields: a composite's witness by one
     product, a prime below TRIAL_BOUND by trial division, a prime above it by
-    its Pratt certificate."""
+    its Pratt certificate. Every number in it must be an int."""
     n = cert.subject
-    if abs(n) <= 1:
+    if type(n) is not int or abs(n) <= 1:
         return False
     if cert.verdict == "composite":
         w = cert.witness
         if w is None or w.dividend != n or cert.pratt is not None:
             return False
-        return 1 < abs(w.divisor) < abs(n) and w.divisor * w.quotient == n
+        return (type(w.divisor) is type(w.quotient) is int and 1 < abs(w.divisor) < abs(n)
+                and w.divisor * w.quotient == n)
     if cert.verdict != "prime" or cert.witness is not None:
         return False
     m = abs(n)
@@ -476,6 +477,7 @@ def int_ring() -> StructureInstance:
         "egcd": _int_egcd,
         "to_int": _identity,
         "from_int": _identity,
+        "native_int": int,  # a marker: ints, int arithmetic (law "native-int")
     }
     return StructureInstance(Kind.EUCLIDEAN_RING, int_dset(), ops, "int-ring")
 
@@ -485,7 +487,7 @@ def int_ring() -> StructureInstance:
 
 
 _ENUMERATION_PREFIX = 64
-# Z/(m) over int_ring() with m up to this builds each of its residues once
+# Z/(m) over a native_int ring with m up to this builds each of its residues once
 _TABLE_MAX = 1 << 8
 
 
@@ -498,7 +500,7 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
     and res a canonical remainder to its Residue. Its enumeration is the
     first min(|b|, 64) residues."""
     base_eq = ring.base.eq
-    if ring is int_ring():
+    if "native_int" in ring.ops:
         def eq(x, y):
             return YES if x.value == y.value and x.modulus == y.modulus else NO
     else:
@@ -530,11 +532,11 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     """The quotient ring of a Euclidean ring by (b), on canonical remainders.
 
-    Over the shipped int_ring() the ops reduce with Python's % directly, and
-    the to_int/from_int roles expose the quotient map from the integers; any
-    other ring goes through its div_mod. Over int_ring() with |b| <= 2^8,
-    every residue is built once, with the ring, and the ops hand out those
-    shared, immutable objects (hash-consing) instead of a new one per result.
+    Over a native_int ring (int_ring(), or a copy of its ops) the ops reduce
+    with %, the to_int/from_int roles expose the quotient map from the
+    integers, and with |b| <= 2^8 every residue is built once, with the ring,
+    so the ops hand out shared, immutable objects (hash-consing) instead of a
+    new one per result. Any other ring goes through its div_mod.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -545,7 +547,7 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     one = ring.ops["one"]()
 
     res = partial(Residue, b)
-    if ring is int_ring():
+    if "native_int" in ring.ops:
         m = abs(b)
         if m <= _TABLE_MAX:
             res = tuple(map(res, range(m))).__getitem__
@@ -595,7 +597,7 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
         raise CompositeModulusError(cert)
 
     base = residue_ring(ring, b)
-    if ring is int_ring():
+    if "native_int" in ring.ops:
         m = abs(b)
         from_int = base.ops["from_int"]
 

@@ -5,12 +5,12 @@ zero is 0/1. add_optimized reduces by gcd(candidate numerator, g) only,
 where g = gcd of the two denominators; add_naive cross-multiplies and
 fully reduces, and is the differential oracle.
 
-Over the shipped int_ring() itself, mk_fraction, add_optimized,
-mul_fractions, neg_fraction, inverse and is_canonical run the same formulas
-on plain ints (math.gcd, //, one sign flip) instead of through the ops
-table, so their results equal the generic route's field by field, on
-non-canonical inputs too. Every other ring, including a copy of int_ring()'s
-ops table, takes the generic route, which the tests use as the oracle.
+Over a ring with the native_int role (int_ring(), or a copy of its ops
+table), mk_fraction, add_optimized, mul_fractions, neg_fraction, inverse and
+is_canonical run the same formulas on plain ints (math.gcd, //, one sign
+flip) instead of through the ops table, so their results equal the generic
+route's field by field, on non-canonical inputs too. Every other ring takes
+the generic route; the tests use int_ring() without that role as the oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ class Fraction:
         return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
 
 
-_Z = int_ring()
-
-
 def mk_fraction(ring: StructureInstance, n, d) -> Fraction:
-    if ring is _Z:
+    if "native_int" in ring.ops:
         if d == 0:
             raise ZeroDivisionError("zero denominator")
         if n == 0:
@@ -70,7 +67,7 @@ def mk_fraction(ring: StructureInstance, n, d) -> Fraction:
 
 
 def is_canonical(ring: StructureInstance, x: Fraction) -> bool:
-    if ring is _Z:
+    if "native_int" in ring.ops:
         # gcd(0, d) = |d|, so a zero numerator passes only over 1
         return x.den > 0 and igcd(x.num, x.den) == 1
     eq = ring.base.eq
@@ -96,7 +93,7 @@ def add_optimized(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
     """Common denominator through g = gcd(d1, d2); the candidate numerator
     only needs reduction by gcd(num, g) because the cofactors d1/g and d2/g
     share no further factor with it in a unique-factorization setting."""
-    if ring is _Z:
+    if "native_int" in ring.ops:
         g = igcd(x.den, y.den)
         t1 = x.den // g
         t2 = y.den // g
@@ -136,7 +133,7 @@ def add_optimized(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
 
 def mul_fractions(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction:
     # cross-reduce before multiplying so intermediates stay small
-    if ring is _Z:
+    if "native_int" in ring.ops:
         if x.num == 0 or y.num == 0:
             return Fraction(0, 1)
         g1 = igcd(x.num, y.den)
@@ -168,13 +165,13 @@ def mul_fractions(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
 
 
 def neg_fraction(ring: StructureInstance, x: Fraction) -> Fraction:
-    if ring is _Z:
+    if "native_int" in ring.ops:
         return Fraction(-x.num, x.den)
     return Fraction(ring.ops["neg"](x.num), x.den)
 
 
 def inverse(ring: StructureInstance, x: Fraction) -> Fraction:
-    if ring is _Z:
+    if "native_int" in ring.ops:
         if x.num == 0:
             raise ZeroDivisionError("inverse of zero fraction")
         return Fraction(-x.den, -x.num) if x.num < 0 else Fraction(x.den, x.num)

@@ -10,6 +10,7 @@ once: a group-like kind applies it to op, a ring to add and then to mul.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -83,7 +84,7 @@ _GROUP_ROLES = {"op", "identity", "inverse", "factor", "power"}
 _RING_ROLES = {
     "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
     "factor", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
-    "egcd", "to_int", "from_int",
+    "egcd", "to_int", "from_int", "native_int",
 }
 
 REQUIRED_OPS = {
@@ -155,12 +156,6 @@ class StructureInstance:
     base: DSet
     ops: dict
     name: str = ""
-
-    def op(self, role: str):
-        try:
-            return self.ops[role]
-        except KeyError:
-            raise StructuralError(f"{self.name or self.kind.value}: missing op {role!r}") from None
 
 
 def ancestors(kind: Kind) -> frozenset:
@@ -285,6 +280,23 @@ def _reconstructs_law(beq, op, factor, zero=None) -> _Law:
     return _Law("factorization-reconstructs", 1, 1, reconstructs)
 
 
+def _native_int_law(ops) -> _Law:
+    """native_int claims that the carrier holds ints and the ops are int
+    arithmetic: check the ops native routes stand in for, types included."""
+    def agrees(x, y):
+        if not type(x) is type(y) is int:
+            return False
+        r = x % abs(y) if y else 0  # the canonical remainder, 0 <= r < |y|
+        got = (ops["zero"](), ops["one"](), ops["add"](x, y), ops["neg"](x), ops["mul"](x, y),
+               ops["gcd"](x, y), ops["canon_unit"](x), *(ops["div_mod"](x, y) if y else ()))
+        want = (0, 1, x + y, -x, x * y, math.gcd(x, y), -1 if x < 0 else 1,
+                *(((x - r) // y, r) if y else ()))
+        return (got == want and {*map(type, got)} == {int}
+                and ops["is_unit"](x) == (x in (1, -1)))
+
+    return _Law("native-int", 2, 2, agrees)
+
+
 def _laws_for(inst: StructureInstance) -> list:
     eq = inst.base.eq
     beq = lambda a, b: eq(a, b).holds
@@ -368,6 +380,8 @@ def _laws_for(inst: StructureInstance) -> list:
             "congruence(inv)", 1, 2,
             lambda x, xv: beq(x, zero) or not beq(x, xv) or beq(inv(x), inv(xv)),
             uses_variant=True))
+    if "native_int" in inst.ops:
+        laws.append(_native_int_law(inst.ops))
     return laws
 
 

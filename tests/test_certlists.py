@@ -7,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
+from roles import spied, without_roles
 from certalg import certlists
 from certalg.certlists import (DecTotalOrder, SortResult, append,
                                fraction_order, int_order, rev, sort_certified,
@@ -100,6 +101,14 @@ def test_verify_rejects_forged_outputs():
     assert not verify_sort_result(int_order(), xs, forged)
 
 
+def test_verify_rejects_perm_entries_that_are_not_ints():
+    xs = [5, 3, 9, 1]
+    good = sort_certified(int_order(), xs)
+    for entry in (2.0, "2", None, True):
+        perm = tuple(entry if p == 2 else p for p in good.perm)
+        assert not verify_sort_result(int_order(), xs, SortResult(good.ys, good.ord_cert, perm))
+
+
 def test_fraction_order_sorts_by_value():
     ring = int_ring()
     xs = [mk_fraction(ring, 1, 2), mk_fraction(ring, -3, 4),
@@ -178,9 +187,9 @@ def test_sort_matches_merge_sort_oracle_on_fractions():
         assert verify_sort_result(fraction_order(), xs, res)
 
 
-# the same leq under a DecTotalOrder that is not int_order() itself, so
-# sort_certified takes the leq route: the oracle for int_order()'s int route
-LEQ_INT_ORDER = DecTotalOrder(int_dset(), int_order().leq)
+# int_order() without its native_int role, so sort_certified takes the leq
+# route: the oracle for int_order()'s int route
+LEQ_INT_ORDER = without_roles(int_order(), "native_int")
 
 
 def _int_route_lists():
@@ -198,11 +207,19 @@ def _int_route_lists():
 
 
 def test_int_order_route_matches_the_leq_route():
+    # a copy keeps the role; both routes decide the n-1 adjacent pairs with
+    # leq, and only the leq route also sorts with it
+    fast, fast_calls = spied(int_order())
+    slow, slow_calls = spied(LEQ_INT_ORDER)
     for xs in _int_route_lists():
-        res = sort_certified(int_order(), xs)
-        oracle = sort_certified(LEQ_INT_ORDER, xs)
+        fast_calls.clear()
+        slow_calls.clear()
+        res = sort_certified(fast, xs)
+        oracle = sort_certified(slow, xs)
         assert (res.ys, res.perm, res.ord_cert) == (oracle.ys, oracle.perm, oracle.ord_cert)
         assert verify_sort_result(int_order(), xs, res)
+        assert fast_calls["leq"] == max(len(xs) - 1, 0)
+        assert slow_calls["leq"] > fast_calls["leq"] or len(xs) < 2
 
 
 def test_int_order_takes_the_leq_route_unless_every_element_is_an_int(monkeypatch):

@@ -263,8 +263,8 @@ LAWS_ALL = {
     "nat-mul": ("CommutativeMonoid", 948),
     "nat-pos-mul": ("CCMonoid", 1476),
     "int-add": ("CommutativeGroup", 1800),
-    "int-ring": ("EuclideanRing", 3492),
-    "int-ufd": ("UniqueFactorizationRing", 3480),
+    "int-ring": ("EuclideanRing", 3708),
+    "int-ufd": ("UniqueFactorizationRing", 3696),
     "nat-factor-monoid": ("FactorizationMonoid", 1680),
     "bin-add": ("CommutativeMonoid", 948),
     "frac-field": ("Field", 3480),

@@ -4,10 +4,12 @@ import dataclasses
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
 import nt_oracles
+from roles import spied, without_roles
 from certalg import euclid
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
@@ -17,6 +19,8 @@ from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
                             extended_gcd, int_ring, is_prime, make_residue,
                             prime_split, residue_field, residue_ring,
                             verify_bezout, verify_primality)
+from certalg.factorization import int_factorization_ring
+from certalg.fractions import Fraction, add_optimized, mk_fraction, mul_fractions
 from certalg.structures import (Kind, StructureInstance, check_laws,
                                 validate_instance)
 
@@ -158,6 +162,16 @@ def test_verify_primality_checks_witness_consistency():
     assert not verify_primality(PrimalityCert(91, "prime", None))
 
 
+def test_verify_primality_rejects_numbers_that_are_not_ints():
+    # 1.75 * 4.0 == 7, so only the types keep the prime 7 from passing as composite
+    assert not verify_primality(PrimalityCert(7, "composite", DividesWitness(1.75, 7, 4.0)))
+    assert not verify_primality(PrimalityCert(91, "composite", DividesWitness(7.0, 91, 13)))
+    assert not verify_primality(PrimalityCert(91, "composite", DividesWitness(7, 91, 13.0)))
+    assert not verify_primality(PrimalityCert(91.0, "composite", DividesWitness(7, 91, 13)))
+    assert not verify_primality(PrimalityCert(97.0, "prime"))
+    assert not verify_primality(PrimalityCert(float(M61), "prime", pratt=is_prime(M61).pratt))
+
+
 # ================================================================
 # prime-split
 # ================================================================
@@ -269,14 +283,14 @@ def test_residue_values_carry_their_modulus(ring):
 
 
 def _generic_int_ring():
-    # same ops, but not the shipped int_ring() object: residue rings built
-    # over it reduce through div_mod and invert through extended_gcd
-    r = int_ring()
-    return StructureInstance(r.kind, r.base, dict(r.ops), r.name)
+    """int_ring() without the roles that pick native routes, with a spy on
+    div_mod: residue rings built over it reduce through div_mod and invert
+    through the generic extended_gcd loop."""
+    return spied(without_roles(int_ring(), "native_int", "egcd"), "div_mod")
 
 
 def test_native_residue_ops_agree_with_the_generic_route(ring):
-    generic = _generic_int_ring()
+    generic, calls = _generic_int_ring()
     for b in list(range(2, 51)) + [-7, -12]:
         fast, slow = residue_ring(ring, b), residue_ring(generic, b)
         assert fast.base.enumeration == slow.base.enumeration
@@ -290,15 +304,19 @@ def test_native_residue_ops_agree_with_the_generic_route(ring):
                 assert fast.ops["add"](x, y) == slow.ops["add"](x, y)
                 assert fast.ops["mul"](x, y) == slow.ops["mul"](x, y)
                 assert fast.base.eq(x, y).holds == slow.base.eq(x, y).holds
+    assert calls["div_mod"] > 0
 
 
 def test_native_residue_inverse_agrees_with_the_generic_route(ring):
-    generic = _generic_int_ring()
+    generic, calls = _generic_int_ring()
     for p in (p for p in range(2, 100) if is_prime(p).verdict == "prime"):
         fast = residue_field(ring, p, is_prime(p)).ops["inv"]
         slow = residue_field(generic, p, is_prime(p)).ops["inv"]
+        calls.clear()
         for v in range(1, p):
             assert fast(Residue(p, v)) == slow(Residue(p, v))
+        # the generic extended_gcd loop divides at least once per inverse
+        assert calls["div_mod"] >= p - 1
         for inv in (fast, slow):
             with pytest.raises(ZeroDivisionError):
                 inv(Residue(p, 0))
@@ -369,7 +387,7 @@ def test_interned_residues_stay_frozen_with_value_equality(ring):
 
 
 def test_interned_and_generic_residue_rings_check_the_same_cases(ring):
-    generic = _generic_int_ring()
+    generic, calls = _generic_int_ring()
     primes = [p for p in range(2, 100) if is_prime(p).verdict == "prime"]
     pairs = [(residue_ring(ring, b), residue_ring(generic, b)) for b in range(2, 100)]
     pairs += [(residue_field(ring, p, is_prime(p)), residue_field(generic, p, is_prime(p)))
@@ -378,12 +396,25 @@ def test_interned_and_generic_residue_rings_check_the_same_cases(ring):
         a = check_laws(fast, seed=3, budget=40)
         b = check_laws(slow, seed=3, budget=40)
         assert a.ok and b.ok and a.cases == b.cases, fast.name
+    assert calls["div_mod"] > 0
 
 
-def _ring_without(*roles):
-    r = int_ring()
-    return StructureInstance(r.kind, r.base,
-                             {k: f for k, f in r.ops.items() if k not in roles}, r.name)
+def test_a_copy_of_int_ring_keeps_the_native_routes(ring):
+    """The role, not the object, picks the route: a copy of int_ring() with
+    counted ops, like a traced benchmark's, never calls them."""
+    copy, calls = spied(ring, "div_mod", "gcd", "mul", "canon_unit")
+    f7, z257 = residue_field(copy, 7, is_prime(7)), residue_ring(copy, 257)
+    assert {"to_int", "from_int"} <= set(f7.ops) & set(z257.ops)
+    assert f7.ops["from_int"](3) is f7.ops["from_int"](10)  # the interned table
+    xs = f7.base.enumeration
+    assert [f7.ops["inv"](x).value for x in xs[1:]] == [1, 4, 5, 2, 3, 6]
+    assert [f7.ops["mul"](x, y).value for x in xs for y in xs] == [
+        u * v % 7 for u in range(7) for v in range(7)]
+    assert z257.ops["add"](z257.ops["from_int"](200), z257.ops["from_int"](100)).value == 43
+    x, y = mk_fraction(copy, 6, -4), mk_fraction(copy, 5, 9)
+    assert (add_optimized(copy, x, y), mul_fractions(copy, x, y)) == (
+        Fraction(-17, 18), Fraction(-5, 6))
+    assert calls == Counter()
 
 
 def _egcd_pairs():
@@ -399,18 +430,22 @@ def _egcd_pairs():
 
 
 def test_native_egcd_agrees_with_the_generic_route(ring):
-    generic = _ring_without("egcd")
+    generic, calls = spied(without_roles(ring, "egcd"), "div_mod")
     for a, b in _egcd_pairs():
         fast, slow = extended_gcd(ring, a, b), extended_gcd(generic, a, b)
         assert fast == slow, (a, b)
         assert verify_bezout(ring, fast)
+    assert calls["div_mod"] > len(_egcd_pairs())
 
 
 def test_instances_with_native_roles_validate(ring):
     field = residue_field(ring, 7, is_prime(7))
-    assert {"egcd", "to_int", "from_int"} <= set(ring.ops)
+    ufd = int_factorization_ring()
+    assert {"egcd", "to_int", "from_int", "native_int"} <= set(ring.ops) & set(ufd.ops)
     assert {"to_int", "from_int"} <= set(field.ops)
-    for inst in (ring, residue_ring(ring, 12), residue_ring(ring, -7), field):
+    # residues are not ints, so no residue ring claims native_int
+    assert "native_int" not in field.ops and "native_int" not in residue_ring(ring, 12).ops
+    for inst in (ring, ufd, residue_ring(ring, 12), residue_ring(ring, -7), field):
         validate_instance(inst)
     typo = StructureInstance(ring.kind, ring.base, {**ring.ops, "from_ints": int}, ring.name)
     with pytest.raises(StructuralError, match="from_ints"):
@@ -522,6 +557,15 @@ def test_verify_primality_rejects_forged_pratt_certificates():
     composite = is_prime(M61 + 2)
     assert not verify_primality(PrimalityCert(M61 + 2, "composite", composite.witness,
                                               good))
+
+
+def test_verify_primality_rejects_pratt_fields_that_are_not_ints():
+    good = is_prime(M61).pratt
+    q, e, c = good.factors[0]
+    for factor in ((float(q), e, c), (q, float(e), c)):
+        assert not verify_primality(_prime_cert(M61, _replace_factor(good, 0, factor)))
+    floated = PrattCertificate(float(good.base), good.factors)
+    assert not verify_primality(_prime_cert(M61, floated))
 
 
 def test_verify_primality_rejects_a_composite_factor_of_p_minus_one():

@@ -1,5 +1,7 @@
 """The law catalogue per instance, and ring laws that catch broken rings."""
 
+import math
+
 import pytest
 
 from certalg.cli import LAWFUL_INSTANCE_NAMES, resolve_instance
@@ -129,13 +131,16 @@ _FIELD = [
     ("no-zero-divisors", 2, 2, False),
 ]
 
+# the native_int role's law, on the instances that declare the role
+_NATIVE_INT = [("native-int", 2, 2, False)]
+
 CATALOGUE = {
     "nat-add": _COMMUTATIVE_MONOID,
     "nat-mul": _COMMUTATIVE_MONOID,
     "nat-pos-mul": _CC_MONOID,
     "int-add": _COMMUTATIVE_GROUP,
-    "int-ring": _EUCLIDEAN_RING,
-    "int-ufd": _UNIQUE_FACTORIZATION_RING,
+    "int-ring": sorted(_EUCLIDEAN_RING + _NATIVE_INT),
+    "int-ufd": sorted(_UNIQUE_FACTORIZATION_RING + _NATIVE_INT),
     "nat-factor-monoid": _FACTORIZATION_MONOID,
     "bin-add": _COMMUTATIVE_MONOID,
     "frac-field": _FIELD,
@@ -224,6 +229,9 @@ BROKEN_RINGS = {
     "multiplicative-inverse": lambda: _broken(_Q, inv=lambda x: x),
     "congruence(inv)": lambda: _broken(
         _Q, base=_unreduced_fractions(), inv=_canonical_only(inverse)),
+    # lawful as a ring, but the native fraction routes would not use this
+    # canon_unit, so the native_int claim is false
+    "native-int": lambda: _broken(_Z, canon_unit=lambda a: 1),
 }
 
 
@@ -236,3 +244,34 @@ def test_broken_ring_is_reported_under_its_law(law):
     assert cases, f"{law} not reported; got {sorted({n for n, _ in report.failures})}"
     for case in cases[:5]:
         assert recheck_failure(inst, law, case)
+
+
+def test_a_false_native_int_claim_fails_only_the_role_law():
+    report = check_laws(BROKEN_RINGS["native-int"](), seed=1, budget=60, sweep=4)
+    assert {name for name, _ in report.failures} == {"native-int"}
+
+
+# every op a native route stands in for, changed so that it leaves int
+# arithmetic (in value, or only in type) while the native_int role stays
+FALSE_NATIVE_OPS = {
+    "add": lambda a, b: a - b,
+    "neg": lambda a: a,
+    "mul": lambda a, b: a * b + 1,
+    "zero": lambda: 0.0,
+    "one": lambda: -1,
+    "div_mod": divmod,
+    "gcd": lambda a, b: float(math.gcd(a, b)),
+    "canon_unit": lambda a: 1,
+    "is_unit": lambda a: a == 1,
+}
+
+
+@pytest.mark.parametrize("role", sorted(FALSE_NATIVE_OPS))
+def test_the_role_law_checks_every_op_a_native_route_replaces(role):
+    for inst in (_Z, int_factorization_ring()):
+        assert check_laws(inst, seed=1, budget=60).ok
+        broken = _broken(inst, **{role: FALSE_NATIVE_OPS[role]})
+        report = check_laws(broken, seed=1, budget=60, sweep=4)
+        cases = [case for name, case in report.failures if name == "native-int"]
+        assert cases, role
+        assert all(recheck_failure(broken, "native-int", case) for case in cases[:5])

@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from roles import spied, without_roles
 from certalg.errors import InvalidInputError, StructuralError
 from certalg.numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
                              int_add_group, is_canonical_bin, monus,
                              nat_add_monoid, nat_monus_semigroup,
                              nat_mul_monoid, pos_nat_mul_monoid, power,
                              power_instrumented, to_bin)
-from certalg.structures import Kind, StructureInstance, check_laws
+from certalg.structures import Kind, check_laws
 
 
 def test_monus_truncates_at_zero():
@@ -200,14 +201,6 @@ def test_power_requires_monoid_shape():
 # bin-add's power role against the op route
 
 
-def _bin_add_without_power(op=None):
-    m = bin_add_monoid()
-    ops = {k: f for k, f in m.ops.items() if k != "power"}
-    if op is not None:
-        ops["op"] = op
-    return StructureInstance(m.kind, m.base, ops, m.name)
-
-
 def _bin_power_cases():
     grid = [(b, n) for b in range(65) for n in range(130)]
     rng = random.Random(200)
@@ -215,28 +208,22 @@ def _bin_power_cases():
 
 
 def test_bin_add_power_role_agrees_with_the_op_route():
-    shipped, generic = bin_add_monoid(), _bin_add_without_power()
-    assert "power" in shipped.ops
+    shipped = bin_add_monoid()
+    generic, calls = spied(without_roles(shipped, "power"), "op")
     for b, n in _bin_power_cases():
         fast = power_instrumented(shipped, to_bin(b), n)
         assert fast == power_instrumented(generic, to_bin(b), n), (b, n)
         assert fast[0] == to_bin(b * n) and fast[1] == max(n.bit_length() - 1, 0)
+    assert calls["op"] > len(_bin_power_cases())
 
 
-def test_only_the_role_less_copy_goes_through_op(monkeypatch):
-    shipped = bin_add_monoid()
-    op, calls = shipped.ops["op"], []
-
-    def spy(a, b):
-        calls.append((a, b))
-        return op(a, b)
-
-    _, squarings, mults = power_instrumented(_bin_add_without_power(spy), to_bin(5), 1000)
-    assert len(calls) == squarings + mults == 9 + 6
-    calls.clear()
-    monkeypatch.setitem(shipped.ops, "op", spy)
-    assert power(shipped, to_bin(5), 1000) == to_bin(5000)
-    assert calls == []
+def test_only_the_role_less_copy_goes_through_op():
+    generic, calls = spied(without_roles(bin_add_monoid(), "power"), "op")
+    _, squarings, mults = power_instrumented(generic, to_bin(5), 1000)
+    assert calls["op"] == squarings + mults == 9 + 6
+    copy, calls = spied(bin_add_monoid(), "op")
+    assert power(copy, to_bin(5), 1000) == to_bin(5000)
+    assert calls["op"] == 0
 
 
 @pytest.mark.parametrize("bits", [[0], [1, 0], [2], [1, 1.0], "1"])

@@ -1,5 +1,8 @@
 """Law engine tests: kinds, validation, checking, counterexamples."""
 
+import pathlib
+import re
+
 import pytest
 
 from certalg.errors import StructuralError
@@ -56,11 +59,6 @@ def test_decision_truthiness():
 # ============================================================
 
 
-def _bare_magma(op):
-    return StructureInstance(kind=Kind.MAGMA, base=nat_dset(),
-                             ops={"op": op}, name="test-magma")
-
-
 def test_validate_accepts_wellformed_instance():
     validate_instance(nat_add_monoid())
 
@@ -87,9 +85,16 @@ def test_validate_rejects_noncallable_op():
         validate_instance(inst)
 
 
-def test_op_accessor_raises_on_absent_role():
-    with pytest.raises(StructuralError):
-        _bare_magma(lambda a, b: a + b).op("inverse")
+def test_no_route_is_chosen_by_object_identity():
+    """Fast routes are chosen by role (native_int, egcd, to_int, ...), so a
+    copy of a shipped instance takes the same route as the original."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    pattern = re.compile(r"is _Z|is int_ring\(\)|is int_order\(\)")
+    hits = [f"{path.relative_to(src)}:{no}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 # ============================================================
