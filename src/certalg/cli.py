@@ -32,7 +32,6 @@ from functools import lru_cache, partial
 
 from .errors import (CompositeModulusError, InvalidInputError, ParseError,
                      StructuralError)
-from . import certlists, eqprover, factorization, fractions, polynomials
 from .euclid import (Residue, extended_gcd, int_ring, is_prime, make_residue,
                      residue_field, residue_ring, verify_bezout)
 from .numbers import (bin_add_monoid, bin_to_str, int_add_group,
@@ -322,9 +321,10 @@ def _int_leaf(node) -> int:
     raise StructuralError(f"cannot evaluate {node!r} as a number")
 
 
-def _poly_leaf(node) -> polynomials.Poly:
+def _poly_leaf(node):
+    from .polynomials import mk_poly
     term = (1, node.exp) if isinstance(node, PowSym) else (_int_leaf(node), 0)
-    return polynomials.mk_poly(int_ring(), [term])
+    return mk_poly(int_ring(), [term])
 
 
 # A product has at most min(term pairs, exponent slots) terms. Past this many
@@ -333,7 +333,8 @@ def _poly_leaf(node) -> polynomials.Poly:
 _MAX_POLY_PRODUCT = 1 << 16
 
 
-def _bounded_poly_mul(p: polynomials.Poly, q: polynomials.Poly) -> polynomials.Poly:
+def _bounded_poly_mul(p, q):
+    from .polynomials import poly_mul
     if p.terms and q.terms:
         pairs = len(p.terms) * len(q.terms)
         slots = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
@@ -341,35 +342,36 @@ def _bounded_poly_mul(p: polynomials.Poly, q: polynomials.Poly) -> polynomials.P
             raise InvalidInputError(
                 f"polynomial product too large: {pairs} term pairs over {slots} "
                 f"exponents, both more than 2^16")
-    return polynomials.poly_mul(p, q)
-
-
-_POLY_OPS = {"add": polynomials.poly_add, "neg": polynomials.poly_neg,
-             "mul": _bounded_poly_mul}
-_TERM_OPS = {"add": partial(eqprover.Apply, "+"), "mul": partial(eqprover.Apply, "*")}
+    return poly_mul(p, q)
 
 
 def eval_int(node) -> int:
     return eval_in(int_ring().ops, _int_leaf, node)
 
 
-def eval_frac(node) -> fractions.Fraction:
-    return eval_in(fractions.fraction_field().ops,
-                   lambda n: fractions.mk_fraction(int_ring(), _int_leaf(n), 1), node)
+def eval_frac(node):
+    from .fractions import fraction_field, mk_fraction
+    return eval_in(fraction_field().ops,
+                   lambda n: mk_fraction(int_ring(), _int_leaf(n), 1), node)
 
 
-def eval_poly(node) -> polynomials.Poly:
-    return eval_in(_POLY_OPS, _poly_leaf, node)
+def eval_poly(node):
+    from .polynomials import poly_add, poly_neg
+    return eval_in({"add": poly_add, "neg": poly_neg, "mul": _bounded_poly_mul},
+                   _poly_leaf, node)
 
 
-def _term_leaf(node) -> eqprover.Term:
+def _term_leaf(node):
+    from .eqprover import NatConst, UnitConst, Var
     if isinstance(node, Sym):
-        return eqprover.UnitConst() if node.name == "e" else eqprover.Var(node.name)
-    return eqprover.NatConst(_int_leaf(node))
+        return UnitConst() if node.name == "e" else Var(node.name)
+    return NatConst(_int_leaf(node))
 
 
-def expr_to_term(node) -> eqprover.Term:
-    return eval_in(_TERM_OPS, _term_leaf, node)
+def expr_to_term(node):
+    from .eqprover import Apply
+    return eval_in({"add": partial(Apply, "+"), "mul": partial(Apply, "*")},
+                   _term_leaf, node)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +390,20 @@ def zmod_field(p: int) -> StructureInstance:
 
 @lru_cache(maxsize=None)
 def poly_int_group() -> StructureInstance:
-    return polynomials.poly_group(int_ring())
+    from .polynomials import poly_group
+    return poly_group(int_ring())
 
 
 @lru_cache(maxsize=None)
 def poly_zmod7_group() -> StructureInstance:
-    return polynomials.poly_group(zmod_ring(7))
+    from .polynomials import poly_group
+    return poly_group(zmod_ring(7))
+
+
+def _export(name: str):
+    """A builder that calls the package's export name; the package imports
+    its module on first use."""
+    return lambda: getattr(sys.modules[__package__], name)()
 
 
 _FIXED_INSTANCES = {
@@ -402,10 +412,10 @@ _FIXED_INSTANCES = {
     "nat-pos-mul": pos_nat_mul_monoid,
     "int-add": int_add_group,
     "int-ring": int_ring,
-    "int-ufd": factorization.int_factorization_ring,
-    "nat-factor-monoid": factorization.pos_nat_factorization_monoid,
+    "int-ufd": _export("int_factorization_ring"),
+    "nat-factor-monoid": _export("pos_nat_factorization_monoid"),
     "bin-add": bin_add_monoid,
-    "frac-field": fractions.fraction_field,
+    "frac-field": _export("fraction_field"),
     "poly-int-add": poly_int_group,
     "poly-zmod7-add": poly_zmod7_group,
 }
@@ -477,13 +487,14 @@ def _run_laws(ns):
 
 
 def _run_factor(ns):
-    data = factorization.factor(ns.n)
+    from .factorization import check_factorization, factor
+    data = factor(ns.n)
     parts = [str(data.unit)] if data.unit != 1 else []
     for e in data.entries:
         parts.append(f"{e.prime}^{e.multiplicity}" if e.multiplicity > 1 else str(e.prime))
     doc = {"command": "factor", "n": ns.n, "unit": data.unit,
            "factors": [[e.prime, e.multiplicity] for e in data.entries],
-           "verified": factorization.check_factorization(data, ns.n)}
+           "verified": check_factorization(data, ns.n)}
     return 0, doc, lambda: f"{ns.n} = " + " * ".join(parts or ["1"])
 
 
@@ -524,25 +535,29 @@ def _run_frac(ns):
 
 
 def _run_poly(ns):
+    from .polynomials import degree
     tree = parse_expr(ns.text, "poly")
     value = eval_poly(tree)
-    deg = polynomials.degree(value)
+    deg = degree(value)
     doc = {"command": "poly", "expr": format_expr(tree),
            "poly": value, "degree": deg if deg is not None else "-inf"}
     return 0, doc, lambda: str(value)
 
 
 def _run_sort(ns):
+    from .certlists import fraction_order, int_order, sort_certified, verify_sort_result
     raw = ns.values or sys.stdin.read().split()
     if ns.order == "int":
         values = [eval_int(parse_expr(tok, "int")) for tok in raw]
-        dto = certlists.int_order()
+        dto = int_order()
     else:
         values = [eval_frac(parse_expr(tok, "frac")) for tok in raw]
-        dto = certlists.fraction_order()
-    result = certlists.sort_certified(dto, values)
-    ok = certlists.verify_sort_result(dto, values, result)
-    doc = {"command": "sort", "order": ns.order, "ys": list(result.ys),
+        dto = fraction_order()
+    result = sort_certified(dto, values)
+    ok = verify_sort_result(dto, values, result)
+    ys = (list(result.ys) if ns.order == "int"
+          else [{"num": y.num, "den": y.den} for y in result.ys])
+    doc = {"command": "sort", "order": ns.order, "ys": ys,
            "perm": list(result.perm), "verified": ok}
     return 0, doc, lambda: (f"ys: {' '.join(map(str, result.ys))}\n"
                             f"perm: {' '.join(map(str, result.perm))}\n"
@@ -574,12 +589,13 @@ def _run_pow(ns):
 
 
 def _run_prove(ns):
+    from .eqprover import prove_eq
     sides = ns.equation.split("=")
     if len(sides) != 2 or not sides[0].strip() or not sides[1].strip():
         raise ParseError("equation must have the shape LHS = RHS", 0)
     lhs = expr_to_term(parse_expr(sides[0], "term"))
     rhs = expr_to_term(parse_expr(sides[1], "term"))
-    decision = eqprover.prove_eq(ns.theory, lhs, rhs)
+    decision = prove_eq(ns.theory, lhs, rhs)
     nl, nr = decision.evidence
     doc = {"command": "prove", "theory": ns.theory, "verdict": decision.holds,
            "left_normal": nl, "right_normal": nr}
@@ -699,8 +715,6 @@ def _jsonable(x):
         return x
     if isinstance(x, Residue):
         return {"value": x.value, "modulus": x.modulus}
-    if isinstance(x, fractions.Fraction):
-        return {"num": x.num, "den": x.den}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):

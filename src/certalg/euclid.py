@@ -176,6 +176,15 @@ def _int_egcd(a: int, b: int) -> BezoutCertificate:
 
 
 def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
+    """Re-check the certificate's invariants from its own fields. Over a
+    native_int ring every field must be an int (bool is not) and the
+    equations are checked in int arithmetic, where a = qa*g and b = qb*g
+    already force a = b = 0 when g = 0; otherwise through the ring's ops."""
+    if "native_int" in ring.ops:
+        a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa,
+                                 cert.qb)
+        return (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa)
+                is type(qb) is int and u * a + v * b == g and a == qa * g and b == qb * g)
     add = ring.ops["add"]
     mul = ring.ops["mul"]
     zero = ring.ops["zero"]()

@@ -101,6 +101,19 @@ def test_verify_rejects_forged_outputs():
     assert not verify_sort_result(int_order(), xs, forged)
 
 
+def test_verify_rejects_order_certificates_that_are_not_holding_decisions():
+    xs = [3, 1, 2]
+    good = sort_certified(int_order(), xs)
+    assert verify_sort_result(int_order(), xs, good)
+    # equal to YES but not the shared one: accepted, off the fast count
+    fresh = SortResult(good.ys, (Decision.yes(), Decision.yes("witness")), good.perm)
+    assert verify_sort_result(int_order(), xs, fresh)
+    for entry in (True, 1, None, NO, Decision.no()):
+        for cert in ((entry, YES), (YES, entry)):
+            forged = SortResult(good.ys, cert, good.perm)
+            assert not verify_sort_result(int_order(), xs, forged), cert
+
+
 def test_verify_rejects_perm_entries_that_are_not_ints():
     xs = [5, 3, 9, 1]
     good = sort_certified(int_order(), xs)

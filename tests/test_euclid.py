@@ -117,6 +117,32 @@ def test_verify_bezout_rejects_forged_certificates(ring):
                                                      good.v, good.qa, good.qb + 3))
 
 
+def test_verify_bezout_rejects_non_int_fields_over_native_int_rings(ring):
+    # 0.5*2 + 0*4 = 1, 2 = 2.0*1 and 4 = 4.0*1 hold as floats, but gcd(2, 4) = 2
+    assert not verify_bezout(ring, BezoutCertificate(2, 4, 1, 0.5, 0, 2.0, 4.0))
+    good = extended_gcd(ring, 12, 8)
+    for native in (ring, int_factorization_ring()):
+        assert verify_bezout(native, good)
+        for name in ("a", "b", "g", "u", "v", "qa", "qb"):
+            value = getattr(good, name)
+            for forged in (float(value), value + 0j, value == 1):
+                assert not verify_bezout(native, dataclasses.replace(good, **{name: forged}))
+    # bool is not int, though True == 1 and False == 0
+    assert not verify_bezout(ring, BezoutCertificate(True, False, True, True, 0, True, 0))
+
+
+def test_native_verify_bezout_agrees_with_the_generic_route(ring):
+    generic, calls = spied(without_roles(ring, "native_int"), "mul")
+    for a, b in _egcd_pairs()[::7]:
+        good = extended_gcd(ring, a, b)
+        certs = [good] + [dataclasses.replace(good, **{name: getattr(good, name) + step})
+                          for name in ("a", "b", "g", "u", "v", "qa", "qb")
+                          for step in (1, -1)]
+        for cert in certs:
+            assert verify_bezout(ring, cert) == verify_bezout(generic, cert), cert
+    assert calls["mul"] > 0
+
+
 # ================================================================
 # primality with witnesses
 # ================================================================

@@ -1,0 +1,63 @@
+"""The package loads each submodule on first use: what a fresh interpreter
+has imported after `import certalg`, a builder call and a CLI command;
+the names the package exports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import certalg
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+OWN = {"errors", "structures", "numbers", "euclid"}
+
+
+def _loaded(code):
+    """The certalg submodules that a fresh interpreter has imported after
+    running code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    report = "\nimport sys\nprint(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code + report],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.splitlines()[-1].split()
+    return {name[len("certalg."):] for name in names if name.startswith("certalg.")}
+
+
+def test_import_certalg_loads_no_submodule():
+    assert _loaded("import certalg") == set()
+
+
+def test_int_ring_loads_only_its_own_modules():
+    assert _loaded("import certalg\ncertalg.int_ring()") == OWN
+
+
+def test_cli_egcd_loads_none_of_the_other_structures():
+    # what `python -m certalg.cli egcd 12 8` runs, with the cli as a module
+    loaded = _loaded("from certalg.cli import main\nassert main(['egcd', '12', '8']) == 0")
+    assert loaded == OWN | {"cli"}
+
+
+def test_every_export_is_its_defining_modules_object():
+    import importlib
+
+    for name in certalg.__all__:
+        owner = importlib.import_module(f"certalg.{certalg._OWNER[name]}")
+        assert getattr(certalg, name) is getattr(owner, name), name
+        assert name in vars(certalg), name  # bound after the first lookup
+    assert set(certalg.__all__) <= set(dir(certalg))
+    assert set(certalg._EXPORTS) <= set(dir(certalg))
+    assert certalg.__version__ == "0.1.0"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    try:
+        certalg.no_such_name
+    except AttributeError as e:
+        assert "no_such_name" in str(e)
+    else:
+        raise AssertionError("certalg.no_such_name did not raise")
+    assert not hasattr(certalg, "__no_such_dunder__")
