@@ -80,15 +80,10 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     for i, x in enumerate(xs):
         if not eq(ys[perm[i]], x).holds:
             return False
-    # every claimed decision must be a Decision that holds; the shared YES
-    # that the shipped orders return is counted in C, outside the pair loop
-    ord_cert = result.ord_cert
-    if ord_cert.count(YES) != len(ord_cert) and not all(
-            type(d) is Decision and d.holds for d in ord_cert):
-        return False
+    # every claimed decision must be a Decision that holds, and re-decide so
     leq = dto.leq
-    for y, z in zip(ys, ys[1:]):
-        if not leq(y, z).holds:
+    for y, z, d in zip(ys, ys[1:], result.ord_cert):
+        if not (type(d) is Decision and d.holds and leq(y, z).holds):
             return False
     return True
 

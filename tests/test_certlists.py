@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from functools import cmp_to_key
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,10 +106,16 @@ def test_verify_rejects_order_certificates_that_are_not_holding_decisions():
     xs = [3, 1, 2]
     good = sort_certified(int_order(), xs)
     assert verify_sort_result(int_order(), xs, good)
-    # equal to YES but not the shared one: accepted, off the fast count
+    # holding Decisions other than the shared YES are accepted
     fresh = SortResult(good.ys, (Decision.yes(), Decision.yes("witness")), good.perm)
     assert verify_sort_result(int_order(), xs, fresh)
-    for entry in (True, 1, None, NO, Decision.no()):
+
+    class RaisingEq:
+        def __eq__(self, other):
+            raise RuntimeError("eq called")
+
+    # mock.ANY compares equal to YES; RaisingEq raises if compared at all
+    for entry in (True, 1, None, NO, Decision.no(), mock.ANY, RaisingEq()):
         for cert in ((entry, YES), (YES, entry)):
             forged = SortResult(good.ys, cert, good.perm)
             assert not verify_sort_result(int_order(), xs, forged), cert
