@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import (CompositeModulusError, InvalidInputError, ParseError,
                      StructuralError)
@@ -103,6 +103,8 @@ Expr = object
 
 MODES = ("int", "frac", "poly", "term")
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
 # Bounds both the parser's recursion through parentheses and negation and
 # the depth of the tree it builds, which the recursive evaluators walk.
 MAX_DEPTH = 100
@@ -171,35 +173,19 @@ class _Parser:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            k, _, pos = self.peek()
-            if k == "+":
-                self.i += 1
-                node = BinOp("+", node, self.term())
-            elif k == "-":
-                if self.mode == "term":
-                    raise ParseError("subtraction is outside this grammar", pos)
-                self.i += 1
-                node = BinOp("-", node, self.term())
-            else:
-                return node
-
-    def term(self):
+    def expr(self, prec=1):
+        """Operators binding at least as tightly as prec, left to right."""
         node = self.unary()
         while True:
             k, _, pos = self.peek()
-            if k == "*":
-                self.i += 1
-                node = BinOp("*", node, self.unary())
-            elif k == "/":
-                if self.mode not in ("frac",):
-                    raise ParseError("division is only available for fractions", pos)
-                self.i += 1
-                node = BinOp("/", node, self.unary())
-            else:
+            if _PRECEDENCE.get(k, 0) < prec:
                 return node
+            if k == "-" and self.mode == "term":
+                raise ParseError("subtraction is outside this grammar", pos)
+            if k == "/" and self.mode != "frac":
+                raise ParseError("division is only available for fractions", pos)
+            self.i += 1
+            node = BinOp(k, node, self.expr(_PRECEDENCE[k] + 1))
 
     def unary(self):
         k, _, pos = self.peek()
@@ -265,7 +251,7 @@ def parse_expr(text: str, mode: str) -> Expr:
 
 def _prec(node) -> int:
     if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
+        return _PRECEDENCE[node.op]
     if isinstance(node, Neg):
         return 3
     return 4
@@ -378,90 +364,60 @@ def expr_to_term(node):
 # instance registry
 
 
-@lru_cache(maxsize=None)
-def zmod_ring(b: int) -> StructureInstance:
-    return residue_ring(int_ring(), b)
+# the package, which imports an export's module on first use
+_package = sys.modules[__package__]
 
-
-@lru_cache(maxsize=None)
-def zmod_field(p: int) -> StructureInstance:
-    return residue_field(int_ring(), p, is_prime(p))
-
-
-@lru_cache(maxsize=None)
-def poly_int_group() -> StructureInstance:
-    from .polynomials import poly_group
-    return poly_group(int_ring())
-
-
-@lru_cache(maxsize=None)
-def poly_zmod7_group() -> StructureInstance:
-    from .polynomials import poly_group
-    return poly_group(zmod_ring(7))
-
-
-def _export(name: str):
-    """A builder that calls the package's export name; the package imports
-    its module on first use."""
-    return lambda: getattr(sys.modules[__package__], name)()
-
-
-_FIXED_INSTANCES = {
+# name -> zero-argument builder; `laws` takes every name, `pow` the _MONOIDS
+_INSTANCES = {
     "nat-add": nat_add_monoid,
     "nat-mul": nat_mul_monoid,
     "nat-pos-mul": pos_nat_mul_monoid,
     "int-add": int_add_group,
     "int-ring": int_ring,
-    "int-ufd": _export("int_factorization_ring"),
-    "nat-factor-monoid": _export("pos_nat_factorization_monoid"),
+    "int-ufd": lambda: _package.int_factorization_ring(),
+    "nat-factor-monoid": lambda: _package.pos_nat_factorization_monoid(),
     "bin-add": bin_add_monoid,
-    "frac-field": _export("fraction_field"),
-    "poly-int-add": poly_int_group,
-    "poly-zmod7-add": poly_zmod7_group,
+    "frac-field": lambda: _package.fraction_field(),
+    "poly-int-add": lambda: _package.poly_group(int_ring()),
+    "poly-zmod7-add": lambda: _package.poly_group(residue_ring(int_ring(), 7)),
+    "nat-monus": nat_monus_semigroup,
 }
+_MONOIDS = ("nat-add", "nat-mul", "int-add", "bin-add")
 
 # lawful roster for `laws --all`; nat-monus stays reachable by name only
-LAWFUL_INSTANCE_NAMES = tuple(_FIXED_INSTANCES) + (
+LAWFUL_INSTANCE_NAMES = tuple(n for n in _INSTANCES if n != "nat-monus") + (
     "zmod6-ring", "zmod12-ring", "zmod7-field", "zmod97-field")
 
+# zmodN-<kind>: kind -> the builder of N
 _ZMOD_RE = re.compile(r"zmod(\d+)-(ring|field|mul)")
-_ZMOD = {"ring": zmod_ring, "field": zmod_field,
-         "mul": lambda b: multiplicative_monoid(zmod_ring(b))}
-
-# role -> (fixed names, the zmodN-<kind> kinds it takes); `laws` takes
-# instances, `pow` takes monoids
-_ROLES = {
-    "instance": ({**_FIXED_INSTANCES, "nat-monus": nat_monus_semigroup}, ("ring", "field")),
-    "monoid": ({n: _FIXED_INSTANCES[n] for n in ("nat-add", "nat-mul", "int-add", "bin-add")},
-               ("mul",)),
+_ZMOD = {
+    "ring": lambda b: residue_ring(int_ring(), b),
+    "field": lambda p: residue_field(int_ring(), p, is_prime(p)),
+    "mul": lambda b: multiplicative_monoid(residue_ring(int_ring(), b)),
 }
 
 
-def _lookup(role: str, name: str):
-    """The zero-argument builder registered under name for role, or None."""
-    fixed, kinds = _ROLES[role]
-    if name in fixed:
-        return fixed[name]
+def _builder(role: str, name: str):
+    """The zero-argument builder of name for role, or None. `laws` takes any
+    "instance" name but zmodN-mul; `pow` a "monoid": a _MONOIDS name or zmodN-mul."""
     m = _ZMOD_RE.fullmatch(name)
-    if m is None or m.group(2) not in kinds:
+    if m is not None:
+        if (m.group(2) == "mul") != (role == "monoid"):
+            return None
+        return partial(_ZMOD[m.group(2)], _literal(m.group(1), None))
+    if role == "monoid" and name not in _MONOIDS:
         return None
-    return partial(_ZMOD[m.group(2)], _literal(m.group(1), None))
-
-
-def _valid(role: str, name: str) -> bool:
-    return _lookup(role, name) is not None
+    return _INSTANCES.get(name)
 
 
 def _resolve(role: str, name: str) -> StructureInstance:
-    build = _lookup(role, name)
+    build = _builder(role, name)
     if build is None:
         raise ParseError(f"unknown {role} {name!r}")
     return build()
 
 
-valid_instance_name = partial(_valid, "instance")
 resolve_instance = partial(_resolve, "instance")
-valid_monoid_name = partial(_valid, "monoid")
 resolve_monoid = partial(_resolve, "monoid")
 
 
@@ -518,7 +474,7 @@ def _run_isprime(ns):
 
 
 def _run_residue(ns):
-    inst = (zmod_field if ns.field else zmod_ring)(ns.modulus)
+    inst = _ZMOD["field" if ns.field else "ring"](ns.modulus)
     tree = parse_expr(ns.text, "frac" if ns.field else "int")
     value = eval_in(inst.ops, lambda n: make_residue(int_ring(), ns.modulus, _int_leaf(n)),
                     tree)
@@ -625,7 +581,7 @@ def natural(text: str) -> int:
 
 
 def _registered(role: str, name: str) -> str:
-    if not _valid(role, name):
+    if _builder(role, name) is None:
         raise argparse.ArgumentTypeError(f"unknown {role} {name!r}")
     return name
 
@@ -710,15 +666,10 @@ def parse_command(argv) -> argparse.Namespace:
 # output
 
 
-def _jsonable(x):
-    if isinstance(x, (int, str, bool)) or x is None:
-        return x
+def _json_default(x):
+    """A Residue as its value and modulus, a Poly or normal form as str()."""
     if isinstance(x, Residue):
         return {"value": x.value, "modulus": x.modulus}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
     return str(x)
 
 
@@ -726,18 +677,30 @@ def _render(as_json: bool, doc: dict, text) -> str:
     """The one place a result becomes text. An integer past the digit limit
     makes str() and json.dumps raise ValueError; that is exit 7."""
     try:
-        return json.dumps(_jsonable(doc)) if as_json else text()
+        return json.dumps(doc, default=_json_default) if as_json else text()
     except ValueError:
         raise InvalidInputError(f"result has more than {_digit_limit()} digits") from None
 
 
-def _error_payload(as_json: bool, kind: str, exc: Exception) -> str:
+# (error class, exit code, JSON "error" kind), first match wins; a handler
+# returns 0, or 5 when laws fail. README's exit-code table documents these.
+_EXIT_CODES = (
+    (ParseError, 2, "parse"),
+    (ZeroDivisionError, 3, "division-by-zero"),
+    (CompositeModulusError, 4, "composite-modulus"),
+    (StructuralError, 6, "structural"),
+    (InvalidInputError, 7, "invalid-input"),
+)
+
+
+def _error(as_json: bool, exc: Exception):
+    code, kind = next((c, k) for cls, c, k in _EXIT_CODES if isinstance(exc, cls))
     doc = {"error": kind, "message": str(exc)}
     if isinstance(exc, CompositeModulusError):
         w = exc.cert.witness
         doc.update({"witness_divisor": w.divisor, "witness_dividend": w.dividend,
                     "witness_quotient": w.quotient})
-    return json.dumps(doc) if as_json else f"error: {exc}"
+    return code, json.dumps(doc) if as_json else f"error: {exc}"
 
 
 def run(ns):
@@ -745,16 +708,8 @@ def run(ns):
     try:
         code, doc, text = ns.handler(ns)
         return code, _render(ns.as_json, doc, text)
-    except ParseError as e:
-        return 2, _error_payload(ns.as_json, "parse", e)
-    except ZeroDivisionError as e:
-        return 3, _error_payload(ns.as_json, "division-by-zero", e)
-    except CompositeModulusError as e:
-        return 4, _error_payload(ns.as_json, "composite-modulus", e)
-    except StructuralError as e:
-        return 6, _error_payload(ns.as_json, "structural", e)
-    except InvalidInputError as e:
-        return 7, _error_payload(ns.as_json, "invalid-input", e)
+    except tuple(cls for cls, _, _ in _EXIT_CODES) as e:
+        return _error(ns.as_json, e)
 
 
 def _wants_json(argv) -> bool:
@@ -766,11 +721,9 @@ def _wants_json(argv) -> bool:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = parse_command(argv)
-    except ParseError as e:
-        print(_error_payload(_wants_json(argv), "parse", e), file=sys.stderr)
-        return 2
-    code, text = run(ns)
+        code, text = run(parse_command(argv))
+    except ParseError as e:  # run() reports its own; this one is argv's
+        code, text = _error(_wants_json(argv), e)
     if text:
         print(text, file=sys.stdout if code == 0 else sys.stderr)
     return code

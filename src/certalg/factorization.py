@@ -89,8 +89,11 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
 
 def check_factorization(f: FactorizationData, x: int) -> bool:
     """Re-check a factorization against its subject: product, primality
-    certificates, positive canonical primes, unit a unit."""
-    if f.unit not in (1, -1):
+    certificates, positive canonical primes, unit a unit. The subject, the
+    unit and every prime and multiplicity must be an int (bool is not)."""
+    if type(x) is not int or type(f.unit) is not int or f.unit not in (1, -1):
+        return False
+    if not all(type(e.prime) is type(e.multiplicity) is int for e in f.entries):
         return False
     if product_of(f) != x:
         return False

@@ -1,5 +1,6 @@
 """CLI parsing, printing, evaluation, exit codes, and the registry."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import certalg
 
-from certalg.cli import (MODES, default_seed,
+from certalg.cli import (MODES, BinOp, Neg, Num, PowSym, default_seed,
                          eval_frac, eval_int, eval_poly, expr_to_term,
                          format_expr, main, parse_command, parse_expr,
-                         resolve_instance, resolve_monoid, run,
-                         valid_instance_name, valid_monoid_name)
-from certalg.errors import ParseError
+                         resolve_instance, resolve_monoid, run)
+from certalg.errors import (CompositeModulusError, InvalidInputError, ParseError,
+                            StructuralError)
 from cli_exprgen import random_expr
 
 SRC = Path(certalg.__file__).resolve().parents[1]
@@ -39,6 +40,16 @@ def test_parse_respects_precedence_and_associativity():
     assert eval_int(parse_expr("10 - 3 - 2", "int")) == 5
     assert eval_int(parse_expr("2 * 3 + 4", "int")) == 10
     assert eval_int(parse_expr("-2 * 3", "int")) == -6
+    one, two, three, four, five, eight = map(Num, (1, 2, 3, 4, 5, 8))
+    assert parse_expr("1 - 2 * 3 / 4 + 5", "frac") == BinOp(
+        "+", BinOp("-", one, BinOp("/", BinOp("*", two, three), four)), five)
+    assert parse_expr("8 / 4 / 2", "frac") == BinOp("/", BinOp("/", eight, four), two)
+    assert parse_expr("-2 * -3 - 4", "int") == BinOp(
+        "-", BinOp("*", Neg(two), Neg(three)), four)
+    assert parse_expr("1 * 2 + 3 * 4 - 5", "int") == BinOp(
+        "-", BinOp("+", BinOp("*", one, two), BinOp("*", three, four)), five)
+    assert parse_expr("x + 2 * x^3", "poly") == BinOp(
+        "+", PowSym("x", 1), BinOp("*", two, PowSym("x", 3)))
 
 
 def test_parse_error_carries_position():
@@ -124,12 +135,11 @@ def test_expr_to_term_maps_e_to_the_unit():
 
 
 def test_instance_names_cover_dynamic_moduli():
-    assert valid_instance_name("nat-add")
-    assert valid_instance_name("zmod12-ring")
-    assert valid_instance_name("zmod97-field")
-    assert valid_instance_name("nat-monus")
-    assert not valid_instance_name("zmod12-banana")
-    assert not valid_instance_name("octonions")
+    for name in ("nat-add", "zmod12-ring", "zmod97-field", "nat-monus"):
+        assert parse_command(["laws", name]).names == [name]
+    for name in ("zmod12-banana", "octonions", "zmod7-mul"):
+        with pytest.raises(ParseError, match="unknown instance"):
+            parse_command(["laws", name])
 
 
 def test_resolve_instance_builds_working_structures():
@@ -139,9 +149,11 @@ def test_resolve_instance_builds_working_structures():
 
 
 def test_monoid_names():
-    assert valid_monoid_name("nat-mul")
-    assert valid_monoid_name("zmod7-mul")
-    assert not valid_monoid_name("zmod7-field")
+    for name in ("nat-mul", "zmod7-mul"):
+        assert parse_command(["pow", name, "2", "3"]).monoid == name
+    for name in ("zmod7-field", "nat-pos-mul"):
+        with pytest.raises(ParseError, match="unknown monoid"):
+            parse_command(["pow", name, "2", "3"])
     m = resolve_monoid("zmod7-mul")
     assert m.ops["identity"]().value == 1
 
@@ -367,6 +379,33 @@ def test_error_documents_in_json_mode():
     doc = json.loads(text)
     assert doc["error"] == "composite-modulus"
     assert doc["witness_divisor"] == 2
+
+
+# each error class a handler can raise: its exit code and JSON "error" kind
+RAISED = {
+    "parse": (ParseError("bad token", 3), 2),
+    "division-by-zero": (ZeroDivisionError("division by zero"), 3),
+    "composite-modulus": (CompositeModulusError(certalg.is_prime(6)), 4),
+    "structural": (StructuralError("missing op"), 6),
+    "invalid-input": (InvalidInputError("forged witness"), 7),
+}
+
+
+@pytest.mark.parametrize("kind", RAISED)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_run_maps_each_error_class_to_its_exit_code_and_kind(kind, as_json):
+    exc, code = RAISED[kind]
+
+    def handler(ns):
+        raise exc
+
+    got, text = run(argparse.Namespace(handler=handler, as_json=as_json))
+    assert got == code
+    if as_json:
+        doc = json.loads(text)
+        assert (doc["error"], doc["message"]) == (kind, str(exc))
+    else:
+        assert text == f"error: {exc}"
 
 
 # ================================================================

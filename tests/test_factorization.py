@@ -86,6 +86,28 @@ def test_check_factorization_rejects_forgeries():
     assert not check_factorization(FactorizationData(2, ()), 2)
 
 
+def test_check_factorization_rejects_data_that_is_not_int():
+    # p ** 1.0 is a float that rounds to 2^64, so the product matched
+    p = 2**64 - 59
+    assert check_factorization(FactorizationData(1, (FactorEntry(p, 1, is_prime(p)),)), p)
+    assert not check_factorization(
+        FactorizationData(1, (FactorEntry(p, 1.0, is_prime(p)),)), 2**64)
+    two, three, five = (FactorEntry(q, 1, is_prime(q)) for q in (2, 3, 5))
+    four = FactorEntry(2, 2, is_prime(2))
+    assert check_factorization(FactorizationData(1, (four, three, five)), 60)
+    forgeries = [
+        (FactorizationData(1.0, (four, three, five)), 60),
+        (FactorizationData(True, (four, three, five)), 60),
+        (FactorizationData(1, (FactorEntry(2, 2.0, is_prime(2)), three, five)), 60),
+        (FactorizationData(1, (two, FactorEntry(3, True, is_prime(3)), five)), 30),
+        (FactorizationData(1, (two, FactorEntry(3.0, 1, is_prime(3)), five)), 30),
+        (FactorizationData(1, (two, three, five)), 30.0),
+        (FactorizationData(1, ()), True),
+    ]
+    for data, x in forgeries:
+        assert not check_factorization(data, x), (data, x)
+
+
 def test_factorizations_equal_up_to_order_and_sign():
     a = factor(36)
     b = FactorizationData(1, (FactorEntry(3, 2, is_prime(3)),
