@@ -28,11 +28,11 @@ _EXPORTS = {
                 "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
                 "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",
                 "to_bin"),
-    "euclid": ("BezoutCertificate", "DividesWitness", "PrattCertificate", "PrimalityCert",
-               "Residue", "check_divides", "euclidean_div_mod", "extended_gcd",
-               "int_ring", "is_prime", "make_residue", "prime_split", "residue_field",
-               "residue_ring", "verify_bezout", "verify_primality"),
-    "factorization": ("FactorEntry", "FactorizationData", "check_factorization",
+    "euclid": ("BezoutCertificate", "DividesWitness", "FactorEntry", "PrattCertificate",
+               "PrimalityCert", "Residue", "check_divides", "euclidean_div_mod",
+               "extended_gcd", "int_ring", "is_prime", "make_residue", "prime_split",
+               "residue_field", "residue_ring", "verify_bezout", "verify_primality"),
+    "factorization": ("FactorizationData", "check_factorization",
                       "check_unique_sampled", "factor", "factorizations_equal",
                       "int_factorization_ring", "merge_factorizations",
                       "pos_nat_factorization_monoid", "product_of"),

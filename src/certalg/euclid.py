@@ -12,22 +12,22 @@ re-checks. At and above it, Miller-Rabin on the first 13 prime bases decides
 (deterministic below 3.3e24; Sorenson and Webster, Math. Comp. 2017) and
 Pollard rho in Brent's variant finds a composite's divisor. A 'prime'
 verdict above the bound carries a Pratt certificate (Pratt, SIAM J. Comput.
-1975): a base of order p-1 plus the certified prime factors of p-1, which
-verify_primality checks with modular powers alone. Rho work is bounded by
-RHO_FUEL word-steps per call; past it, InvalidInputError is raised rather
-than an uncertified verdict returned.
+1975): a base of order p-1 plus the prime factors of p-1 as FactorEntry
+values, which verify_primality checks with certified_product and modular
+powers alone. Rho work is bounded by RHO_FUEL word-steps per call; past it,
+InvalidInputError is raised rather than an uncertified verdict returned.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, count
+from typing import NamedTuple
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import NO, YES, DSet, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
 from .numbers import int_dset, _mixed_int
 
 
@@ -61,9 +61,9 @@ class BezoutCertificate:
 class PrattCertificate:
     """Proof that p is prime: `base` has multiplicative order p-1 mod p.
 
-    factors holds (q, e, cert_q) triples: the q**e multiply to p-1 and each
-    cert_q is a 'prime' PrimalityCert for q. Then base**(p-1) = 1 and
-    base**((p-1)/q) != 1 for every q force the order to be p-1.
+    factors holds FactorEntry values (q, e, cert_q) that certified_product
+    accepts for p-1: certified primes q whose powers q**e multiply to p-1.
+    Then base**(p-1) = 1 and base**((p-1)/q) != 1 for each q force order p-1.
     """
 
     base: int
@@ -83,6 +83,13 @@ class PrimalityCert:
     verdict: str
     witness: DividesWitness | None = None
     pratt: PrattCertificate | None = None
+
+
+class FactorEntry(NamedTuple):
+    """prime ** multiplicity, with cert a 'prime' PrimalityCert for prime."""
+    prime: int
+    multiplicity: int
+    cert: PrimalityCert
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,15 +364,15 @@ def _prime_factors(m: int, fuel: _Fuel) -> list:
 def _certified_factors(m: int, fuel: _Fuel) -> tuple:
     out = []
     for q, e in _prime_factors(m, fuel):
-        out.append((q, e, PrimalityCert(q, "prime", pratt=_pratt(q, fuel)
-                                        if q >= TRIAL_BOUND else None)))
+        out.append(FactorEntry(q, e, PrimalityCert(q, "prime", pratt=_pratt(q, fuel)
+                                                   if q >= TRIAL_BOUND else None)))
     return tuple(out)
 
 
 def certified_factors(m: int) -> tuple:
-    """(prime, multiplicity, certificate) triples of m >= 1, by increasing
-    prime. Each prime is certified once. Raises InvalidInputError when rho
-    runs out of fuel on m or on some p-1 a certificate needs."""
+    """The FactorEntry values of m >= 1, by increasing prime. Each prime is
+    certified once. Raises InvalidInputError when rho runs out of fuel on m
+    or on some p-1 a certificate needs."""
     return _certified_factors(m, _Fuel())
 
 
@@ -380,21 +387,30 @@ def _pratt(p: int, fuel: _Fuel) -> PrattCertificate:
         "its primality is not certified")
 
 
-def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
-    if pratt is None:
-        return False
+def certified_product(entries, m: int) -> bool:
+    """True when entries, (prime, multiplicity, cert) triples of ints (bool is
+    not) and 'prime' certs that verify_primality accepts, multiply to m. Since
+    product * q**e >= 2**(product's bits - 1 + (q's bits - 1) * e), a power that
+    would take the running product past m is refused before it is taken."""
+    bound = m.bit_length()
     product = 1
-    for q, e, cert in pratt.factors:
-        if not type(q) is type(e) is int or q < 2 or not 1 <= e <= p.bit_length():
+    for q, e, cert in entries:
+        if not type(q) is type(e) is int or q < 2 or not 1 <= e <= bound:
             return False
         if cert.subject != q or cert.verdict != "prime":
             return False
+        if product.bit_length() - 1 + (q.bit_length() - 1) * e >= bound:
+            return False
         product *= q ** e
-    a = pratt.base
-    if type(a) is not int or product != p - 1 or pow(a, p - 1, p) != 1:
+    return product == m and all(verify_primality(cert) for _, _, cert in entries)
+
+
+def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
+    if pratt is None or type(pratt.base) is not int:
         return False
-    return all(pow(a, (p - 1) // q, p) != 1 and verify_primality(cert)
-               for q, _, cert in pratt.factors)
+    a = pratt.base
+    return (certified_product(pratt.factors, p - 1) and pow(a, p - 1, p) == 1
+            and all(pow(a, (p - 1) // q, p) != 1 for q, _, _ in pratt.factors))
 
 
 def verify_primality(cert: PrimalityCert) -> bool:
@@ -516,10 +532,6 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
         def eq(x, y):
             return YES if x.modulus == y.modulus and base_eq(x.value, y.value).holds else NO
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [res(rem(_mixed_int(rng))) for _ in range(count)]
-
     # a prefix: sweeps read at most its first few elements, and a modulus
     # near 2^61 could not be enumerated in full
     enumeration = None
@@ -535,7 +547,8 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
         k = rng.randint(1, 5)
         return [Residue(b, rem(add(x.value, mul(k, b))))]
 
-    return DSet(f"{ring.base.name}/({b})", eq, sample, enumeration, variants)
+    return DSet(f"{ring.base.name}/({b})", eq, seeded(lambda rng: res(rem(_mixed_int(rng)))),
+                enumeration, variants)
 
 
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:

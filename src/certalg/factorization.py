@@ -14,17 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Decision, Kind, LawReport, StructureInstance
-from .euclid import (DividesWitness, PrimalityCert, certified_factors,
-                     check_divides, int_ring, prime_split, verify_primality)
+from .structures import DSet, Kind, LawReport, StructureInstance, seeded
+from .euclid import (DividesWitness, FactorEntry, certified_factors, certified_product,
+                     check_divides, int_ring, prime_split)
 from .numbers import pos_nat_dset
-
-
-@dataclass(frozen=True, slots=True)
-class FactorEntry:
-    prime: int
-    multiplicity: int
-    cert: PrimalityCert
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +33,7 @@ def factor(x: int) -> FactorizationData:
     when Pollard rho runs out of fuel on x or on some p-1 of a certificate."""
     if x == 0:
         raise InvalidInputError("zero has no factorization")
-    entries = tuple(FactorEntry(p, e, cert) for p, e, cert in certified_factors(abs(x)))
-    return FactorizationData(-1 if x < 0 else 1, entries)
+    return FactorizationData(-1 if x < 0 else 1, certified_factors(abs(x)))
 
 
 def product_of(f: FactorizationData) -> int:
@@ -88,23 +80,12 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
 
 
 def check_factorization(f: FactorizationData, x: int) -> bool:
-    """Re-check a factorization against its subject: product, primality
-    certificates, positive canonical primes, unit a unit. The subject, the
-    unit and every prime and multiplicity must be an int (bool is not)."""
-    if type(x) is not int or type(f.unit) is not int or f.unit not in (1, -1):
+    """Re-check a factorization against its nonzero subject x: the unit, an
+    int, is the sign of x, and euclid.certified_product accepts the entries
+    for |x|. The subject must be an int too (bool is not)."""
+    if type(x) is not int or type(f.unit) is not int or x == 0:
         return False
-    if not all(type(e.prime) is type(e.multiplicity) is int for e in f.entries):
-        return False
-    if product_of(f) != x:
-        return False
-    for e in f.entries:
-        if e.prime < 2 or e.multiplicity < 1:
-            return False
-        if e.cert.subject != e.prime or e.cert.verdict != "prime":
-            return False
-        if not verify_primality(e.cert):
-            return False
-    return True
+    return f.unit == (-1 if x < 0 else 1) and certified_product(f.entries, abs(x))
 
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -174,14 +155,7 @@ def int_factorization_ring() -> StructureInstance:
     ops["factor"] = factor
     ops["prime_split"] = lambda p, a, b, w: prime_split(base, p, a, b, w)
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = []
-        while len(out) < count:
-            v = rng.randint(-(10**6), 10**6)
-            out.append(v)
-        return out
-
+    sample = seeded(lambda rng: rng.randint(-(10**6), 10**6))
     dset = DSet("int<=1e6", base.base.eq, sample, base.base.enumeration)
     return StructureInstance(Kind.UNIQUE_FACTORIZATION_RING, dset, ops, "int-ufd")
 
@@ -197,10 +171,7 @@ def pos_nat_factorization_monoid() -> StructureInstance:
         "prime_split": lambda p, a, b, w: prime_split(ring, p, a, b, w),
     }
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [rng.randint(1, 10**6) for _ in range(count)]
-
     base = pos_nat_dset()
-    dset = DSet("nat>=1<=1e6", base.eq, sample, base.enumeration)
+    dset = DSet("nat>=1<=1e6", base.eq, seeded(lambda rng: rng.randint(1, 10**6)),
+                base.enumeration)
     return StructureInstance(Kind.FACTORIZATION_MONOID, dset, ops, "nat-factor-monoid")

@@ -6,23 +6,21 @@ where g = gcd of the two denominators; add_naive cross-multiplies and
 fully reduces, and is the differential oracle.
 
 Over a ring with the native_int role (int_ring(), or a copy of its ops
-table), mk_fraction, add_optimized, mul_fractions, neg_fraction, inverse and
-is_canonical run the same formulas on plain ints (math.gcd, //, one sign
-flip) instead of through the ops table, so their results equal the generic
-route's field by field, on non-canonical inputs too. Every other ring takes
-the generic route; the tests use int_ring() without that role as the oracle.
+table), mk_fraction, add_optimized, mul_fractions, inverse and is_canonical
+run the same formulas on plain ints (math.gcd, //, one sign flip) instead
+of through the ops table, so their results equal the generic route's field
+by field, on non-canonical inputs too. Every other ring takes the generic
+route; the tests use int_ring() without that role as the oracle.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as igcd
 
-from .structures import NO, YES, DSet, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
 from .euclid import int_ring
-from .numbers import _mixed_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +163,6 @@ def mul_fractions(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
 
 
 def neg_fraction(ring: StructureInstance, x: Fraction) -> Fraction:
-    if "native_int" in ring.ops:
-        return Fraction(-x.num, x.den)
     return Fraction(ring.ops["neg"](x.num), x.den)
 
 
@@ -197,16 +193,12 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
     def eq(x, y):
         return YES if base_eq(x.num, y.num).holds and base_eq(x.den, y.den).holds else NO
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = []
-        for _ in range(count):
-            n = rng.randint(-30, 30)
-            d = 0
-            while d == 0:
-                d = rng.randint(-30, 30)
-            out.append(mk_fraction(ring, n, d))
-        return out
+    def draw(rng):
+        n = rng.randint(-30, 30)
+        d = 0
+        while d == 0:
+            d = rng.randint(-30, 30)
+        return mk_fraction(ring, n, d)
 
     enum = []
     for n in range(-3, 4):
@@ -221,7 +213,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
         k = rng.randint(2, 5)
         return [mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))]
 
-    dset = DSet(f"frac({ring.base.name})", eq, sample, tuple(enum), variants)
+    dset = DSet(f"frac({ring.base.name})", eq, seeded(draw), tuple(enum), variants)
     ops = {
         "add": lambda x, y: add_optimized(ring, x, y),
         "neg": lambda x: neg_fraction(ring, x),

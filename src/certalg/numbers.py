@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import index
 
 from .errors import InvalidInputError, StructuralError
-from .structures import NO, YES, DSet, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
 
 
 def monus(a: int, b: int) -> int:
@@ -142,39 +142,25 @@ def _mixed_int(rng: random.Random) -> int:
 
 @lru_cache(maxsize=None)
 def int_dset() -> DSet:
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [_mixed_int(rng) for _ in range(count)]
-
     enum = (0,) + tuple(v for k in range(1, 17) for v in (k, -k))
-    return DSet("int", _value_eq, sample, enumeration=enum)
+    return DSet("int", _value_eq, seeded(_mixed_int), enumeration=enum)
 
 
 @lru_cache(maxsize=None)
 def nat_dset() -> DSet:
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [abs(_mixed_int(rng)) for _ in range(count)]
-
-    return DSet("nat", _value_eq, sample, enumeration=tuple(range(33)))
+    return DSet("nat", _value_eq, seeded(lambda rng: abs(_mixed_int(rng))),
+                enumeration=tuple(range(33)))
 
 
 @lru_cache(maxsize=None)
 def pos_nat_dset() -> DSet:
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [abs(_mixed_int(rng)) + 1 for _ in range(count)]
-
-    return DSet("nat>=1", _value_eq, sample, enumeration=tuple(range(1, 34)))
+    return DSet("nat>=1", _value_eq, seeded(lambda rng: abs(_mixed_int(rng)) + 1),
+                enumeration=tuple(range(1, 34)))
 
 
 @lru_cache(maxsize=None)
 def bin_dset() -> DSet:
-    def sample(seed, count):
-        rng = random.Random(seed)
-        return [to_bin(abs(_mixed_int(rng))) for _ in range(count)]
-
-    return DSet("bin", _value_eq, sample,
+    return DSet("bin", _value_eq, seeded(lambda rng: to_bin(abs(_mixed_int(rng)))),
                 enumeration=tuple(to_bin(n) for n in range(17)))
 
 

@@ -150,6 +150,14 @@ class DSet:
     variants: Optional[Callable[[Any, random.Random], list]] = None
 
 
+def seeded(draw: Callable[[random.Random], Any]) -> Callable[[int, int], list]:
+    """A DSet sample: sample(seed, count) is count draws from random.Random(seed)."""
+    def sample(seed, count):
+        rng = random.Random(seed)
+        return [draw(rng) for _ in range(count)]
+    return sample
+
+
 @dataclass(frozen=True)
 class StructureInstance:
     kind: Kind

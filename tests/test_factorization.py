@@ -1,11 +1,16 @@
 """Factorization with per-prime certificates."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import nt_oracles
+import certalg
 from certalg import euclid
 from certalg.errors import InvalidInputError, StructuralError
 from certalg.euclid import (TRIAL_BOUND, DividesWitness, PrimalityCert,
@@ -106,6 +111,25 @@ def test_check_factorization_rejects_data_that_is_not_int():
     ]
     for data, x in forgeries:
         assert not check_factorization(data, x), (data, x)
+
+
+def test_hang_guard_check_factorization_refuses_a_huge_multiplicity():
+    # 3 ** 10**9 alone would run for minutes; an exponent past the subject's
+    # bit length is refused before any power is taken. A child process, so
+    # that a hang fails the test after 5 s.
+    code = ("from certalg.euclid import is_prime\n"
+            "from certalg.factorization import (FactorEntry, FactorizationData,\n"
+            "                                   check_factorization)\n"
+            "entry = FactorEntry(3, 10**9, is_prime(3))\n"
+            "print(check_factorization(FactorizationData(1, (entry,)), 4))\n")
+    env = dict(os.environ)
+    src = str(Path(certalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_factorizations_equal_up_to_order_and_sign():
