@@ -113,15 +113,21 @@ def test_check_factorization_rejects_data_that_is_not_int():
         assert not check_factorization(data, x), (data, x)
 
 
-def test_hang_guard_check_factorization_refuses_a_huge_multiplicity():
-    # 3 ** 10**9 alone would run for minutes; an exponent past the subject's
-    # bit length is refused before any power is taken. A child process, so
-    # that a hang fails the test after 5 s.
-    code = ("from certalg.euclid import is_prime\n"
+@pytest.mark.parametrize("entry, subject", [
+    # 3 ** 10**9 alone would run for minutes: the exponent is past 4's bit length
+    ("FactorEntry(3, 10**9, is_prime(3))", "4"),
+    # a 9,510-bit "prime" to the 4,755th power: the exponent is within the
+    # bit-length bound, but the power alone has 45 million bits (about 24 s
+    # to compute on 2 vCPUs with Python 3.11)
+    ("FactorEntry(3**6000 - 2, 4755, PrimalityCert(3**6000 - 2, 'prime'))", "3**6000"),
+], ids=["multiplicity", "prime"])
+def test_hang_guard_check_factorization_refuses_a_power_past_the_subject(entry, subject):
+    # refused before the power is taken; a child process, so that a hang
+    # fails the test after 5 s
+    code = ("from certalg.euclid import PrimalityCert, is_prime\n"
             "from certalg.factorization import (FactorEntry, FactorizationData,\n"
             "                                   check_factorization)\n"
-            "entry = FactorEntry(3, 10**9, is_prime(3))\n"
-            "print(check_factorization(FactorizationData(1, (entry,)), 4))\n")
+            f"print(check_factorization(FactorizationData(1, ({entry},)), {subject}))\n")
     env = dict(os.environ)
     src = str(Path(certalg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
