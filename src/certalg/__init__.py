@@ -22,8 +22,8 @@ _EXPORTS = {
     "errors": ("CertAlgError", "CompositeModulusError", "InvalidInputError",
                "ParseError", "StructuralError"),
     "structures": ("DSet", "Decision", "Kind", "LawReport", "StructureInstance",
-                   "ancestors", "check_laws", "direct_product",
-                   "multiplicative_monoid", "recheck_failure", "validate_instance"),
+                   "ancestors", "check_laws", "multiplicative_monoid",
+                   "recheck_failure", "validate_instance"),
     "numbers": ("bin_add_monoid", "bin_suc", "bin_to_str", "from_bin", "int_add_group",
                 "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
                 "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",

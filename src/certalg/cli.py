@@ -160,7 +160,7 @@ class _Parser:
     def expect(self, kind):
         k, v, pos = self.toks[self.i]
         if k != kind:
-            raise ParseError(f"expected {kind!r}, found {k!r}", pos, (kind,))
+            raise ParseError(f"expected {kind!r}, found {k!r}", pos)
         self.i += 1
         return v
 
@@ -168,7 +168,7 @@ class _Parser:
         node = self.expr()
         k, _, pos = self.peek()
         if k != "end":
-            raise ParseError("trailing input", pos, ("end",))
+            raise ParseError("trailing input", pos)
         if _tree_depth(node) > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
@@ -213,7 +213,7 @@ class _Parser:
                     self.i += 1
                     _, ev, epos = self.peek()
                     if self.peek()[0] != "int":
-                        raise ParseError("exponent must be a number", epos, ("int",))
+                        raise ParseError("exponent must be a number", epos)
                     self.i += 1
                     return PowSym("x", ev)
                 return PowSym("x", 1)
@@ -228,7 +228,7 @@ class _Parser:
             self.expect(")")
             self.nesting -= 1
             return node
-        raise ParseError(f"unexpected {k!r}", pos, ("int", "("))
+        raise ParseError(f"unexpected {k!r}", pos)
 
 
 def _tree_depth(node) -> int:

@@ -31,7 +31,6 @@ class ParseError(CertAlgError):
     """A malformed expression (position is the offending character's index)
     or command line (position None: the message names the argument)."""
 
-    def __init__(self, message, position=None, expected=None):
+    def __init__(self, message, position=None):
         self.position = position
-        self.expected = expected
         super().__init__(message if position is None else f"{message} at position {position}")

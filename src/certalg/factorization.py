@@ -114,7 +114,7 @@ def check_unique_sampled(ring: StructureInstance, seed: int = 1,
     for _ in range(budget):
         x = 0
         while x == 0:
-            x = rng.randint(max(lo, -(10**6)), 10**6)
+            x = rng.randint(lo, 10**6)
         cases += 1
         fx = do_factor(x)
         if not check_factorization(fx, x):
@@ -144,7 +144,7 @@ def check_unique_sampled(ring: StructureInstance, seed: int = 1,
             ok = False
         if not ok:
             failures.append(("prime-split-witness", (p, a2, b2)))
-    return LawReport(ring.kind, ring.name, cases, tuple(failures))
+    return LawReport(ring.kind, cases, tuple(failures))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -42,72 +42,53 @@ class Kind(Enum):
     FIELD = "Field"
 
 
-# Immediate parents in the tower. A kind inherits every ancestor's laws, but a ring
-# kind checks its additive group's axioms, not inverse-uniqueness or inverse-antihomomorphism.
-KIND_PARENTS = {
-    Kind.MAGMA: (),
-    Kind.SEMIGROUP: (Kind.MAGMA,),
-    Kind.COMMUTATIVE_SEMIGROUP: (Kind.SEMIGROUP,),
-    Kind.MONOID: (Kind.SEMIGROUP,),
-    Kind.COMMUTATIVE_MONOID: (Kind.MONOID, Kind.COMMUTATIVE_SEMIGROUP),
-    Kind.CC_MONOID: (Kind.COMMUTATIVE_MONOID,),
-    Kind.FACTORIZATION_MONOID: (Kind.CC_MONOID,),
-    Kind.GROUP: (Kind.MONOID,),
-    Kind.COMMUTATIVE_GROUP: (Kind.GROUP, Kind.COMMUTATIVE_MONOID),
-    Kind.RINGOID: (Kind.COMMUTATIVE_GROUP,),
-    Kind.RING: (Kind.RINGOID,),
-    Kind.RING_WITH_ONE: (Kind.RING,),
-    Kind.COMMUTATIVE_RING: (Kind.RING_WITH_ONE,),
-    Kind.INTEGRAL_RING: (Kind.COMMUTATIVE_RING,),
-    Kind.GCD_RING: (Kind.INTEGRAL_RING,),
-    Kind.EUCLIDEAN_RING: (Kind.INTEGRAL_RING,),
-    Kind.FACTORIZATION_RING: (Kind.INTEGRAL_RING,),
-    Kind.UNIQUE_FACTORIZATION_RING: (Kind.FACTORIZATION_RING,),
-    Kind.FIELD: (Kind.UNIQUE_FACTORIZATION_RING,),
+# The tower, one row per kind: (immediate parents, required op roles). A kind
+# inherits every ancestor's laws, but a ring kind checks its additive group's axioms,
+# not inverse-uniqueness or inverse-antihomomorphism. Roles are written in full, not
+# inherited: a ring kind names add/neg/zero, not its group's op, and a field sits on
+# UniqueFactorizationRing without requiring factor.
+TOWER = {
+    Kind.MAGMA: ((), frozenset({"op"})),
+    Kind.SEMIGROUP: ((Kind.MAGMA,), frozenset({"op"})),
+    Kind.COMMUTATIVE_SEMIGROUP: ((Kind.SEMIGROUP,), frozenset({"op"})),
+    Kind.MONOID: ((Kind.SEMIGROUP,), frozenset({"op", "identity"})),
+    Kind.COMMUTATIVE_MONOID: ((Kind.MONOID, Kind.COMMUTATIVE_SEMIGROUP),
+                              frozenset({"op", "identity"})),
+    Kind.CC_MONOID: ((Kind.COMMUTATIVE_MONOID,), frozenset({"op", "identity"})),
+    Kind.FACTORIZATION_MONOID: ((Kind.CC_MONOID,), frozenset({"op", "identity", "factor"})),
+    Kind.GROUP: ((Kind.MONOID,), frozenset({"op", "identity", "inverse"})),
+    Kind.COMMUTATIVE_GROUP: ((Kind.GROUP, Kind.COMMUTATIVE_MONOID),
+                             frozenset({"op", "identity", "inverse"})),
+    Kind.RINGOID: ((Kind.COMMUTATIVE_GROUP,), frozenset({"add", "neg", "zero", "mul"})),
+    Kind.RING: ((Kind.RINGOID,), frozenset({"add", "neg", "zero", "mul"})),
+    Kind.RING_WITH_ONE: ((Kind.RING,), frozenset({"add", "neg", "zero", "mul", "one"})),
+    Kind.COMMUTATIVE_RING: ((Kind.RING_WITH_ONE,),
+                            frozenset({"add", "neg", "zero", "mul", "one"})),
+    Kind.INTEGRAL_RING: ((Kind.COMMUTATIVE_RING,),
+                         frozenset({"add", "neg", "zero", "mul", "one"})),
+    Kind.GCD_RING: ((Kind.INTEGRAL_RING,),
+                    frozenset({"add", "neg", "zero", "mul", "one", "gcd"})),
+    Kind.EUCLIDEAN_RING: ((Kind.INTEGRAL_RING,),
+                          frozenset({"add", "neg", "zero", "mul", "one", "div_mod", "norm"})),
+    Kind.FACTORIZATION_RING: ((Kind.INTEGRAL_RING,),
+                              frozenset({"add", "neg", "zero", "mul", "one", "factor"})),
+    Kind.UNIQUE_FACTORIZATION_RING: ((Kind.FACTORIZATION_RING,),
+                                     frozenset({"add", "neg", "zero", "mul", "one", "factor"})),
+    Kind.FIELD: ((Kind.UNIQUE_FACTORIZATION_RING,),
+                 frozenset({"add", "neg", "zero", "mul", "one", "inv"})),
 }
 
-GROUP_LIKE_KINDS = frozenset({
-    Kind.MAGMA, Kind.SEMIGROUP, Kind.COMMUTATIVE_SEMIGROUP, Kind.MONOID,
-    Kind.COMMUTATIVE_MONOID, Kind.CC_MONOID, Kind.FACTORIZATION_MONOID,
-    Kind.GROUP, Kind.COMMUTATIVE_GROUP,
-})
-
+# A group-like kind has one operation, op; the others are rings over add and mul.
+GROUP_LIKE_KINDS = frozenset(kind for kind, (_, roles) in TOWER.items() if "op" in roles)
 RING_LIKE_KINDS = frozenset(set(Kind) - GROUP_LIKE_KINDS)
 
-# Kinds direct_product supports: one operation, no cancellation/factoring claims.
-PRODUCT_KINDS = frozenset({
-    Kind.MAGMA, Kind.SEMIGROUP, Kind.COMMUTATIVE_SEMIGROUP, Kind.MONOID,
-    Kind.COMMUTATIVE_MONOID, Kind.GROUP, Kind.COMMUTATIVE_GROUP,
-})
-
-_GROUP_ROLES = {"op", "identity", "inverse", "factor", "power"}
-_RING_ROLES = {
+# Every op role an instance may carry; roles beyond its kind's are auxiliary capability.
+_ROLES = frozenset({
+    "op", "identity", "inverse", "factor", "power",
     "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
-    "factor", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
+    "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
     "egcd", "to_int", "from_int", "native_int",
-}
-
-REQUIRED_OPS = {
-    Kind.MAGMA: frozenset({"op"}),
-    Kind.SEMIGROUP: frozenset({"op"}),
-    Kind.COMMUTATIVE_SEMIGROUP: frozenset({"op"}),
-    Kind.MONOID: frozenset({"op", "identity"}),
-    Kind.COMMUTATIVE_MONOID: frozenset({"op", "identity"}),
-    Kind.CC_MONOID: frozenset({"op", "identity"}),
-    Kind.FACTORIZATION_MONOID: frozenset({"op", "identity", "factor"}),
-    Kind.GROUP: frozenset({"op", "identity", "inverse"}),
-    Kind.COMMUTATIVE_GROUP: frozenset({"op", "identity", "inverse"}),
-    Kind.RINGOID: frozenset({"add", "neg", "zero", "mul"}),
-    Kind.RING: frozenset({"add", "neg", "zero", "mul"}),
-    Kind.RING_WITH_ONE: frozenset({"add", "neg", "zero", "mul", "one"}),
-    Kind.COMMUTATIVE_RING: frozenset({"add", "neg", "zero", "mul", "one"}),
-    Kind.INTEGRAL_RING: frozenset({"add", "neg", "zero", "mul", "one"}),
-    Kind.GCD_RING: frozenset({"add", "neg", "zero", "mul", "one", "gcd"}),
-    Kind.EUCLIDEAN_RING: frozenset({"add", "neg", "zero", "mul", "one", "div_mod", "norm"}),
-    Kind.FACTORIZATION_RING: frozenset({"add", "neg", "zero", "mul", "one", "factor"}),
-    Kind.UNIQUE_FACTORIZATION_RING: frozenset({"add", "neg", "zero", "mul", "one", "factor"}),
-    Kind.FIELD: frozenset({"add", "neg", "zero", "mul", "one", "inv"}),
-}
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +156,7 @@ def ancestors(kind: Kind) -> frozenset:
         if k in seen:
             continue
         seen.add(k)
-        stack.extend(KIND_PARENTS[k])
+        stack.extend(TOWER[k][0])
     return frozenset(seen)
 
 
@@ -185,13 +166,11 @@ def validate_instance(inst: StructureInstance) -> None:
     Required roles must be present; all keys must be known roles. Roles
     from higher tower levels are allowed as auxiliary capability.
     """
-    required = REQUIRED_OPS[inst.kind]
-    missing = required - set(inst.ops)
+    missing = TOWER[inst.kind][1] - set(inst.ops)
     if missing:
         raise StructuralError(
             f"{inst.name or inst.kind.value}: kind {inst.kind.value} requires ops {sorted(missing)}")
-    known = _GROUP_ROLES | _RING_ROLES
-    unknown = set(inst.ops) - known
+    unknown = set(inst.ops) - _ROLES
     if unknown:
         raise StructuralError(
             f"{inst.name or inst.kind.value}: unknown op roles {sorted(unknown)}")
@@ -203,7 +182,6 @@ def validate_instance(inst: StructureInstance) -> None:
 @dataclass(frozen=True)
 class LawReport:
     kind: Kind
-    instance: str
     cases: int
     failures: tuple
 
@@ -431,7 +409,7 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
         for tup in chunks:
             if not pred(*tup):
                 failures.append((law.name, tup))
-    return LawReport(inst.kind, inst.name, cases, tuple(failures))
+    return LawReport(inst.kind, cases, tuple(failures))
 
 
 def recheck_failure(inst: StructureInstance, law_name: str, case: tuple) -> bool:
@@ -442,48 +420,6 @@ def recheck_failure(inst: StructureInstance, law_name: str, case: tuple) -> bool
                 raise StructuralError(f"case arity mismatch for {law_name}")
             return not law.pred(*case)
     raise StructuralError(f"unknown law {law_name!r} for kind {inst.kind.value}")
-
-
-def direct_product(a: StructureInstance, b: StructureInstance) -> StructureInstance:
-    """Componentwise product of two instances of the same one-operation kind."""
-    if a.kind != b.kind:
-        raise StructuralError(f"kind mismatch: {a.kind.value} vs {b.kind.value}")
-    if a.kind not in PRODUCT_KINDS:
-        raise StructuralError(f"direct_product does not support kind {a.kind.value}")
-    ea, eb = a.base.eq, b.base.eq
-
-    def eq(p, q):
-        return YES if ea(p[0], q[0]).holds and eb(p[1], q[1]).holds else NO
-
-    sa, sb = a.base.sample, b.base.sample
-
-    def sample(seed, count):
-        xs = sa(seed, count)
-        ys = sb(seed + 0x5D, count)
-        return list(zip(xs, ys))
-
-    enumeration = None
-    if a.base.enumeration is not None and b.base.enumeration is not None:
-        enumeration = tuple(itertools.product(a.base.enumeration[:8], b.base.enumeration[:8]))
-
-    va, vb = a.base.variants, b.base.variants
-    variants = None
-    if va is not None or vb is not None:
-        def variants(p, rng):
-            xs = va(p[0], rng) if va is not None else [p[0]]
-            ys = vb(p[1], rng) if vb is not None else [p[1]]
-            return [(x, y) for x in xs[:2] for y in ys[:2]]
-
-    dset = DSet(f"({a.base.name} x {b.base.name})", eq, sample, enumeration, variants)
-    opa, opb = a.ops["op"], b.ops["op"]
-    ops = {"op": lambda p, q: (opa(p[0], q[0]), opb(p[1], q[1]))}
-    if "identity" in a.ops:
-        ia, ib = a.ops["identity"](), b.ops["identity"]()
-        ops["identity"] = lambda: (ia, ib)
-    if "inverse" in a.ops:
-        inva, invb = a.ops["inverse"], b.ops["inverse"]
-        ops["inverse"] = lambda p: (inva(p[0]), invb(p[1]))
-    return StructureInstance(a.kind, dset, ops, f"({a.name} x {b.name})")
 
 
 def multiplicative_monoid(inst: StructureInstance) -> StructureInstance:

@@ -8,10 +8,9 @@ import pytest
 from certalg.errors import StructuralError
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
                                 _laws_for, ancestors, check_laws,
-                                direct_product, multiplicative_monoid,
-                                recheck_failure, validate_instance)
-from certalg.numbers import (int_add_group, int_dset, nat_add_monoid,
-                             nat_dset, nat_monus_semigroup)
+                                multiplicative_monoid, recheck_failure,
+                                validate_instance)
+from certalg.numbers import int_dset, nat_add_monoid, nat_dset, nat_monus_semigroup
 from certalg.euclid import int_ring
 
 
@@ -83,6 +82,60 @@ def test_validate_rejects_noncallable_op():
                              ops={"op": 7}, name="notcallable")
     with pytest.raises(StructuralError):
         validate_instance(inst)
+
+
+# each kind's required roles and its sorted law names, pinned
+_SEMIGROUP_LAWS = ["associativity(op)", "congruence(op)"]
+_MONOID_LAWS = _SEMIGROUP_LAWS + ["identity(op)"]
+_CC_MONOID_LAWS = _MONOID_LAWS + ["cancellation-left", "cancellation-right", "commutativity(op)"]
+_GROUP_LAWS = _MONOID_LAWS + ["congruence(inverse)", "inverse(op)",
+                              "inverse-antihomomorphism", "inverse-uniqueness"]
+_RINGOID_LAWS = ["associativity(add)", "commutativity(add)", "congruence(add)",
+                 "congruence(mul)", "congruence(neg)", "identity(add)", "inverse(add)"]
+_RING_LAWS = _RINGOID_LAWS + ["associativity(mul)", "distributivity-left",
+                              "distributivity-right"]
+_COMMUTATIVE_RING_LAWS = _RING_LAWS + ["commutativity(mul)", "identity(mul)"]
+_INTEGRAL_RING_LAWS = _COMMUTATIVE_RING_LAWS + ["no-zero-divisors"]
+
+TOWER = {
+    Kind.MAGMA: ("op", ["congruence(op)"]),
+    Kind.SEMIGROUP: ("op", _SEMIGROUP_LAWS),
+    Kind.COMMUTATIVE_SEMIGROUP: ("op", _SEMIGROUP_LAWS + ["commutativity(op)"]),
+    Kind.MONOID: ("op identity", _MONOID_LAWS),
+    Kind.COMMUTATIVE_MONOID: ("op identity", _MONOID_LAWS + ["commutativity(op)"]),
+    Kind.CC_MONOID: ("op identity", _CC_MONOID_LAWS),
+    Kind.FACTORIZATION_MONOID: ("op identity factor",
+                                _CC_MONOID_LAWS + ["factorization-reconstructs"]),
+    Kind.GROUP: ("op identity inverse", _GROUP_LAWS),
+    Kind.COMMUTATIVE_GROUP: ("op identity inverse", _GROUP_LAWS + ["commutativity(op)"]),
+    Kind.RINGOID: ("add neg zero mul", _RINGOID_LAWS),
+    Kind.RING: ("add neg zero mul", _RING_LAWS),
+    Kind.RING_WITH_ONE: ("add neg zero mul one", _RING_LAWS + ["identity(mul)"]),
+    Kind.COMMUTATIVE_RING: ("add neg zero mul one", _COMMUTATIVE_RING_LAWS),
+    Kind.INTEGRAL_RING: ("add neg zero mul one", _INTEGRAL_RING_LAWS),
+    Kind.GCD_RING: ("add neg zero mul one gcd", _INTEGRAL_RING_LAWS),
+    Kind.EUCLIDEAN_RING: ("add neg zero mul one div_mod norm",
+                          _INTEGRAL_RING_LAWS + ["division-contract"]),
+    Kind.FACTORIZATION_RING: ("add neg zero mul one factor",
+                              _INTEGRAL_RING_LAWS + ["factorization-reconstructs"]),
+    Kind.UNIQUE_FACTORIZATION_RING: ("add neg zero mul one factor",
+                                     _INTEGRAL_RING_LAWS + ["factorization-reconstructs"]),
+    Kind.FIELD: ("add neg zero mul one inv",
+                 _INTEGRAL_RING_LAWS + ["congruence(inv)", "multiplicative-inverse"]),
+}
+
+
+def test_every_kind_pins_its_roles_and_laws():
+    assert set(TOWER) == set(Kind)
+    for kind, (roles, laws) in TOWER.items():
+        ops = {role: lambda *args: 0 for role in roles.split()}
+        inst = StructureInstance(kind, int_dset(), ops, kind.name)
+        validate_instance(inst)
+        for role in ops:
+            lacking = {r: fn for r, fn in ops.items() if r != role}
+            with pytest.raises(StructuralError):
+                validate_instance(StructureInstance(kind, int_dset(), lacking))
+        assert sorted(law.name for law in _laws_for(inst)) == sorted(laws), kind
 
 
 def test_no_route_is_chosen_by_object_identity():
@@ -175,22 +228,6 @@ def test_recheck_of_a_passing_case_returns_false():
 # ============================================================
 # derived instances
 # ============================================================
-
-
-def test_direct_product_of_groups_is_lawful():
-    prod = direct_product(int_add_group(), int_add_group())
-    assert prod.kind is Kind.COMMUTATIVE_GROUP
-    assert check_laws(prod, seed=2, budget=80).ok
-
-
-def test_direct_product_requires_matching_kinds():
-    with pytest.raises(StructuralError):
-        direct_product(int_add_group(), nat_add_monoid())
-
-
-def test_direct_product_rejects_ring_kinds():
-    with pytest.raises(StructuralError):
-        direct_product(int_ring(), int_ring())
 
 
 def test_multiplicative_monoid_of_commutative_ring():
