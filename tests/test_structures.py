@@ -97,7 +97,7 @@ _RING_LAWS = _RINGOID_LAWS + ["associativity(mul)", "distributivity-left",
 _COMMUTATIVE_RING_LAWS = _RING_LAWS + ["commutativity(mul)", "identity(mul)"]
 _INTEGRAL_RING_LAWS = _COMMUTATIVE_RING_LAWS + ["no-zero-divisors"]
 
-TOWER = {
+PINNED_TOWER = {
     Kind.MAGMA: ("op", ["congruence(op)"]),
     Kind.SEMIGROUP: ("op", _SEMIGROUP_LAWS),
     Kind.COMMUTATIVE_SEMIGROUP: ("op", _SEMIGROUP_LAWS + ["commutativity(op)"]),
@@ -126,8 +126,8 @@ TOWER = {
 
 
 def test_every_kind_pins_its_roles_and_laws():
-    assert set(TOWER) == set(Kind)
-    for kind, (roles, laws) in TOWER.items():
+    assert set(PINNED_TOWER) == set(Kind)
+    for kind, (roles, laws) in PINNED_TOWER.items():
         ops = {role: lambda *args: 0 for role in roles.split()}
         inst = StructureInstance(kind, int_dset(), ops, kind.name)
         validate_instance(inst)
