@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: laws, factor, egcd, isprime, residue, frac, poly, sort, pow,
-prove. Expressions use an ASCII grammar: explicit *, ^ for exponents,
-unsigned integer literals with sign via unary minus, division only where
-fractions make sense. --json switches to a single flat JSON document, for
-errors too (on stderr, parse errors included).
+prove. Expressions use eqprover's term grammar (parse_expr): explicit *,
+^ for exponents, unsigned integer literals with sign via unary minus,
+division only where fractions make sense. --json switches to a single flat
+JSON document, for errors too (on stderr, parse errors included).
 
 Integers obey the interpreter's digit limit for int <-> str conversion
 (sys.get_int_max_str_digits(), 4300 by default): a longer literal is a parse
@@ -27,16 +27,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import (CompositeModulusError, InvalidInputError, ParseError,
                      StructuralError)
 from .euclid import (Residue, extended_gcd, int_ring, is_prime, make_residue,
                      residue_field, residue_ring, verify_bezout)
-from .numbers import (bin_add_monoid, bin_to_str, int_add_group,
-                      nat_add_monoid, nat_monus_semigroup, nat_mul_monoid,
-                      pos_nat_mul_monoid, power, to_bin)
+from .numbers import (_digit_limit, _literal, bin_add_monoid, bin_to_str,
+                      int_add_group, nat_add_monoid, nat_monus_semigroup,
+                      nat_mul_monoid, pos_nat_mul_monoid, power, to_bin)
 from .structures import StructureInstance, check_laws, multiplicative_monoid
 
 DEFAULT_BUDGET = 200
@@ -45,9 +44,6 @@ DEFAULT_BUDGET = 200
 MAX_BUDGET = 1 << 16
 DEFAULT_SWEEP = 4
 SEED_ENV_VAR = "CERTALG_SEED"
-
-# the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def default_seed() -> int:
@@ -60,257 +56,26 @@ def default_seed() -> int:
         raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _literal(digits: str, pos: int) -> int:
-    limit = _digit_limit()
-    if 0 < limit < len(digits):
-        raise ParseError(f"integer literal longer than {limit} digits", pos)
-    return int(digits)
-
-
 # ---------------------------------------------------------------------------
-# expression grammar
+# evaluation: the term language's one fold (eqprover.eval_in) over a ring
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+def _fold(ops, numeral, node, power=None):
+    """node evaluated in the ring whose role table is ops, a - b as
+    add(a, neg(b)) and a / b as mul(a, inv(b)): the literal n is numeral(n)
+    and x^k is power(k)."""
+    from .eqprover import NatConst, PowSym, eval_in
 
+    def leaf(t):
+        if isinstance(t, NatConst):
+            return numeral(t.value)
+        if isinstance(t, PowSym) and power is not None:
+            return power(t.exp)
+        raise StructuralError(f"cannot evaluate {t!r} as a number")
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class PowSym:
-    name: str
-    exp: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = object
-
-MODES = ("int", "frac", "poly", "term")
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-# Bounds both the parser's recursion through parentheses and negation and
-# the depth of the tree it builds, which the recursive evaluators walk.
-MAX_DEPTH = 100
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # isdecimal, not isdigit: int() rejects digits such as '²'
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(("int", _literal(text[i:j], i), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", None, n))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks, mode):
-        self.toks = toks
-        self.i = 0
-        self.mode = mode
-        self.nesting = 0
-
-    def enter(self, pos):
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def expect(self, kind):
-        k, v, pos = self.toks[self.i]
-        if k != kind:
-            raise ParseError(f"expected {kind!r}, found {k!r}", pos)
-        self.i += 1
-        return v
-
-    def parse(self):
-        node = self.expr()
-        k, _, pos = self.peek()
-        if k != "end":
-            raise ParseError("trailing input", pos)
-        if _tree_depth(node) > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
-        return node
-
-    def expr(self, prec=1):
-        """Operators binding at least as tightly as prec, left to right."""
-        node = self.unary()
-        while True:
-            k, _, pos = self.peek()
-            if _PRECEDENCE.get(k, 0) < prec:
-                return node
-            if k == "-" and self.mode == "term":
-                raise ParseError("subtraction is outside this grammar", pos)
-            if k == "/" and self.mode != "frac":
-                raise ParseError("division is only available for fractions", pos)
-            self.i += 1
-            node = BinOp(k, node, self.expr(_PRECEDENCE[k] + 1))
-
-    def unary(self):
-        k, _, pos = self.peek()
-        if k == "-":
-            if self.mode == "term":
-                raise ParseError("negation is outside this grammar", pos)
-            self.i += 1
-            self.enter(pos)
-            node = Neg(self.unary())
-            self.nesting -= 1
-            return node
-        return self.atom()
-
-    def atom(self):
-        k, v, pos = self.peek()
-        if k == "int":
-            self.i += 1
-            return Num(v)
-        if k == "ident":
-            if self.mode == "poly":
-                if v != "x":
-                    raise ParseError("the polynomial variable is x", pos)
-                self.i += 1
-                if self.peek()[0] == "^":
-                    self.i += 1
-                    _, ev, epos = self.peek()
-                    if self.peek()[0] != "int":
-                        raise ParseError("exponent must be a number", epos)
-                    self.i += 1
-                    return PowSym("x", ev)
-                return PowSym("x", 1)
-            if self.mode == "term":
-                self.i += 1
-                return Sym(v)
-            raise ParseError("names are not allowed here", pos)
-        if k == "(":
-            self.i += 1
-            self.enter(pos)
-            node = self.expr()
-            self.expect(")")
-            self.nesting -= 1
-            return node
-        raise ParseError(f"unexpected {k!r}", pos)
-
-
-def _tree_depth(node) -> int:
-    deepest, stack = 0, [(node, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, BinOp):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
-        elif isinstance(node, Neg):
-            stack.append((node.operand, depth + 1))
-    return deepest
-
-
-def parse_expr(text: str, mode: str) -> Expr:
-    if mode not in MODES:
-        raise StructuralError(f"unknown expression mode {mode!r}")
-    return _Parser(_tokenize(text), mode).parse()
-
-
-def _prec(node) -> int:
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 4
-
-
-def format_expr(node) -> str:
-    """Canonical reprint; parse(format_expr(t)) rebuilds t structurally."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, PowSym):
-        return node.name if node.exp == 1 else f"{node.name}^{node.exp}"
-    if isinstance(node, Neg):
-        inner = format_expr(node.operand)
-        if _prec(node.operand) <= 2:
-            inner = f"({inner})"
-        return f"-{inner}"
-    left = format_expr(node.left)
-    right = format_expr(node.right)
-    if _prec(node.left) < _prec(node):
-        left = f"({left})"
-    if _prec(node.right) <= _prec(node):
-        right = f"({right})"
-    return f"{left} {node.op} {right}"
-
-
-# ---------------------------------------------------------------------------
-# evaluation: one fold over a ring's ops table
-
-
-def eval_in(ops, leaf, node):
-    """Evaluate an expression tree through ops' add, neg, mul and inv:
-    a - b is add(a, neg(b)) and a / b is mul(a, inv(b)). leaf maps the
-    Num, PowSym and Sym nodes into the carrier."""
-    if isinstance(node, Neg):
-        return ops["neg"](eval_in(ops, leaf, node.operand))
-    if isinstance(node, BinOp):
-        l, r = eval_in(ops, leaf, node.left), eval_in(ops, leaf, node.right)
-        if node.op == "+":
-            return ops["add"](l, r)
-        if node.op == "-":
-            return ops["add"](l, ops["neg"](r))
-        if node.op == "*":
-            return ops["mul"](l, r)
-        return ops["mul"](l, ops["inv"](r))
-    return leaf(node)
-
-
-def _int_leaf(node) -> int:
-    if isinstance(node, Num):
-        return node.value
-    raise StructuralError(f"cannot evaluate {node!r} as a number")
-
-
-def _poly_leaf(node):
-    from .polynomials import mk_poly
-    term = (1, node.exp) if isinstance(node, PowSym) else (_int_leaf(node), 0)
-    return mk_poly(int_ring(), [term])
+    add, neg, mul = ops["add"], ops["neg"], ops["mul"]
+    return eval_in({"+": add, "-": lambda a, b: add(a, neg(b)), "*": mul, "neg": neg,
+                    "/": lambda a, b: mul(a, ops["inv"](b))}, leaf, node)
 
 
 # A product has at most min(term pairs, exponent slots) terms. Past this many
@@ -332,32 +97,19 @@ def _bounded_poly_mul(p, q):
 
 
 def eval_int(node) -> int:
-    return eval_in(int_ring().ops, _int_leaf, node)
+    return _fold(int_ring().ops, int, node)
 
 
 def eval_frac(node):
     from .fractions import fraction_field, mk_fraction
-    return eval_in(fraction_field().ops,
-                   lambda n: mk_fraction(int_ring(), _int_leaf(n), 1), node)
+    return _fold(fraction_field().ops, lambda n: mk_fraction(int_ring(), n, 1), node)
 
 
 def eval_poly(node):
-    from .polynomials import poly_add, poly_neg
-    return eval_in({"add": poly_add, "neg": poly_neg, "mul": _bounded_poly_mul},
-                   _poly_leaf, node)
-
-
-def _term_leaf(node):
-    from .eqprover import NatConst, UnitConst, Var
-    if isinstance(node, Sym):
-        return UnitConst() if node.name == "e" else Var(node.name)
-    return NatConst(_int_leaf(node))
-
-
-def expr_to_term(node):
-    from .eqprover import Apply
-    return eval_in({"add": partial(Apply, "+"), "mul": partial(Apply, "*")},
-                   _term_leaf, node)
+    from .polynomials import mk_poly, poly_add, poly_neg
+    return _fold({"add": poly_add, "neg": poly_neg, "mul": _bounded_poly_mul},
+                 lambda n: mk_poly(int_ring(), [(n, 0)]), node,
+                 lambda k: mk_poly(int_ring(), [(1, k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +226,17 @@ def _run_isprime(ns):
 
 
 def _run_residue(ns):
+    from .eqprover import format_expr, parse_expr
     inst = _ZMOD["field" if ns.field else "ring"](ns.modulus)
     tree = parse_expr(ns.text, "frac" if ns.field else "int")
-    value = eval_in(inst.ops, lambda n: make_residue(int_ring(), ns.modulus, _int_leaf(n)),
-                    tree)
+    value = _fold(inst.ops, lambda n: make_residue(int_ring(), ns.modulus, n), tree)
     doc = {"command": "residue", "modulus": ns.modulus, "field": ns.field,
            "expr": format_expr(tree), "value": value.value}
     return 0, doc, lambda: str(value)
 
 
 def _run_frac(ns):
+    from .eqprover import format_expr, parse_expr
     tree = parse_expr(ns.text, "frac")
     value = eval_frac(tree)
     doc = {"command": "frac", "expr": format_expr(tree), "num": value.num, "den": value.den}
@@ -491,6 +244,7 @@ def _run_frac(ns):
 
 
 def _run_poly(ns):
+    from .eqprover import format_expr, parse_expr
     from .polynomials import degree
     tree = parse_expr(ns.text, "poly")
     value = eval_poly(tree)
@@ -502,6 +256,7 @@ def _run_poly(ns):
 
 def _run_sort(ns):
     from .certlists import fraction_order, int_order, sort_certified, verify_sort_result
+    from .eqprover import parse_expr
     raw = ns.values or sys.stdin.read().split()
     if ns.order == "int":
         values = [eval_int(parse_expr(tok, "int")) for tok in raw]
@@ -545,13 +300,11 @@ def _run_pow(ns):
 
 
 def _run_prove(ns):
-    from .eqprover import prove_eq
+    from .eqprover import parse_expr, prove_eq
     sides = ns.equation.split("=")
     if len(sides) != 2 or not sides[0].strip() or not sides[1].strip():
         raise ParseError("equation must have the shape LHS = RHS", 0)
-    lhs = expr_to_term(parse_expr(sides[0], "term"))
-    rhs = expr_to_term(parse_expr(sides[1], "term"))
-    decision = prove_eq(ns.theory, lhs, rhs)
+    decision = prove_eq(ns.theory, parse_expr(sides[0], "term"), parse_expr(sides[1], "term"))
     nl, nr = decision.evidence
     doc = {"command": "prove", "theory": ns.theory, "verdict": decision.holds,
            "left_normal": nl, "right_normal": nr}

@@ -1,4 +1,12 @@
-"""Equation proving by normalization in three free theories.
+"""The term language, its grammar, and equation proving by normalization.
+
+Terms are Var, NatConst, UnitConst (the monoid identity, written e),
+PowSym (the polynomial grammar's x^k), Neg and Apply (a binary operator).
+parse_expr reads the CLI's ASCII grammar straight into these records, in
+one of MODES, and format_expr prints them back. eval_in is the one fold
+over a term, given an ops table for the operators and a leaf map for the
+rest: the normal forms, term_vars, the three models and the CLI's
+integers, fractions, residues and polynomials are all calls of it.
 
 monoid: terms over one associative op with identity normalize to words.
 semiring: non-commutative multiplication, commutative addition, natural
@@ -15,10 +23,14 @@ models in which a refuted equation can be checked to fail.
 
 from __future__ import annotations
 
+import operator
+import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
 
-from .errors import InvalidInputError, StructuralError
+from .errors import InvalidInputError, ParseError, StructuralError
+from .numbers import _literal
 from .structures import Decision
 
 
@@ -38,15 +50,217 @@ class UnitConst:
 
 
 @dataclass(frozen=True, slots=True)
+class PowSym:
+    name: str
+    exp: int
+
+
+@dataclass(frozen=True, slots=True)
+class Neg:
+    operand: "Term"
+
+
+@dataclass(frozen=True, slots=True)
 class Apply:
     op: str
     left: "Term"
     right: "Term"
 
 
-Term = Union[Var, NatConst, UnitConst, Apply]
+Term = Var | NatConst | UnitConst | PowSym | Neg | Apply
 
-THEORIES = ("monoid", "semiring", "commsemiring")
+# ---------------------------------------------------------------------------
+# grammar
+
+MODES = ("int", "frac", "poly", "term")
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+# Bounds both the parser's recursion through parentheses and negation and
+# the depth of the tree it builds, which eval_in walks.
+MAX_DEPTH = 100
+
+
+# \d is str.isdecimal and \w is str.isalnum or "_", character for character
+_DIGITS = re.compile(r"\d+")
+_NAME = re.compile(r"\w+")
+
+
+def _tokenize(text: str):
+    toks, i = [], 0
+    while i < len(text):
+        ch, j = text[i], i + 1
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if ch.isdecimal():
+            j = _DIGITS.match(text, i).end()
+            toks.append(("int", _literal(text[i:j], i), i))
+        elif ch.isalpha() or ch == "_":
+            j = _NAME.match(text, i).end()
+            toks.append(("ident", text[i:j], i))
+        elif ch in "+-*/^()":
+            toks.append((ch, ch, i))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", i)
+        i = j
+    toks.append(("end", None, len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks, mode):
+        self.toks = toks
+        self.i = 0
+        self.mode = mode
+        self.nesting = 0
+
+    def enter(self, pos):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def take(self):
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expr(self, prec=1):
+        """Operators binding at least as tightly as prec, left to right."""
+        node = self.unary()
+        while True:
+            k, _, pos = self.peek()
+            if _PRECEDENCE.get(k, 0) < prec:
+                return node
+            if k == "-" and self.mode == "term":
+                raise ParseError("subtraction is outside this grammar", pos)
+            if k == "/" and self.mode != "frac":
+                raise ParseError("division is only available for fractions", pos)
+            self.i += 1
+            node = Apply(k, node, self.expr(_PRECEDENCE[k] + 1))
+
+    def unary(self):
+        k, _, pos = self.peek()
+        if k != "-":
+            return self.atom()
+        if self.mode == "term":
+            raise ParseError("negation is outside this grammar", pos)
+        self.i += 1
+        self.enter(pos)
+        node = Neg(self.unary())
+        self.nesting -= 1
+        return node
+
+    def atom(self):
+        k, v, pos = self.take()
+        if k == "int":
+            return NatConst(v)
+        if k == "ident" and self.mode == "poly":
+            if v != "x":
+                raise ParseError("the polynomial variable is x", pos)
+            if self.peek()[0] != "^":
+                return PowSym("x", 1)
+            self.i += 1
+            k, v, pos = self.take()
+            if k != "int":
+                raise ParseError("exponent must be a number", pos)
+            return PowSym("x", v)
+        if k == "ident" and self.mode == "term":
+            return UnitConst() if v == "e" else Var(v)
+        if k == "ident":
+            raise ParseError("names are not allowed here", pos)
+        if k != "(":
+            raise ParseError(f"unexpected {k!r}", pos)
+        self.enter(pos)
+        node = self.expr()
+        k, _, pos = self.take()
+        if k != ")":
+            raise ParseError(f"expected ')', found {k!r}", pos)
+        self.nesting -= 1
+        return node
+
+
+def _tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Apply):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Neg):
+            stack.append((node.operand, depth + 1))
+    return deepest
+
+
+def parse_expr(text: str, mode: str) -> Term:
+    if mode not in MODES:
+        raise StructuralError(f"unknown expression mode {mode!r}")
+    parser = _Parser(_tokenize(text), mode)
+    node = parser.expr()
+    k, _, pos = parser.peek()
+    if k != "end":
+        raise ParseError("trailing input", pos)
+    if _tree_depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return node
+
+
+# ---------------------------------------------------------------------------
+# evaluation: one fold
+
+
+def eval_in(ops, leaf, node):
+    """Evaluate a term bottom-up: ops maps each binary operator, and "neg",
+    to its function; leaf maps every other record into the carrier. The
+    operator is looked up before its operands are evaluated, so a table
+    can refuse it first."""
+    if isinstance(node, Apply):
+        return ops[node.op](eval_in(ops, leaf, node.left), eval_in(ops, leaf, node.right))
+    if isinstance(node, Neg):
+        return ops["neg"](eval_in(ops, leaf, node.operand))
+    return leaf(node)
+
+
+class _Signature(dict):
+    """An ops table whose lookup of an operator it lacks raises
+    StructuralError, naming the theory (where) the operator is outside."""
+
+    def __init__(self, ops: dict, where: str = "semiring theories"):
+        super().__init__(ops)
+        self.where = where
+
+    def __missing__(self, op):
+        raise StructuralError(f"operator {op!r} outside the {self.where}")
+
+
+# Printing is a fold too: each node prints as (text, binding), the binding
+# being its operator's precedence, 3 for a negation and 4 for a leaf. The
+# operators associate to the left, so a right operand binding as loosely as
+# its operator gets parentheses too.
+def _infix(op, left, right):
+    (lt, lb), (rt, rb), b = left, right, _PRECEDENCE[op]
+    return f"{f'({lt})' if lb < b else lt} {op} {f'({rt})' if rb <= b else rt}", b
+
+
+def _print_leaf(node):
+    if isinstance(node, NatConst):
+        return str(node.value), 4
+    if isinstance(node, PowSym):
+        return (node.name if node.exp == 1 else f"{node.name}^{node.exp}"), 4
+    return ("e" if isinstance(node, UnitConst) else node.name), 4
+
+
+_PRINT = {op: partial(_infix, op) for op in _PRECEDENCE}
+_PRINT["neg"] = lambda t: (f"-({t[0]})" if t[1] <= 2 else f"-{t[0]}", 3)
+
+
+def format_expr(node) -> str:
+    """Canonical reprint; parse(format_expr(t)) rebuilds t structurally."""
+    return eval_in(_PRINT, _print_leaf, node)[0]
+
+
+# ---------------------------------------------------------------------------
+# normal forms
 
 # (x+y)^n has 2^n words in the semiring theory; past this many term pairs a
 # product, and past this many terms a sum, is refused rather than expanded
@@ -74,26 +288,17 @@ class NormalForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _check_theory(theory: str):
-    if theory not in THEORIES:
-        raise StructuralError(f"unknown theory {theory!r}")
-
-
-def _monoid_word(t: Term) -> tuple:
+def _letter(t: Term) -> tuple:
     if isinstance(t, Var):
         return (t.name,)
     if isinstance(t, UnitConst):
         return ()
-    if isinstance(t, Apply):
-        if t.op != "*":
-            raise StructuralError(f"operator {t.op!r} outside the monoid theory")
-        return _monoid_word(t.left) + _monoid_word(t.right)
     raise StructuralError("numerals do not belong to the monoid theory")
 
 
-def _poly(t: Term, commutative: bool) -> dict:
-    """Polynomial with natural coefficients, keyed by word or by sorted
-    monomial depending on commutativity."""
+def _monomial(t: Term) -> dict:
+    """Polynomial with natural coefficients, keyed by word (or by sorted
+    monomial, once a commutative product sorts it)."""
     if isinstance(t, Var):
         return {(t.name,): 1}
     if isinstance(t, NatConst):
@@ -102,44 +307,47 @@ def _poly(t: Term, commutative: bool) -> dict:
         return {(): t.value} if t.value else {}
     if isinstance(t, UnitConst):
         raise StructuralError("the identity symbol belongs to the monoid theory")
-    if isinstance(t, Apply):
-        lp = _poly(t.left, commutative)
-        rp = _poly(t.right, commutative)
-        if t.op == "+":
-            out = dict(lp)
-            for k, c in rp.items():
-                out[k] = out.get(k, 0) + c
-            if len(out) > MAX_PRODUCT_TERMS:
-                raise InvalidInputError(
-                    f"normal form too large: a sum of {len(lp)} and {len(rp)} terms "
-                    f"has more than {MAX_PRODUCT_TERMS} terms")
-            return out
-        if t.op == "*":
-            if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
-                raise InvalidInputError(
-                    f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
-                    f"makes more than {MAX_PRODUCT_TERMS} term pairs")
-            out = {}
-            for k1, c1 in lp.items():
-                for k2, c2 in rp.items():
-                    key = tuple(sorted(k1 + k2)) if commutative else k1 + k2
-                    out[key] = out.get(key, 0) + c1 * c2
-            return out
-        raise StructuralError(f"operator {t.op!r} outside the semiring theories")
     raise StructuralError(f"unsupported term {t!r}")
 
 
+def _poly_add(lp: dict, rp: dict) -> dict:
+    out = dict(lp)
+    for k, c in rp.items():
+        out[k] = out.get(k, 0) + c
+    if len(out) > MAX_PRODUCT_TERMS:
+        raise InvalidInputError(
+            f"normal form too large: a sum of {len(lp)} and {len(rp)} terms "
+            f"has more than {MAX_PRODUCT_TERMS} terms")
+    return out
+
+
+def _poly_mul(commutative: bool, lp: dict, rp: dict) -> dict:
+    if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
+        raise InvalidInputError(
+            f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
+            f"makes more than {MAX_PRODUCT_TERMS} term pairs")
+    out = {}
+    for k1, c1 in lp.items():
+        for k2, c2 in rp.items():
+            key = tuple(sorted(k1 + k2)) if commutative else k1 + k2
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+_WORDS = _Signature({"*": operator.add}, "monoid theory")
+_POLYS = {theory: _Signature({"+": _poly_add, "*": partial(_poly_mul, theory == "commsemiring")})
+          for theory in ("semiring", "commsemiring")}
+
+
 def normalize(theory: str, t: Term) -> NormalForm:
-    _check_theory(theory)
     if theory == "monoid":
-        return NormalForm("monoid", _monoid_word(t))
-    commutative = theory == "commsemiring"
-    poly = _poly(t, commutative)
-    if commutative:
-        body = tuple(sorted(poly.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    else:
-        body = tuple(sorted(poly.items(), key=lambda kv: kv[0]))
-    return NormalForm(theory, body)
+        return NormalForm(theory, eval_in(_WORDS, _letter, t))
+    if theory not in _POLYS:
+        raise StructuralError(f"unknown theory {theory!r}")
+    poly = eval_in(_POLYS[theory], _monomial, t)
+    # a commutative normal form lists monomials by degree; keys are distinct
+    by_degree = (lambda kv: (len(kv[0]), kv[0])) if theory == "commsemiring" else None
+    return NormalForm(theory, tuple(sorted(poly.items(), key=by_degree)))
 
 
 def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
@@ -150,37 +358,39 @@ def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
     return Decision.no((nl, nr))
 
 
+# any operator joins its operands' names
+_NAMES = defaultdict(lambda: operator.or_, neg=set)
+
+
 def term_vars(t: Term) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Apply):
-        return term_vars(t.left) | term_vars(t.right)
-    return set()
+    return eval_in(_NAMES, lambda s: {s.name} if isinstance(s, Var) else set(), t)
 
 
 # ---------------------------------------------------------------------------
 # evaluation models
 
 
-def eval_nat(t: Term, env: dict) -> int:
+def _model_leaf(into: str, numeral, unit, env: dict, t: Term):
+    """A model's leaf map: env maps each Var's name, numeral(n) is the value
+    of NatConst(n), n a natural, and unit that of UnitConst(). A leaf the
+    model gives no value (None) raises StructuralError."""
     if isinstance(t, Var):
         return env[t.name]
-    if isinstance(t, NatConst):
-        return t.value
-    if isinstance(t, Apply):
-        l, r = eval_nat(t.left, env), eval_nat(t.right, env)
-        return l + r if t.op == "+" else l * r
-    raise StructuralError(f"cannot evaluate {t!r} into naturals")
+    if isinstance(t, NatConst) and numeral is not None:
+        if t.value < 0:
+            raise StructuralError("semiring constants are naturals")
+        return numeral(t.value)
+    if isinstance(t, UnitConst) and unit is not None:
+        return unit
+    raise StructuralError(f"cannot evaluate {t!r} into {into}")
+
+
+def eval_nat(t: Term, env: dict) -> int:
+    return eval_in(_NATS, partial(_model_leaf, "naturals", int, None, env), t)
 
 
 def eval_word(t: Term, env: dict) -> tuple:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, UnitConst):
-        return ()
-    if isinstance(t, Apply) and t.op == "*":
-        return eval_word(t.left, env) + eval_word(t.right, env)
-    raise StructuralError(f"cannot evaluate {t!r} into words")
+    return eval_in(_WORDS, partial(_model_leaf, "words", None, (), env), t)
 
 
 def _mat_add(a, b):
@@ -195,12 +405,12 @@ def _mat_mul(a, b):
              a[1][0] * b[0][1] + a[1][1] * b[1][1]))
 
 
-_MAT_ZERO = ((0, 0), (0, 0))
-_MAT_ONE = ((1, 0), (0, 1))
+_NATS = _Signature({"+": operator.add, "*": operator.mul})
+_MATS = _Signature({"+": _mat_add, "*": _mat_mul})
 
 # small non-commuting generators for refuting non-commutative claims
 MAT_CANDIDATES = (
-    _MAT_ONE,
+    ((1, 0), (0, 1)),
     ((1, 1), (0, 1)),
     ((1, 0), (1, 1)),
     ((0, 1), (0, 0)),
@@ -212,15 +422,6 @@ MAT_CANDIDATES = (
 
 def eval_mat2(t: Term, env: dict):
     """Evaluate into 2x2 natural matrices, a semiring where multiplication
-    does not commute."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, NatConst):
-        acc = _MAT_ZERO
-        for _ in range(t.value):
-            acc = _mat_add(acc, _MAT_ONE)
-        return acc
-    if isinstance(t, Apply):
-        l, r = eval_mat2(t.left, env), eval_mat2(t.right, env)
-        return _mat_add(l, r) if t.op == "+" else _mat_mul(l, r)
-    raise StructuralError(f"cannot evaluate {t!r} into matrices")
+    does not commute; the numeral n is n times the identity."""
+    leaf = partial(_model_leaf, "matrices", lambda n: ((n, 0), (0, n)), None, env)
+    return eval_in(_MATS, leaf, t)

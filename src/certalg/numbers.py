@@ -10,11 +10,22 @@ list; a monoid with a power role, such as bin-add, does that itself.
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
 from operator import index
 
-from .errors import InvalidInputError, StructuralError
+from .errors import InvalidInputError, ParseError, StructuralError
 from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
+
+# the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _literal(digits: str, pos: int) -> int:
+    limit = _digit_limit()
+    if 0 < limit < len(digits):
+        raise ParseError(f"integer literal longer than {limit} digits", pos)
+    return int(digits)
 
 
 def monus(a: int, b: int) -> int:

@@ -1,6 +1,6 @@
 """Random expression trees for grammar round-trip checks, one per mode."""
 
-from certalg.cli import BinOp, Neg, Num, PowSym, Sym
+from certalg.eqprover import Apply, NatConst, Neg, PowSym, UnitConst, Var
 
 
 def random_expr(rng, mode, depth):
@@ -12,10 +12,11 @@ def random_expr(rng, mode, depth):
             choices = ["num", "sym"]
         pick = rng.choice(choices)
         if pick == "num":
-            return Num(rng.randrange(0, 50))
+            return NatConst(rng.randrange(0, 50))
         if pick == "pow":
             return PowSym("x", rng.randrange(0, 9))
-        return Sym(rng.choice(["a", "b", "c", "e"]))
+        name = rng.choice(["a", "b", "c", "e"])
+        return UnitConst() if name == "e" else Var(name)
     roll = rng.random()
     if roll < 0.15 and mode != "term":
         return Neg(random_expr(rng, mode, depth - 1))
@@ -25,5 +26,5 @@ def random_expr(rng, mode, depth):
     if mode == "frac":
         ops.append("/")
     op = rng.choice(ops)
-    return BinOp(op, random_expr(rng, mode, depth - 1),
+    return Apply(op, random_expr(rng, mode, depth - 1),
                  random_expr(rng, mode, depth - 1))

@@ -17,7 +17,7 @@ from certalg import cli
 from certalg.certlists import (SortResult, append, int_order, rev,
                                sort_certified, verify_sort_result)
 from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
-                              prove_eq, term_vars)
+                              format_expr, parse_expr, prove_eq, term_vars)
 from certalg.numbers import power_instrumented
 from cli_exprgen import random_expr
 from conftest import record_line
@@ -443,7 +443,7 @@ def test_criterion_14_cli():
         rng = random.Random(sum(map(ord, mode)) + 14)
         for _ in range(500):
             tree = random_expr(rng, mode, 4)
-            if cli.parse_expr(cli.format_expr(tree), mode) != tree:
+            if parse_expr(format_expr(tree), mode) != tree:
                 trips_bad += 1
 
     smoke_code, _ = cli.run(cli.parse_command(

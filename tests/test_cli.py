@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import certalg
 
-from certalg.cli import (MODES, BinOp, Neg, Num, PowSym, default_seed,
-                         eval_frac, eval_int, eval_poly, expr_to_term,
-                         format_expr, main, parse_command, parse_expr,
-                         resolve_instance, resolve_monoid, run)
+from certalg.cli import (default_seed, eval_frac, eval_int, eval_poly, main,
+                         parse_command, resolve_instance, resolve_monoid, run)
+from certalg.eqprover import (MODES, Apply, NatConst, Neg, PowSym, UnitConst, Var,
+                              format_expr, parse_expr)
 from certalg.errors import (CompositeModulusError, InvalidInputError, ParseError,
                             StructuralError)
 from cli_exprgen import random_expr
@@ -40,16 +40,16 @@ def test_parse_respects_precedence_and_associativity():
     assert eval_int(parse_expr("10 - 3 - 2", "int")) == 5
     assert eval_int(parse_expr("2 * 3 + 4", "int")) == 10
     assert eval_int(parse_expr("-2 * 3", "int")) == -6
-    one, two, three, four, five, eight = map(Num, (1, 2, 3, 4, 5, 8))
-    assert parse_expr("1 - 2 * 3 / 4 + 5", "frac") == BinOp(
-        "+", BinOp("-", one, BinOp("/", BinOp("*", two, three), four)), five)
-    assert parse_expr("8 / 4 / 2", "frac") == BinOp("/", BinOp("/", eight, four), two)
-    assert parse_expr("-2 * -3 - 4", "int") == BinOp(
-        "-", BinOp("*", Neg(two), Neg(three)), four)
-    assert parse_expr("1 * 2 + 3 * 4 - 5", "int") == BinOp(
-        "-", BinOp("+", BinOp("*", one, two), BinOp("*", three, four)), five)
-    assert parse_expr("x + 2 * x^3", "poly") == BinOp(
-        "+", PowSym("x", 1), BinOp("*", two, PowSym("x", 3)))
+    one, two, three, four, five, eight = map(NatConst, (1, 2, 3, 4, 5, 8))
+    assert parse_expr("1 - 2 * 3 / 4 + 5", "frac") == Apply(
+        "+", Apply("-", one, Apply("/", Apply("*", two, three), four)), five)
+    assert parse_expr("8 / 4 / 2", "frac") == Apply("/", Apply("/", eight, four), two)
+    assert parse_expr("-2 * -3 - 4", "int") == Apply(
+        "-", Apply("*", Neg(two), Neg(three)), four)
+    assert parse_expr("1 * 2 + 3 * 4 - 5", "int") == Apply(
+        "-", Apply("+", Apply("*", one, two), Apply("*", three, four)), five)
+    assert parse_expr("x + 2 * x^3", "poly") == Apply(
+        "+", PowSym("x", 1), Apply("*", two, PowSym("x", 3)))
 
 
 def test_parse_error_carries_position():
@@ -123,10 +123,8 @@ def test_poly_text_round_trips_by_value():
         assert eval_poly(parse_expr(str(p), "poly")) == p
 
 
-def test_expr_to_term_maps_e_to_the_unit():
-    from certalg.eqprover import UnitConst, Var, Apply
-    tree = parse_expr("x * e", "term")
-    assert expr_to_term(tree) == Apply("*", Var("x"), UnitConst())
+def test_term_mode_parses_e_to_the_unit():
+    assert parse_expr("x * e", "term") == Apply("*", Var("x"), UnitConst())
 
 
 # ================================================================
@@ -463,6 +461,15 @@ def test_isprime_out_of_fuel_exits_7_with_a_reason(monkeypatch):
     assert code == 7
     doc = json.loads(text)
     assert doc["error"] == "invalid-input" and "fuel" in doc["message"]
+
+
+@pytest.mark.parametrize("theory,equation,message", [
+    ("monoid", "x + y = x", "operator '+' outside the monoid theory"),
+    ("semiring", "e * x = x", "the identity symbol belongs to the monoid theory"),
+])
+def test_prove_refusal_exits_6_with_the_provers_message(theory, equation, message, capsys):
+    assert main(["prove", "--theory", theory, equation]) == 6
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _child(*argv):

@@ -1,13 +1,18 @@
 """Equational provers by normalization and their soundness models."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import certalg
 from certalg import eqprover
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
+from certalg.eqprover import (MAT_CANDIDATES, NatConst, eval_mat2, eval_nat, eval_word,
                               normalize, prove_eq, term_vars)
 from eq_corpus import CORPUS, add, e, mul, nat, x, y, z
 
@@ -167,6 +172,24 @@ def test_unknown_theory_is_rejected():
         prove_eq("grouplike", x, x)
 
 
+# The messages reach the user: `prove` prints them with exit 6. Each term is
+# refused at its first offending node, read left to right with an operator
+# before its operands ("1 + x" in the monoid theory names the "+").
+@pytest.mark.parametrize("theory,lhs,message", [
+    ("monoid", add(x, y), "operator '+' outside the monoid theory"),
+    ("monoid", nat(2), "numerals do not belong to the monoid theory"),
+    ("monoid", add(nat(1), x), "operator '+' outside the monoid theory"),
+    ("semiring", mul(e, x), "the identity symbol belongs to the monoid theory"),
+    ("commsemiring", add(x, nat(-1)), "semiring constants are naturals"),
+    ("grouplike", x, "unknown theory 'grouplike'"),
+], ids=["plus-in-monoid", "numeral-in-monoid", "plus-before-numeral", "unit-in-semiring",
+        "negative-numeral", "unknown-theory"])
+def test_prover_error_texts_are_pinned(theory, lhs, message):
+    with pytest.raises(StructuralError) as exc:
+        prove_eq(theory, lhs, x)
+    assert str(exc.value) == message
+
+
 def test_a_sum_past_the_term_bound_is_refused(monkeypatch):
     monkeypatch.setattr(eqprover, "MAX_PRODUCT_TERMS", 4)
     four = add(add(x, y), add(z, nat(1)))
@@ -176,6 +199,27 @@ def test_a_sum_past_the_term_bound_is_refused(monkeypatch):
         normalize("commsemiring", add(four, mul(x, y)))
     with pytest.raises(InvalidInputError, match="too large"):
         normalize("semiring", add(mul(x, y), four))
+
+
+def test_hang_guard_mat2_reads_a_numeral_in_one_step():
+    # a child process, so that reading 10^12 by repeated addition fails the
+    # test after 5 s
+    code = ("from certalg.eqprover import NatConst, eval_mat2\n"
+            "print(eval_mat2(NatConst(10**12), {}))\n")
+    env = dict(os.environ)
+    src = str(Path(certalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"(({10**12}, 0), (0, {10**12}))\n"
+
+
+def test_mat2_refuses_a_negative_numeral():
+    with pytest.raises(StructuralError) as exc:
+        eval_mat2(mul(x, NatConst(-1)), {"x": MAT_CANDIDATES[0]})
+    assert str(exc.value) == "semiring constants are naturals"
 
 
 def test_term_vars():

@@ -41,6 +41,17 @@ def test_cli_egcd_loads_none_of_the_other_structures():
     assert loaded == OWN | {"cli"}
 
 
+def test_cli_frac_loads_the_term_language_and_fractions():
+    loaded = _loaded("from certalg.cli import main\nassert main(['frac', '1/2']) == 0")
+    assert loaded == OWN | {"cli", "eqprover", "fractions"}
+
+
+def test_cli_prove_loads_the_term_language_and_no_structure():
+    loaded = _loaded("from certalg.cli import main\n"
+                     "assert main(['prove', '--theory', 'monoid', 'x=x']) == 0")
+    assert loaded == OWN | {"cli", "eqprover"}
+
+
 def test_every_export_is_its_defining_modules_object():
     import importlib
 
