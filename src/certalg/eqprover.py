@@ -211,26 +211,16 @@ def parse_expr(text: str, mode: str) -> Term:
 
 def eval_in(ops, leaf, node):
     """Evaluate a term bottom-up: ops maps each binary operator, and "neg",
-    to its function; leaf maps every other record into the carrier. The
-    operator is looked up before its operands are evaluated, so a table
-    can refuse it first."""
-    if isinstance(node, Apply):
+    to its function; leaf maps every other record into the carrier. An
+    operator is looked up before its operands are evaluated, so one that
+    ops lacks raises KeyError at the first such node, an operator before
+    its operands and left before right. Dispatch is on the exact record
+    type, the fastest test."""
+    if type(node) is Apply:
         return ops[node.op](eval_in(ops, leaf, node.left), eval_in(ops, leaf, node.right))
-    if isinstance(node, Neg):
+    if type(node) is Neg:
         return ops["neg"](eval_in(ops, leaf, node.operand))
     return leaf(node)
-
-
-class _Signature(dict):
-    """An ops table whose lookup of an operator it lacks raises
-    StructuralError, naming the theory (where) the operator is outside."""
-
-    def __init__(self, ops: dict, where: str = "semiring theories"):
-        super().__init__(ops)
-        self.where = where
-
-    def __missing__(self, op):
-        raise StructuralError(f"operator {op!r} outside the {self.where}")
 
 
 # Printing is a fold too: each node prints as (text, binding), the binding
@@ -321,30 +311,37 @@ def _poly_add(lp: dict, rp: dict) -> dict:
     return out
 
 
-def _poly_mul(commutative: bool, lp: dict, rp: dict) -> dict:
-    if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
-        raise InvalidInputError(
-            f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
-            f"makes more than {MAX_PRODUCT_TERMS} term pairs")
-    out = {}
-    for k1, c1 in lp.items():
-        for k2, c2 in rp.items():
-            key = tuple(sorted(k1 + k2)) if commutative else k1 + k2
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _poly_mul(commutative: bool):
+    def mul(lp: dict, rp: dict) -> dict:
+        if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
+            raise InvalidInputError(
+                f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
+                f"makes more than {MAX_PRODUCT_TERMS} term pairs")
+        out = {}
+        for k1, c1 in lp.items():
+            for k2, c2 in rp.items():
+                key = tuple(sorted(k1 + k2)) if commutative else k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    return mul
 
 
-_WORDS = _Signature({"*": operator.add}, "monoid theory")
-_POLYS = {theory: _Signature({"+": _poly_add, "*": partial(_poly_mul, theory == "commsemiring")})
+_WORDS = {"*": operator.add}
+_POLYS = {theory: {"+": _poly_add, "*": _poly_mul(theory == "commsemiring")}
           for theory in ("semiring", "commsemiring")}
 
 
 def normalize(theory: str, t: Term) -> NormalForm:
-    if theory == "monoid":
-        return NormalForm(theory, eval_in(_WORDS, _letter, t))
-    if theory not in _POLYS:
+    if theory != "monoid" and theory not in _POLYS:
         raise StructuralError(f"unknown theory {theory!r}")
-    poly = eval_in(_POLYS[theory], _monomial, t)
+    try:
+        if theory == "monoid":
+            return NormalForm(theory, eval_in(_WORDS, _letter, t))
+        poly = eval_in(_POLYS[theory], _monomial, t)
+    except KeyError as e:  # the first operator the theory's table lacks
+        where = "monoid theory" if theory == "monoid" else "semiring theories"
+        raise StructuralError(f"operator {e.args[0]!r} outside the {where}") from None
     # a commutative normal form lists monomials by degree; keys are distinct
     by_degree = (lambda kv: (len(kv[0]), kv[0])) if theory == "commsemiring" else None
     return NormalForm(theory, tuple(sorted(poly.items(), key=by_degree)))
@@ -367,7 +364,8 @@ def term_vars(t: Term) -> set:
 
 
 # ---------------------------------------------------------------------------
-# evaluation models
+# evaluation models: an operator outside a model's table raises KeyError, as
+# a name outside env does
 
 
 def _model_leaf(into: str, numeral, unit, env: dict, t: Term):
@@ -405,8 +403,8 @@ def _mat_mul(a, b):
              a[1][0] * b[0][1] + a[1][1] * b[1][1]))
 
 
-_NATS = _Signature({"+": operator.add, "*": operator.mul})
-_MATS = _Signature({"+": _mat_add, "*": _mat_mul})
+_NATS = {"+": operator.add, "*": operator.mul}
+_MATS = {"+": _mat_add, "*": _mat_mul}
 
 # small non-commuting generators for refuting non-commutative claims
 MAT_CANDIDATES = (
