@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -342,9 +341,11 @@ def normalize(theory: str, t: Term) -> NormalForm:
     except KeyError as e:  # the first operator the theory's table lacks
         where = "monoid theory" if theory == "monoid" else "semiring theories"
         raise StructuralError(f"operator {e.args[0]!r} outside the {where}") from None
-    # a commutative normal form lists monomials by degree; keys are distinct
-    by_degree = (lambda kv: (len(kv[0]), kv[0])) if theory == "commsemiring" else None
-    return NormalForm(theory, tuple(sorted(poly.items(), key=by_degree)))
+    if theory == "commsemiring":
+        body = tuple(sorted(poly.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    else:
+        body = tuple(sorted(poly.items(), key=lambda kv: kv[0]))
+    return NormalForm(theory, body)
 
 
 def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
@@ -355,8 +356,8 @@ def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
     return Decision.no((nl, nr))
 
 
-# any operator joins its operands' names
-_NAMES = defaultdict(lambda: operator.or_, neg=set)
+# every operator of the grammar joins its operands' names
+_NAMES = dict.fromkeys(_PRECEDENCE, operator.or_) | {"neg": set}
 
 
 def term_vars(t: Term) -> set:
