@@ -12,32 +12,28 @@ re-decides every adjacent pair, so it trusts neither route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from typing import Callable
 
-from .structures import NO, YES, DSet, Decision
+from .structures import NO, YES, Decision, Record
 
 
 # ---------------------------------------------------------------------------
 # certified sorting
 
 
-@dataclass(frozen=True)
-class DecTotalOrder:
-    base: DSet
-    leq: Callable[[object, object], Decision]
-    native_int: bool = False  # a role: ints under <=, so they key the sort
+class DecTotalOrder(Record):
+    """leq(x, y) decides x <= y on the DSet base. native_int is a role: ints
+    under <=, so they key the sort."""
+
+    __slots__ = ("base", "leq", "native_int")
+    _defaults = (False,)
 
 
-@dataclass(frozen=True)
-class SortResult:
+class SortResult(Record):
     """ys sorted output; ord_cert holds the adjacent-pair order decisions;
     perm maps input positions to output positions (ys[perm[i]] is xs[i])."""
 
-    ys: tuple
-    ord_cert: tuple
-    perm: tuple
+    __slots__ = ("ys", "ord_cert", "perm")
 
 
 def sort_certified(dto: DecTotalOrder, xs) -> SortResult:

@@ -25,45 +25,39 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidInputError, ParseError, StructuralError
 from .numbers import _literal
-from .structures import Decision
+from .structures import Decision, Record
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class NatConst:
-    value: int
+class NatConst(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class UnitConst:
+class UnitConst(Record):
     """The monoid identity symbol."""
 
-
-@dataclass(frozen=True, slots=True)
-class PowSym:
-    name: str
-    exp: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Term"
+class PowSym(Record):
+    __slots__ = ("name", "exp")
 
 
-@dataclass(frozen=True, slots=True)
-class Apply:
-    op: str
-    left: "Term"
-    right: "Term"
+class Neg(Record):
+    __slots__ = ("operand",)
+
+
+class Apply(Record):
+    """op names a binary operator; left and right are terms."""
+
+    __slots__ = ("op", "left", "right")
 
 
 Term = Var | NatConst | UnitConst | PowSym | Neg | Apply
@@ -244,7 +238,10 @@ _PRINT["neg"] = lambda t: (f"-({t[0]})" if t[1] <= 2 else f"-{t[0]}", 3)
 
 
 def format_expr(node) -> str:
-    """Canonical reprint; parse(format_expr(t)) rebuilds t structurally."""
+    """Canonical reprint. For a term t that parse_expr built in some mode,
+    parse_expr(format_expr(t), mode) rebuilds t structurally. A term built in
+    code may not come back: NatConst(-3) prints -3, which parses back as
+    Neg(NatConst(3)), and Var("e") prints e, which term mode reads as UnitConst()."""
     return eval_in(_PRINT, _print_leaf, node)[0]
 
 
@@ -257,10 +254,8 @@ def format_expr(node) -> str:
 MAX_PRODUCT_TERMS = 1 << 16
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    theory: str
-    body: tuple
+class NormalForm(Record):
+    __slots__ = ("theory", "body")
 
     def __str__(self):
         if self.theory == "monoid":

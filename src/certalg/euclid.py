@@ -21,44 +21,32 @@ InvalidInputError is raised rather than an uncertified verdict returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import compress, count
-from typing import NamedTuple
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance, seeded
 from .numbers import int_dset, _mixed_int
 
 
-@dataclass(frozen=True, slots=True)
-class DividesWitness:
+class DividesWitness(Record):
     """Certifies divisor | dividend via dividend = divisor * quotient."""
 
-    divisor: object
-    dividend: object
-    quotient: object
+    __slots__ = ("divisor", "dividend", "quotient")
 
 
-@dataclass(frozen=True, slots=True)
-class BezoutCertificate:
+class BezoutCertificate(Record):
     """Extended-gcd result for the pair (a, b).
 
     Invariants: u*a + v*b = g, a = qa*g, b = qb*g, and g = 0 only when
     a = b = 0. Self-contained: carries the subject pair.
     """
 
-    a: object
-    b: object
-    g: object
-    u: object
-    v: object
-    qa: object
-    qb: object
+    __slots__ = ("a", "b", "g", "u", "v", "qa", "qb")
 
 
-@dataclass(frozen=True, slots=True)
-class PrattCertificate:
+class PrattCertificate(Record):
     """Proof that p is prime: `base` has multiplicative order p-1 mod p.
 
     factors holds FactorEntry values (q, e, cert_q) that certified_product
@@ -66,12 +54,10 @@ class PrattCertificate:
     Then base**(p-1) = 1 and base**((p-1)/q) != 1 for each q force order p-1.
     """
 
-    base: int
-    factors: tuple
+    __slots__ = ("base", "factors")
 
 
-@dataclass(frozen=True, slots=True)
-class PrimalityCert:
+class PrimalityCert(Record):
     """Verdict 'prime' or 'composite'.
 
     A composite carries a proper factor witness. A prime at or above
@@ -79,23 +65,16 @@ class PrimalityCert:
     verifier re-runs trial division and no certificate is attached.
     """
 
-    subject: object
-    verdict: str
-    witness: DividesWitness | None = None
-    pratt: PrattCertificate | None = None
+    __slots__ = ("subject", "verdict", "witness", "pratt")
+    _defaults = (None, None)
 
 
-class FactorEntry(NamedTuple):
-    """prime ** multiplicity, with cert a 'prime' PrimalityCert for prime."""
-    prime: int
-    multiplicity: int
-    cert: PrimalityCert
+# prime ** multiplicity, with cert a 'prime' PrimalityCert for prime
+FactorEntry = namedtuple("FactorEntry", ("prime", "multiplicity", "cert"))
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
-    modulus: object
-    value: object
+class Residue(Record):
+    __slots__ = ("modulus", "value")
 
     def __str__(self):
         return f"{self.value} (mod {self.modulus})"

@@ -10,22 +10,19 @@ a Pratt certificate proves a larger one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Kind, LawReport, StructureInstance, seeded
+from .structures import DSet, Kind, LawReport, Record, StructureInstance, seeded
 from .euclid import (DividesWitness, FactorEntry, certified_factors, certified_product,
                      check_divides, int_ring, prime_split)
 from .numbers import pos_nat_dset
 
 
-@dataclass(frozen=True, slots=True)
-class FactorizationData:
+class FactorizationData(Record):
     """unit * product(prime^multiplicity), entries sorted by prime."""
 
-    unit: int
-    entries: tuple
+    __slots__ = ("unit", "entries")
 
 
 def factor(x: int) -> FactorizationData:

@@ -15,18 +15,15 @@ route; the tests use int_ring() without that role as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as igcd
 
-from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance, seeded
 from .euclid import int_ring
 
 
-@dataclass(frozen=True, slots=True)
-class Fraction:
-    num: object
-    den: object
+class Fraction(Record):
+    __slots__ = ("num", "den")
 
     def __str__(self):
         return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"

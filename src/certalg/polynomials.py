@@ -16,17 +16,16 @@ from __future__ import annotations
 import random
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
 from struct import calcsize
 
 from .errors import StructuralError
-from .structures import NO, YES, DSet, Kind, StructureInstance
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance
 
 
-@dataclass(frozen=True)
-class Poly:
-    ring: StructureInstance = field(compare=False, repr=False)
-    terms: tuple = ()
+class Poly(Record):
+    __slots__ = ("ring", "terms")
+    _defaults = ((),)
+    _hidden = ("ring",)
 
     def __str__(self):
         """Highest power first, as in "3*x^2 - x + 1": the sign of a negative

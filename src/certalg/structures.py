@@ -13,9 +13,7 @@ import itertools
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
 
 from .errors import StructuralError
 
@@ -91,12 +89,57 @@ _ROLES = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Record:
+    """An immutable value whose fields are its __slots__.
+
+    Each subclass gets an __init__ (fields by position or name, _defaults for
+    the trailing ones), __eq__ and __hash__, built once when the class is made.
+    A record equals only a record of its own type with equal fields, hashes
+    over its fields, has no order, and reads Name(field=value, ...). Fields in
+    _hidden stay out of ==, hash and repr.
+    """
+
+    __slots__ = ()
+    _defaults = ()
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls._shown = tuple(f for f in fields if f not in cls._hidden)
+        mine = "".join(f"self.{f}, " for f in cls._shown)
+        theirs = "".join(f"other.{f}, " for f in cls._shown)
+        # each field is set through its slot's own descriptor, past __setattr__
+        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + ("".join(f" _set_{f}(self, {f})\n" for f in fields) or " pass\n")
+             + "def __eq__(self, other):\n"
+             f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+             " return NotImplemented\n"
+             f"def __hash__(self):\n return hash(({mine}))\n", ns)
+        ns["__init__"].__defaults__ = cls._defaults
+        for name in ("__init__", "__eq__", "__hash__"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Decision(Record):
     """Decided proposition: holds plus opaque evidence (witness or refuter)."""
 
-    holds: bool
-    evidence: Any = None
+    __slots__ = ("holds", "evidence")
+    _defaults = (None,)
 
     @classmethod
     def yes(cls, witness=None):
@@ -115,36 +158,32 @@ YES = Decision(True)
 NO = Decision(False)
 
 
-@dataclass(frozen=True)
-class DSet:
+class DSet(Record):
     """Carrier with decidable equality and a deterministic sample generator.
 
-    enumeration, when present, is a bounded tuple of carrier elements used
-    for exhaustive law sweeps. variants, when present, maps an element to
-    eq-equal elements built through a different construction path.
+    eq(a, b) returns a Decision; sample(seed, count) returns a list of count
+    elements. enumeration, when present, is a bounded tuple of carrier
+    elements used for exhaustive law sweeps. variants, when present, maps an
+    element and a random.Random to eq-equal elements built through a
+    different construction path.
     """
 
-    name: str
-    eq: Callable[[Any, Any], Decision]
-    sample: Callable[[int, int], list]
-    enumeration: Optional[tuple] = None
-    variants: Optional[Callable[[Any, random.Random], list]] = None
+    __slots__ = ("name", "eq", "sample", "enumeration", "variants")
+    _defaults = (None, None)
 
 
-def seeded(draw: Callable[[random.Random], Any]) -> Callable[[int, int], list]:
-    """A DSet sample: sample(seed, count) is count draws from random.Random(seed)."""
+def seeded(draw):
+    """A DSet sample: sample(seed, count) is count draws draw(rng) from
+    rng = random.Random(seed)."""
     def sample(seed, count):
         rng = random.Random(seed)
         return [draw(rng) for _ in range(count)]
     return sample
 
 
-@dataclass(frozen=True)
-class StructureInstance:
-    kind: Kind
-    base: DSet
-    ops: dict
-    name: str = ""
+class StructureInstance(Record):
+    __slots__ = ("kind", "base", "ops", "name")
+    _defaults = ("",)
 
 
 def ancestors(kind: Kind) -> frozenset:
@@ -179,11 +218,8 @@ def validate_instance(inst: StructureInstance) -> None:
             raise StructuralError(f"{inst.name or inst.kind.value}: op {role!r} is not callable")
 
 
-@dataclass(frozen=True)
-class LawReport:
-    kind: Kind
-    cases: int
-    failures: tuple
+class LawReport(Record):
+    __slots__ = ("kind", "cases", "failures")
 
     @property
     def ok(self) -> bool:
@@ -191,16 +227,12 @@ class LawReport:
         return self.cases > 0 and not self.failures
 
 
-@dataclass(frozen=True)
-class _Law:
-    name: str
-    # number of fresh samples consumed per random case
-    sample_arity: int
-    # number of elements in a stored counterexample tuple
-    case_arity: int
-    pred: Callable[..., bool]
-    # congruence laws splice an eq-equal variant in as the second element
-    uses_variant: bool = False
+class _Law(Record):
+    # sample_arity: fresh samples consumed per random case; case_arity:
+    # elements in a stored counterexample tuple; uses_variant: a congruence
+    # law splices an eq-equal variant in as the second element
+    __slots__ = ("name", "sample_arity", "case_arity", "pred", "uses_variant")
+    _defaults = (False,)
 
 
 def _congruence_case(chunk, rng, dset):

@@ -6,10 +6,17 @@ without that role is the generic oracle, and a spy on the copy's ops (or
 leq) shows that the oracle really reaches the generic route.
 """
 
-import dataclasses
 from collections import Counter
 
 from certalg.certlists import DecTotalOrder
+
+
+def replaced(rec, **changes):
+    """A copy of a record with the named fields changed, rebuilt from its
+    __slots__."""
+    fields = {name: getattr(rec, name) for name in rec.__slots__}
+    assert set(changes) <= set(fields), changes
+    return type(rec)(**{**fields, **changes})
 
 
 def without_roles(inst, *names):
@@ -17,10 +24,9 @@ def without_roles(inst, *names):
     DecTotalOrder with the named role fields off. Each role must be there."""
     if isinstance(inst, DecTotalOrder):
         assert all(getattr(inst, name) is True for name in names), names
-        return dataclasses.replace(inst, **dict.fromkeys(names, False))
+        return replaced(inst, **dict.fromkeys(names, False))
     assert set(names) <= set(inst.ops), names
-    return dataclasses.replace(
-        inst, ops={role: fn for role, fn in inst.ops.items() if role not in names})
+    return replaced(inst, ops={role: fn for role, fn in inst.ops.items() if role not in names})
 
 
 def spied(inst, *names):
@@ -35,8 +41,8 @@ def spied(inst, *names):
         return counted
 
     if isinstance(inst, DecTotalOrder):
-        return dataclasses.replace(inst, leq=spy("leq", inst.leq)), calls
+        return replaced(inst, leq=spy("leq", inst.leq)), calls
     ops = dict(inst.ops)
     for name in names:
         ops[name] = spy(name, ops[name])
-    return dataclasses.replace(inst, ops=ops), calls
+    return replaced(inst, ops=ops), calls

@@ -1,6 +1,5 @@
 """Division, extended gcd certificates, primality, residue rings/fields."""
 
-import dataclasses
 import math
 import random
 import time
@@ -9,7 +8,7 @@ from collections import Counter
 import pytest
 
 import nt_oracles
-from roles import spied, without_roles
+from roles import replaced, spied, without_roles
 from certalg import euclid
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
@@ -126,7 +125,7 @@ def test_verify_bezout_rejects_non_int_fields_over_native_int_rings(ring):
         for name in ("a", "b", "g", "u", "v", "qa", "qb"):
             value = getattr(good, name)
             for forged in (float(value), value + 0j, value == 1):
-                assert not verify_bezout(native, dataclasses.replace(good, **{name: forged}))
+                assert not verify_bezout(native, replaced(good, **{name: forged}))
     # bool is not int, though True == 1 and False == 0
     assert not verify_bezout(ring, BezoutCertificate(True, False, True, True, 0, True, 0))
 
@@ -135,7 +134,7 @@ def test_native_verify_bezout_agrees_with_the_generic_route(ring):
     generic, calls = spied(without_roles(ring, "native_int"), "mul")
     for a, b in _egcd_pairs()[::7]:
         good = extended_gcd(ring, a, b)
-        certs = [good] + [dataclasses.replace(good, **{name: getattr(good, name) + step})
+        certs = [good] + [replaced(good, **{name: getattr(good, name) + step})
                           for name in ("a", "b", "g", "u", "v", "qa", "qb")
                           for step in (1, -1)]
         for cert in certs:
@@ -405,8 +404,9 @@ def test_variants_of_an_interned_residue_are_fresh_objects(ring):
 
 def test_interned_residues_stay_frozen_with_value_equality(ring):
     r = residue_ring(ring, 7).ops["from_int"](3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.value = 4
+    assert r.value == 3
     assert r == Residue(7, 3) and r != Residue(7, 4) and r != Residue(-7, 3)
     assert hash(r) == hash(Residue(7, 3)) and repr(r) == "Residue(modulus=7, value=3)"
     assert str(r) == "3 (mod 7)"

@@ -13,18 +13,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 OWN = {"errors", "structures", "numbers", "euclid"}
 
 
-def _loaded(code):
-    """The certalg submodules that a fresh interpreter has imported after
-    running code."""
+def _modules(code, *flags):
+    """Every module that a fresh interpreter, run with flags, has imported
+    after running code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     report = "\nimport sys\nprint(*sorted(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code + report],
+    proc = subprocess.run([sys.executable, *flags, "-c", code + report],
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    names = proc.stdout.splitlines()[-1].split()
-    return {name[len("certalg."):] for name in names if name.startswith("certalg.")}
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded(code):
+    """The certalg submodules that a fresh interpreter has imported after
+    running code."""
+    return {name[len("certalg."):] for name in _modules(code) if name.startswith("certalg.")}
 
 
 def test_import_certalg_loads_no_submodule():
@@ -50,6 +55,15 @@ def test_cli_prove_loads_the_term_language_and_no_structure():
     loaded = _loaded("from certalg.cli import main\n"
                      "assert main(['prove', '--theory', 'monoid', 'x=x']) == 0")
     assert loaded == OWN | {"cli", "eqprover"}
+
+
+def test_cli_paths_import_neither_dataclasses_nor_typing():
+    # -S: no site, so no .pth file of the host can import these first
+    loaded = _modules("from certalg.cli import main\n"
+                      "assert main(['egcd', '12', '8']) == 0 and main(['frac', '1/2']) == 0",
+                      "-S")
+    assert {"certalg.cli", "certalg.fractions"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
 
 
 def test_every_export_is_its_defining_modules_object():
