@@ -1,6 +1,7 @@
 """The package loads each submodule on first use: what a fresh interpreter
-has imported after `import certalg`, a builder call and a CLI command;
-the names the package exports."""
+has imported after `import certalg`, a builder call and a CLI command,
+including the stdlib modules the CLI must not pull in; the names the
+package exports."""
 
 import os
 import subprocess
