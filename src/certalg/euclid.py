@@ -523,7 +523,7 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
     def variants(x, rng):
         # a fresh object on purpose, so congruence laws compare two
         # distinct residues with equal values
-        k = rng.randint(1, 5)
+        k = rng.randrange(1, 6)
         return [Residue(b, rem(add(x.value, mul(k, b))))]
 
     return DSet(f"{ring.base.name}/({b})", eq, seeded(lambda rng: res(rem(_mixed_int(rng)))),
@@ -537,7 +537,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     with %, the to_int/from_int roles expose the quotient map from the
     integers, and with |b| <= 2^8 every residue is built once, with the ring,
     so the ops hand out shared, immutable objects (hash-consing) instead of a
-    new one per result. Any other ring goes through its div_mod.
+    new one per result, read from that table with a subscript. Any other ring
+    goes through its div_mod.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -550,19 +551,27 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     res = partial(Residue, b)
     if "native_int" in ring.ops:
         m = abs(b)
-        if m <= _TABLE_MAX:
-            res = tuple(map(res, range(m))).__getitem__
 
         def rem(v):
             return v % m
 
-        ops = {
-            "add": lambda x, y: res((x.value + y.value) % m),
-            "neg": lambda x: res(-x.value % m),
-            "mul": lambda x, y: res(x.value * y.value % m),
-            "to_int": lambda x: x.value,
-            "from_int": lambda v: res(v % m),
-        }
+        if m <= _TABLE_MAX:  # a subscript is cheaper than a call to res
+            table = tuple(map(res, range(m)))
+            res = table.__getitem__
+            ops = {
+                "add": lambda x, y: table[(x.value + y.value) % m],
+                "neg": lambda x: table[-x.value % m],
+                "mul": lambda x, y: table[x.value * y.value % m],
+                "from_int": lambda v: table[v % m],
+            }
+        else:
+            ops = {
+                "add": lambda x, y: res((x.value + y.value) % m),
+                "neg": lambda x: res(-x.value % m),
+                "mul": lambda x, y: res(x.value * y.value % m),
+                "from_int": lambda v: res(v % m),
+            }
+        ops["to_int"] = lambda x: x.value
     else:
         dm = ring.ops["div_mod"]
         radd = ring.ops["add"]

@@ -111,14 +111,14 @@ def check_unique_sampled(ring: StructureInstance, seed: int = 1,
     for _ in range(budget):
         x = 0
         while x == 0:
-            x = rng.randint(lo, 10**6)
+            x = rng.randrange(lo, 10**6 + 1)
         cases += 1
         fx = do_factor(x)
         if not check_factorization(fx, x):
             failures.append(("factorization-reconstructs", (x,)))
 
-        a = rng.randint(1, 10**3)
-        b = rng.randint(1, 10**3)
+        a = rng.randrange(1, 10**3 + 1)
+        b = rng.randrange(1, 10**3 + 1)
         cases += 1
         direct = do_factor(mul(a, b))
         merged = merge_factorizations(do_factor(a), do_factor(b))
@@ -152,7 +152,7 @@ def int_factorization_ring() -> StructureInstance:
     ops["factor"] = factor
     ops["prime_split"] = lambda p, a, b, w: prime_split(base, p, a, b, w)
 
-    sample = seeded(lambda rng: rng.randint(-(10**6), 10**6))
+    sample = seeded(lambda rng: rng.randrange(-(10**6), 10**6 + 1))
     dset = DSet("int<=1e6", base.base.eq, sample, base.base.enumeration)
     return StructureInstance(Kind.UNIQUE_FACTORIZATION_RING, dset, ops, "int-ufd")
 
@@ -169,6 +169,6 @@ def pos_nat_factorization_monoid() -> StructureInstance:
     }
 
     base = pos_nat_dset()
-    dset = DSet("nat>=1<=1e6", base.eq, seeded(lambda rng: rng.randint(1, 10**6)),
+    dset = DSet("nat>=1<=1e6", base.eq, seeded(lambda rng: rng.randrange(1, 10**6 + 1)),
                 base.enumeration)
     return StructureInstance(Kind.FACTORIZATION_MONOID, dset, ops, "nat-factor-monoid")

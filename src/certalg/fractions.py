@@ -191,10 +191,10 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
         return YES if base_eq(x.num, y.num).holds and base_eq(x.den, y.den).holds else NO
 
     def draw(rng):
-        n = rng.randint(-30, 30)
+        n = rng.randrange(-30, 31)
         d = 0
         while d == 0:
-            d = rng.randint(-30, 30)
+            d = rng.randrange(-30, 31)
         return mk_fraction(ring, n, d)
 
     enum = []
@@ -207,7 +207,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
     mulr = ring.ops["mul"]
 
     def variants(x, rng):
-        k = rng.randint(2, 5)
+        k = rng.randrange(2, 6)
         return [mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))]
 
     dset = DSet(f"frac({ring.base.name})", eq, seeded(draw), tuple(enum), variants)

@@ -145,10 +145,10 @@ def _value_eq(a, b):
 def _mixed_int(rng: random.Random) -> int:
     r = rng.random()
     if r < 0.6:
-        return rng.randint(-20, 20)
+        return rng.randrange(-20, 21)
     if r < 0.9:
-        return rng.randint(-10**4, 10**4)
-    return rng.randint(-(2**63), 2**63 - 1)
+        return rng.randrange(-10**4, 10**4 + 1)
+    return rng.randrange(-(2**63), 2**63)
 
 
 @lru_cache(maxsize=None)

@@ -217,10 +217,10 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
         out = []
         k = 0
         for _ in range(count):
-            n_terms = rng.randint(0, 4)
+            n_terms = rng.randrange(0, 5)
             raw = []
             for _ in range(n_terms):
-                raw.append((coeffs[k % len(coeffs)], rng.randint(0, 12)))
+                raw.append((coeffs[k % len(coeffs)], rng.randrange(0, 13)))
                 k += 1
             out.append(mk_poly(ring, raw))
         return out
@@ -239,7 +239,7 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
     def variants(p, rng):
         raw = list(p.terms)
         rng.shuffle(raw)
-        raw.append((zero, rng.randint(0, 12)))
+        raw.append((zero, rng.randrange(0, 13)))
         return [mk_poly(ring, raw)]
 
     dset = DSet(f"poly({ring.base.name})", eq, sample, tuple(enum), variants)

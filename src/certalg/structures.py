@@ -164,8 +164,12 @@ class DSet(Record):
     eq(a, b) returns a Decision; sample(seed, count) returns a list of count
     elements. enumeration, when present, is a bounded tuple of carrier
     elements used for exhaustive law sweeps. variants, when present, maps an
-    element and a random.Random to eq-equal elements built through a
-    different construction path.
+    element and a random.Random to a list of eq-equal elements built through
+    a different construction path; a congruence case takes a single one as
+    it is and draws among several. Each shipped carrier returns one whose
+    value reduces back to x (rem(v + k*b), mk_fraction(num*k, den*k), mk_poly
+    over shuffled terms), so its congruence laws catch only an op that tells
+    equal objects apart by identity.
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")
@@ -237,63 +241,63 @@ class _Law(Record):
 
 def _congruence_case(chunk, rng, dset):
     x = chunk[0]
-    if dset.variants is not None:
-        options = dset.variants(x, rng)
-        xv = options[rng.randrange(len(options))] if options else x
+    options = dset.variants(x, rng) if dset.variants is not None else ()
+    if len(options) > 1:  # a single variant is taken as it is, without a draw
+        xv = options[rng.randrange(len(options))]
     else:
-        xv = x
-    return (x, xv) + tuple(chunk[1:])
+        xv = options[0] if options else x
+    return (x, xv) + chunk[1:]
 
 
-def _op_laws(beq, op, tag, assoc, comm, identity=None) -> list:
+def _op_laws(eq, op, tag, assoc, comm, identity=None) -> list:
     """congruence(tag), plus associativity, commutativity and, given the identity
     role's thunk, identity. Callers gate on the kind: an identity may be None."""
     laws = [_Law(
         f"congruence({tag})", 2, 3,
-        lambda x, xv, y: not beq(x, xv)
-        or (beq(op(x, y), op(xv, y)) and beq(op(y, x), op(y, xv))),
+        lambda x, xv, y: not eq(x, xv).holds
+        or (eq(op(x, y), op(xv, y)).holds and eq(op(y, x), op(y, xv)).holds),
         uses_variant=True)]
     if assoc:
         laws.append(_Law(
             f"associativity({tag})", 3, 3,
-            lambda x, y, z: beq(op(op(x, y), z), op(x, op(y, z)))))
+            lambda x, y, z: eq(op(op(x, y), z), op(x, op(y, z))).holds))
     if comm:
         laws.append(_Law(
             f"commutativity({tag})", 2, 2,
-            lambda x, y: beq(op(x, y), op(y, x))))
+            lambda x, y: eq(op(x, y), op(y, x)).holds))
     if identity is not None:
         e = identity()
         laws.append(_Law(
             f"identity({tag})", 1, 1,
-            lambda x: beq(op(e, x), x) and beq(op(x, e), x)))
+            lambda x: eq(op(e, x), x).holds and eq(op(x, e), x).holds))
     return laws
 
 
-def _inverse_laws(beq, op, inv, e, tag, inv_tag) -> list:
+def _inverse_laws(eq, op, inv, e, tag, inv_tag) -> list:
     """inv(x) is a two-sided inverse of x under op with identity e."""
     return [
         _Law(f"inverse({tag})", 1, 1,
-             lambda x: beq(op(inv(x), x), e) and beq(op(x, inv(x)), e)),
+             lambda x: eq(op(inv(x), x), e).holds and eq(op(x, inv(x)), e).holds),
         _Law(f"congruence({inv_tag})", 1, 2,
-             lambda x, xv: not beq(x, xv) or beq(inv(x), inv(xv)),
+             lambda x, xv: not eq(x, xv).holds or eq(inv(x), inv(xv)).holds,
              uses_variant=True),
     ]
 
 
-def _reconstructs_law(beq, op, factor, zero=None) -> _Law:
+def _reconstructs_law(eq, op, factor, zero=None) -> _Law:
     """The unit times the primes of factor(x), multiplied with op, gives x back;
     the zero role, when given, marks the one element that is skipped."""
     z = zero() if zero is not None else None
 
-    def reconstructs(x, _beq=beq):
-        if zero is not None and _beq(x, z):
+    def reconstructs(x):
+        if zero is not None and eq(x, z).holds:
             return True
         data = factor(x)
         acc = data.unit
         for entry in data.entries:
             for _ in range(entry.multiplicity):
                 acc = op(acc, entry.prime)
-        return _beq(acc, x)
+        return eq(acc, x).holds
 
     return _Law("factorization-reconstructs", 1, 1, reconstructs)
 
@@ -317,86 +321,88 @@ def _native_int_law(ops) -> _Law:
 
 def _laws_for(inst: StructureInstance) -> list:
     eq = inst.base.eq
-    beq = lambda a, b: eq(a, b).holds
     kinds = ancestors(inst.kind)
 
     if inst.kind in GROUP_LIKE_KINDS:
         op = inst.ops["op"]
-        laws = _op_laws(beq, op, "op", Kind.SEMIGROUP in kinds,
+        laws = _op_laws(eq, op, "op", Kind.SEMIGROUP in kinds,
                         Kind.COMMUTATIVE_SEMIGROUP in kinds,
                         inst.ops["identity"] if Kind.MONOID in kinds else None)
         if Kind.CC_MONOID in kinds:
             laws.append(_Law(
                 "cancellation-left", 3, 3,
-                lambda x, y, z: beq(y, z) or not beq(op(x, y), op(x, z))))
+                lambda x, y, z: eq(y, z).holds or not eq(op(x, y), op(x, z)).holds))
             laws.append(_Law(
                 "cancellation-right", 3, 3,
-                lambda x, y, z: beq(y, z) or not beq(op(y, x), op(z, x))))
+                lambda x, y, z: eq(y, z).holds or not eq(op(y, x), op(z, x)).holds))
         if Kind.GROUP in kinds:
             e = inst.ops["identity"]()
             inv = inst.ops["inverse"]
-            laws += _inverse_laws(beq, op, inv, e, "op", "inverse")
+            laws += _inverse_laws(eq, op, inv, e, "op", "inverse")
             laws.append(_Law(
                 "inverse-uniqueness", 2, 2,
-                lambda x, y: not beq(op(x, y), e) or beq(y, inv(x))))
+                lambda x, y: not eq(op(x, y), e).holds or eq(y, inv(x)).holds))
             laws.append(_Law(
                 "inverse-antihomomorphism", 2, 2,
-                lambda x, y: beq(inv(op(x, y)), op(inv(y), inv(x)))))
+                lambda x, y: eq(inv(op(x, y)), op(inv(y), inv(x))).holds))
         if Kind.FACTORIZATION_MONOID in kinds:
-            laws.append(_reconstructs_law(beq, op, inst.ops["factor"]))
+            laws.append(_reconstructs_law(eq, op, inst.ops["factor"]))
         return laws
 
     add = inst.ops["add"]
     zero = inst.ops["zero"]()
     mul = inst.ops["mul"]
-    laws = _op_laws(beq, add, "add", True, True, inst.ops["zero"])
-    laws += _inverse_laws(beq, add, inst.ops["neg"], zero, "add", "neg")
-    laws += _op_laws(beq, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
+    laws = _op_laws(eq, add, "add", True, True, inst.ops["zero"])
+    laws += _inverse_laws(eq, add, inst.ops["neg"], zero, "add", "neg")
+    laws += _op_laws(eq, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
                      inst.ops["one"] if Kind.RING_WITH_ONE in kinds else None)
     if Kind.RING in kinds:
         laws.append(_Law(
             "distributivity-left", 3, 3,
-            lambda x, y, z: beq(mul(x, add(y, z)), add(mul(x, y), mul(x, z)))))
+            lambda x, y, z: eq(mul(x, add(y, z)), add(mul(x, y), mul(x, z))).holds))
         laws.append(_Law(
             "distributivity-right", 3, 3,
-            lambda x, y, z: beq(mul(add(x, y), z), add(mul(x, z), mul(y, z)))))
+            lambda x, y, z: eq(mul(add(x, y), z), add(mul(x, z), mul(y, z))).holds))
     if Kind.INTEGRAL_RING in kinds:
         laws.append(_Law(
             "no-zero-divisors", 2, 2,
-            lambda x, y: beq(x, zero) or beq(y, zero) or not beq(mul(x, y), zero)))
+            lambda x, y: eq(x, zero).holds or eq(y, zero).holds
+            or not eq(mul(x, y), zero).holds))
     if "gcd" in inst.ops and "div_mod" in inst.ops and Kind.INTEGRAL_RING in kinds:
         gcd = inst.ops["gcd"]
         div_mod = inst.ops["div_mod"]
 
-        def gcd_divides(a, b, _beq=beq):
+        def gcd_divides(a, b):
             g = gcd(a, b)
-            if _beq(g, zero):
-                return _beq(a, zero) and _beq(b, zero)
-            return _beq(div_mod(a, g)[1], zero) and _beq(div_mod(b, g)[1], zero)
+            if eq(g, zero).holds:
+                return eq(a, zero).holds and eq(b, zero).holds
+            return eq(div_mod(a, g)[1], zero).holds and eq(div_mod(b, g)[1], zero).holds
 
         laws.append(_Law("gcd-divides", 2, 2, gcd_divides))
     if Kind.EUCLIDEAN_RING in kinds:
         div_mod = inst.ops["div_mod"]
         norm = inst.ops["norm"]
 
-        def division_contract(a, b, _beq=beq):
-            if _beq(b, zero):
+        def division_contract(a, b):
+            if eq(b, zero).holds:
                 return True
             q, r = div_mod(a, b)
-            return _beq(a, add(mul(q, b), r)) and (_beq(r, zero) or norm(r) < norm(b))
+            return eq(a, add(mul(q, b), r)).holds and (eq(r, zero).holds or norm(r) < norm(b))
 
         laws.append(_Law("division-contract", 2, 2, division_contract))
     if "factor" in inst.ops and Kind.RING_WITH_ONE in kinds:
-        laws.append(_reconstructs_law(beq, mul, inst.ops["factor"], inst.ops["zero"]))
+        laws.append(_reconstructs_law(eq, mul, inst.ops["factor"], inst.ops["zero"]))
     if Kind.FIELD in kinds:
         one = inst.ops["one"]()
         inv = inst.ops["inv"]
         laws.append(_Law(
             "multiplicative-inverse", 1, 1,
-            lambda x: beq(x, zero) or (beq(mul(inv(x), x), one) and beq(mul(x, inv(x)), one))))
+            lambda x: eq(x, zero).holds
+            or (eq(mul(inv(x), x), one).holds and eq(mul(x, inv(x)), one).holds)))
         laws.append(_Law(
             "congruence(inv)", 1, 2,
-            lambda x, xv: beq(x, zero) or not beq(x, xv) or beq(inv(x), inv(xv)),
+            lambda x, xv: eq(x, zero).holds or not eq(x, xv).holds
+            or eq(inv(x), inv(xv)).holds,
             uses_variant=True))
     if "native_int" in inst.ops:
         laws.append(_native_int_law(inst.ops))
@@ -426,21 +432,17 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     failures = []
     cases = 0
     for law in laws:
-        pred = law.pred
-        for tup in itertools.product(small, repeat=law.case_arity):
-            cases += 1
-            if not pred(*tup):
-                failures.append((law.name, tup))
         k = law.sample_arity
         n = max(0, min(budget, len(pool) // k))
         chunks = zip(*[iter(pool[:n * k])] * k)  # consecutive k-tuples
         if law.uses_variant:
             rng = random.Random(_law_seed(seed, law.name))
             chunks = [_congruence_case(chunk, rng, dset) for chunk in chunks]
-        cases += n
-        for tup in chunks:
-            if not pred(*tup):
-                failures.append((law.name, tup))
+        # the sweep cases, then the random ones, each evaluated by starmap
+        tups = [*itertools.product(small, repeat=law.case_arity), *chunks]
+        cases += len(tups)
+        failures += [(law.name, tup)
+                     for tup, ok in zip(tups, itertools.starmap(law.pred, tups)) if not ok]
     return LawReport(inst.kind, cases, tuple(failures))
 
 
