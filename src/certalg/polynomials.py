@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 import sys
 from collections import defaultdict
-from struct import calcsize
+from itertools import repeat
+from operator import itemgetter
+from struct import calcsize, iter_unpack
 
 from .errors import StructuralError
 from .structures import NO, YES, DSet, Kind, Record, StructureInstance
@@ -192,8 +194,9 @@ def _kronecker(ps, qs):
     raw = (pack(ps) * pack(qs) + bias).to_bytes(kb * n, "little")
     if kb in _CAST:
         slots = memoryview(raw).cast(_CAST[kb]).tolist()
-    else:
-        slots = [int.from_bytes(raw[i:i + kb], "little") for i in range(0, kb * n, kb)]
+    else:  # kb-byte fields, cut and read by C loops on any host
+        fields = map(itemgetter(0), iter_unpack(f"{kb}s", raw))
+        slots = map(int.from_bytes, fields, repeat("little"))
     return [s - half for s in slots]
 
 

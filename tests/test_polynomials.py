@@ -323,6 +323,37 @@ def test_packed_route_decodes_slot_sums_at_the_slot_limit(kb, copies, past, pack
     assert max(coeffs) == limit and min(coeffs) == -limit
 
 
+@pytest.mark.parametrize("bits", [40, 50, 60, 70, 80, 90])
+def test_packed_route_decodes_wide_slots_like_the_pair_loop(bits, kronecker_calls):
+    # products of 10 to 30 terms a side whose slots are 9 to 24 bytes wide,
+    # wider than any memoryview cast code, each against the pair loop
+    rng = random.Random(bits)
+    widths = set()
+    for n in (10, 11, 17, 30):
+        raw_p, raw_q = ([(rng.choice((1, -1)) * rng.getrandbits(bits), e) for e in range(k)]
+                        for k in (n, n + 3))
+        _check_all_routes(RING, raw_p, raw_q, kronecker_calls)
+        assert kronecker_calls
+        p, q = mk_poly(RING, raw_p), mk_poly(RING, raw_q)
+        bound = (max(abs(c) for c, _ in p.terms) * max(abs(c) for c, _ in q.terms)
+                 * min(len(p.terms), len(q.terms)))
+        widths.add(bound.bit_length() // 8 + 1)
+    assert 9 <= min(widths) and max(widths) <= 24
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 31, 64, 65, 90])
+def test_packed_route_without_cast_codes(bits, packed, monkeypatch):
+    # as on a big-endian host: no cast code, so slots of every width are
+    # read as kb-byte fields
+    monkeypatch.setattr(polynomials, "_CAST", {})
+    rng = random.Random(bits)
+
+    def draw():
+        return rng.choice((1, -1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1))
+
+    assert _random_products(RING, draw, rng, packed) > 20
+
+
 def test_sparse_products_stay_in_the_pair_loop(packed):
     p = mk_poly(RING, [(1, 10**9 + 7), (3, 5)])
     q = mk_poly(RING, [(1, 10**9), (-2, 0)])
