@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import certalg
 
-from certalg.cli import (default_seed, eval_frac, eval_int, eval_poly, main,
-                         parse_command, resolve_instance, resolve_monoid, run)
+from certalg.cli import (LAWFUL_INSTANCE_NAMES, default_seed, eval_frac, eval_int,
+                         eval_poly, main, parse_command, resolve_instance, resolve_monoid,
+                         run)
 from certalg.eqprover import (MODES, Apply, NatConst, Neg, PowSym, UnitConst, Var,
                               format_expr, parse_expr)
 from certalg.errors import (CompositeModulusError, InvalidInputError, ParseError,
@@ -743,6 +744,80 @@ ARGV_TOKENS = st.one_of(
        tokens=st.lists(ARGV_TOKENS, max_size=6), as_json=st.booleans())
 def test_every_run_ends_in_a_documented_exit_code(command, tokens, as_json):
     argv = [command, *(["--json"] if as_json else []), *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO("3 1/2 -4")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3, 4, 5, 6, 7)
+    if as_json:
+        doc, other = (out, err) if code == 0 else (err, out)
+        assert other.getvalue() == ""
+        json.loads(doc.getvalue())  # raises unless exactly one document
+
+
+def _maybe(strategy, bad):
+    """strategy's value, or about one time in ten a value from bad."""
+    return st.tuples(st.integers(0, 9), strategy, st.sampled_from(bad)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def _expr(mode):
+    return st.integers(0, 2**32).map(lambda seed: _expr_text((seed, mode)))
+
+
+def _int(lo, hi, bad=("x", "", "1.5", "1" * 5000)):
+    return _maybe(st.integers(lo, hi).map(str), bad)
+
+
+def _options(**flags):
+    """Each flag with its value, or left out, in a drawn order."""
+    pairs = [st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v]))
+             for flag, value in flags.items()]
+    return st.tuples(*pairs).flatmap(st.permutations).map(lambda ps: sum(ps, []))
+
+
+_NAMES = st.sampled_from([*LAWFUL_INSTANCE_NAMES, "nat-monus", "zmod2-ring", "zmod13-field"])
+_MONOID_NAMES = st.sampled_from(["nat-add", "nat-mul", "int-add", "bin-add", "zmod7-mul",
+                                 "zmod12-mul"])
+
+# well-formed argvs per subcommand: registered names, in-range numbers and
+# generated expressions, each value now and then swapped for a bad one
+WELL_FORMED_ARGV = st.one_of(
+    st.tuples(_maybe(st.lists(_NAMES, min_size=1, max_size=3),
+                     (["zmod1-ring"], ["zmod6-field"], ["zmod7-mul"], ["octonions"], [])),
+              _options(**{"--budget": _int(0, 40, ("-5", str(2**17))),
+                          "--sweep": _int(0, 4, ("-1",)), "--seed": _int(0, 2**31)})
+              ).map(lambda t: ["laws", *t[0], *t[1]]),
+    _int(-10**12, 10**12).map(lambda n: ["factor", "--", n]),
+    st.tuples(_int(-2**64, 2**64), _int(-2**64, 2**64)).map(
+        lambda t: ["egcd", "--", *t]),
+    _int(-10, 2**40).map(lambda n: ["isprime", "--", n]),
+    st.tuples(_int(-100, 10**4, ("0", "1", "-1", "x")), st.booleans(), _expr("int")).map(
+        lambda t: ["residue", "-m", t[0], *(["--field"] if t[1] else []), "--", t[2]]),
+    _maybe(_expr("frac"), ("1/0", "1/(2-2)", "", "2 ^ 3")).map(lambda e: ["frac", "--", e]),
+    _maybe(_expr("poly"), ("x^-1", "", "x / 2", "y")).map(lambda e: ["poly", "--", e]),
+    st.one_of(
+        st.lists(_int(-10**6, 10**6), max_size=5).map(lambda vs: ["sort", "--", *vs]),
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(-3, 9)).map(
+                 lambda t: f"{t[0]}/{t[1]}"), max_size=5).map(
+            lambda vs: ["sort", "--order", "frac", "--", *vs])),
+    st.tuples(_maybe(_MONOID_NAMES, ("zmod0-mul", "nat-monus", "int-ring")),
+              _int(-5, 300), _int(0, 2000, ("-1", "x"))).map(
+        lambda t: ["pow", t[0], "--", *t[1:]]),
+    st.tuples(_maybe(st.sampled_from(["monoid", "csr", "semiring", "commsemiring"]),
+                     ("group", "")),
+              _expr("term"), _expr("term")).map(
+        lambda t: ["prove", "--theory", t[0], "--", f"{t[1]} = {t[2]}"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=WELL_FORMED_ARGV, as_json=st.booleans())
+def test_every_well_formed_run_ends_in_a_documented_exit_code(argv, as_json):
+    argv = [argv[0], *(["--json"] if as_json else []), *argv[1:]]
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO("3 1/2 -4")
     try:
