@@ -224,6 +224,52 @@ def test_every_law_verdict_is_pinned():
         assert got == digests, name
 
 
+# sha256 over repr((a, b)) of every pair that eq receives, in call order,
+# during check_laws at seeds 1, 2 and 3 with the default budget and sweep,
+# first 16 hex digits: the contents of every case, not only the verdicts, so
+# a change to which cases are drawn, or how, shows up even when all pass
+CASE_DIGESTS = {
+    "nat-add": ("9a41383286e13a32", "8f52468d7d5c638d", "5e9108cb3dda8b1a"),
+    "nat-mul": ("4572c2b27c9d94d4", "a09bc9b112fbb708", "db74bb5942cb762e"),
+    "nat-pos-mul": ("b9d809949aa4c9e0", "9a1a2a32c215b48d", "fc423310c034ec10"),
+    "int-add": ("02bb21fb734f70ee", "9b19797220753dfd", "f4711bf788b9c905"),
+    "int-ring": ("b97256d4bb64d7fb", "31d4b185dd041f89", "fe839cf4ddd9985a"),
+    "int-ufd": ("bb4cc299cfbffe69", "b195b9ed1e745090", "a336928c92c94ae3"),
+    "nat-factor-monoid": ("2aa4f9a9faafda4c", "d177a0b0316edf04", "9ba7ee9fd1109e10"),
+    "bin-add": ("d71bcf341c65203d", "69c01a3af77b7874", "c10d3a3172a1c2e8"),
+    "frac-field": ("d7343430f9373710", "23ab50cdf3ffa54b", "1d8d970f1c68b5c9"),
+    "poly-int-add": ("f79650d8133b89b7", "0ca495dd67fc3826", "59f1cbec8ba1dbbe"),
+    "poly-zmod7-add": ("855ac8132dc36cb1", "47fac80c6cfa017d", "3705fad376888786"),
+    "zmod6-ring": ("e452ac1906177dd7", "01a01fbb2c1529f9", "40a35fbe72ce6416"),
+    "zmod12-ring": ("a533015b81925cdb", "b7f39e039c911b4a", "e6e54d401a012ee9"),
+    "zmod7-field": ("e2efcddaa0ffdf74", "7983bb74d86dc744", "bf1f92c843f9556b"),
+    "zmod97-field": ("8d43505ea0bc87f5", "bbdefc7f7de77f50", "6f4034ddb22fdfca"),
+    "nat-monus": ("9bbfd6a0da14c438", "df637b35cb98779f", "6a16dc3ff3d6c29b"),
+}
+
+
+def _eq_digest(inst, seed):
+    """check_laws on inst rebuilt through the public constructors, with an eq
+    that hashes each argument pair before it decides."""
+    base = inst.base
+    h = hashlib.sha256()
+
+    def eq(a, b):
+        h.update(repr((a, b)).encode())
+        return base.eq(a, b)
+
+    dset = DSet(base.name, eq, base.sample, base.enumeration, base.variants)
+    check_laws(StructureInstance(inst.kind, dset, inst.ops, inst.name), seed=seed)
+    return h.hexdigest()[:16]
+
+
+def test_every_law_case_is_pinned():
+    assert set(CASE_DIGESTS) == {*LAWFUL_INSTANCE_NAMES, "nat-monus"}
+    for name, digests in CASE_DIGESTS.items():
+        inst = resolve_instance(name)
+        assert tuple(_eq_digest(inst, seed) for seed in (1, 2, 3)) == digests, name
+
+
 # ============================================================
 # ring laws against deliberately broken rings
 # ============================================================
