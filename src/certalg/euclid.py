@@ -524,7 +524,7 @@ def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
         # a fresh object on purpose, so congruence laws compare two
         # distinct residues with equal values
         k = rng.randrange(1, 6)
-        return [Residue(b, rem(add(x.value, mul(k, b))))]
+        return Residue(b, rem(add(x.value, mul(k, b))))
 
     return DSet(f"{ring.base.name}/({b})", eq, seeded(lambda rng: res(rem(_mixed_int(rng)))),
                 enumeration, variants)

@@ -208,7 +208,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
 
     def variants(x, rng):
         k = rng.randrange(2, 6)
-        return [mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))]
+        return mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))
 
     dset = DSet(f"frac({ring.base.name})", eq, seeded(draw), tuple(enum), variants)
     ops = {

@@ -243,7 +243,7 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
         raw = list(p.terms)
         rng.shuffle(raw)
         raw.append((zero, rng.randrange(0, 13)))
-        return [mk_poly(ring, raw)]
+        return mk_poly(ring, raw)
 
     dset = DSet(f"poly({ring.base.name})", eq, sample, tuple(enum), variants)
     ops = {

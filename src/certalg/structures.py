@@ -164,12 +164,12 @@ class DSet(Record):
     eq(a, b) returns a Decision; sample(seed, count) returns a list of count
     elements. enumeration, when present, is a bounded tuple of carrier
     elements used for exhaustive law sweeps. variants, when present, maps an
-    element and a random.Random to a list of eq-equal elements built through
-    a different construction path; a congruence case takes a single one as
-    it is and draws among several. Each shipped carrier returns one whose
-    value reduces back to x (rem(v + k*b), mk_fraction(num*k, den*k), mk_poly
-    over shuffled terms), so its congruence laws catch only an op that tells
-    equal objects apart by identity.
+    element x and a random.Random to one element eq-equal to x, built through
+    a different construction path; a congruence case pairs x with it. Each
+    shipped carrier returns one whose value reduces back to x (rem(v + k*b),
+    mk_fraction(num*k, den*k), mk_poly over shuffled terms), so its
+    congruence laws catch only an op that tells equal objects apart by
+    identity.
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")
@@ -232,56 +232,51 @@ class LawReport(Record):
 
 
 class _Law(Record):
-    # sample_arity: fresh samples consumed per random case; case_arity:
-    # elements in a stored counterexample tuple; uses_variant: a congruence
-    # law splices an eq-equal variant in as the second element
-    __slots__ = ("name", "sample_arity", "case_arity", "pred", "uses_variant")
+    # sample_arity: fresh samples consumed per random case; uses_variant: a
+    # congruence law splices an eq-equal variant in as the second element
+    __slots__ = ("name", "sample_arity", "pred", "uses_variant")
     _defaults = (False,)
 
-
-def _congruence_case(chunk, rng, dset):
-    x = chunk[0]
-    options = dset.variants(x, rng) if dset.variants is not None else ()
-    if len(options) > 1:  # a single variant is taken as it is, without a draw
-        xv = options[rng.randrange(len(options))]
-    else:
-        xv = options[0] if options else x
-    return (x, xv) + chunk[1:]
+    @property
+    def case_arity(self) -> int:
+        """Elements in a case, and so in a stored counterexample tuple."""
+        return self.sample_arity + self.uses_variant
 
 
 def _op_laws(eq, op, tag, assoc, comm, identity=None) -> list:
     """congruence(tag), plus associativity, commutativity and, given the identity
     role's thunk, identity. Callers gate on the kind: an identity may be None."""
     laws = [_Law(
-        f"congruence({tag})", 2, 3,
+        f"congruence({tag})", 2,
         lambda x, xv, y: not eq(x, xv).holds
         or (eq(op(x, y), op(xv, y)).holds and eq(op(y, x), op(y, xv)).holds),
         uses_variant=True)]
     if assoc:
         laws.append(_Law(
-            f"associativity({tag})", 3, 3,
+            f"associativity({tag})", 3,
             lambda x, y, z: eq(op(op(x, y), z), op(x, op(y, z))).holds))
     if comm:
         laws.append(_Law(
-            f"commutativity({tag})", 2, 2,
+            f"commutativity({tag})", 2,
             lambda x, y: eq(op(x, y), op(y, x)).holds))
     if identity is not None:
         e = identity()
         laws.append(_Law(
-            f"identity({tag})", 1, 1,
+            f"identity({tag})", 1,
             lambda x: eq(op(e, x), x).holds and eq(op(x, e), x).holds))
     return laws
 
 
-def _inverse_laws(eq, op, inv, e, tag, inv_tag) -> list:
-    """inv(x) is a two-sided inverse of x under op with identity e."""
-    return [
-        _Law(f"inverse({tag})", 1, 1,
-             lambda x: eq(op(inv(x), x), e).holds and eq(op(x, inv(x)), e).holds),
-        _Law(f"congruence({inv_tag})", 1, 2,
-             lambda x, xv: not eq(x, xv).holds or eq(inv(x), inv(xv)).holds,
-             uses_variant=True),
-    ]
+def _inverse_laws(eq, op, inv, e, name, congruence_name, zero=None) -> list:
+    """inv(x) is a two-sided inverse of x under op with identity e, and inv
+    respects eq. Given the zero role's thunk, as a field's inv, zero is skipped."""
+    inverse = lambda x: eq(op(inv(x), x), e).holds and eq(op(x, inv(x)), e).holds
+    congruent = lambda x, xv: not eq(x, xv).holds or eq(inv(x), inv(xv)).holds
+    if zero is not None:  # a field's laws wrap these; the hot group and ring ones stay flat
+        z, on_nonzero, congruent_on_nonzero = zero(), inverse, congruent
+        inverse = lambda x: eq(x, z).holds or on_nonzero(x)
+        congruent = lambda x, xv: eq(x, z).holds or congruent_on_nonzero(x, xv)
+    return [_Law(name, 1, inverse), _Law(congruence_name, 1, congruent, uses_variant=True)]
 
 
 def _reconstructs_law(eq, op, factor, zero=None) -> _Law:
@@ -299,7 +294,7 @@ def _reconstructs_law(eq, op, factor, zero=None) -> _Law:
                 acc = op(acc, entry.prime)
         return eq(acc, x).holds
 
-    return _Law("factorization-reconstructs", 1, 1, reconstructs)
+    return _Law("factorization-reconstructs", 1, reconstructs)
 
 
 def _native_int_law(ops) -> _Law:
@@ -316,7 +311,7 @@ def _native_int_law(ops) -> _Law:
         return (got == want and {*map(type, got)} == {int}
                 and ops["is_unit"](x) == (x in (1, -1)))
 
-    return _Law("native-int", 2, 2, agrees)
+    return _Law("native-int", 2, agrees)
 
 
 def _laws_for(inst: StructureInstance) -> list:
@@ -330,20 +325,20 @@ def _laws_for(inst: StructureInstance) -> list:
                         inst.ops["identity"] if Kind.MONOID in kinds else None)
         if Kind.CC_MONOID in kinds:
             laws.append(_Law(
-                "cancellation-left", 3, 3,
+                "cancellation-left", 3,
                 lambda x, y, z: eq(y, z).holds or not eq(op(x, y), op(x, z)).holds))
             laws.append(_Law(
-                "cancellation-right", 3, 3,
+                "cancellation-right", 3,
                 lambda x, y, z: eq(y, z).holds or not eq(op(y, x), op(z, x)).holds))
         if Kind.GROUP in kinds:
             e = inst.ops["identity"]()
             inv = inst.ops["inverse"]
-            laws += _inverse_laws(eq, op, inv, e, "op", "inverse")
+            laws += _inverse_laws(eq, op, inv, e, "inverse(op)", "congruence(inverse)")
             laws.append(_Law(
-                "inverse-uniqueness", 2, 2,
+                "inverse-uniqueness", 2,
                 lambda x, y: not eq(op(x, y), e).holds or eq(y, inv(x)).holds))
             laws.append(_Law(
-                "inverse-antihomomorphism", 2, 2,
+                "inverse-antihomomorphism", 2,
                 lambda x, y: eq(inv(op(x, y)), op(inv(y), inv(x))).holds))
         if Kind.FACTORIZATION_MONOID in kinds:
             laws.append(_reconstructs_law(eq, op, inst.ops["factor"]))
@@ -353,19 +348,19 @@ def _laws_for(inst: StructureInstance) -> list:
     zero = inst.ops["zero"]()
     mul = inst.ops["mul"]
     laws = _op_laws(eq, add, "add", True, True, inst.ops["zero"])
-    laws += _inverse_laws(eq, add, inst.ops["neg"], zero, "add", "neg")
+    laws += _inverse_laws(eq, add, inst.ops["neg"], zero, "inverse(add)", "congruence(neg)")
     laws += _op_laws(eq, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
                      inst.ops["one"] if Kind.RING_WITH_ONE in kinds else None)
     if Kind.RING in kinds:
         laws.append(_Law(
-            "distributivity-left", 3, 3,
+            "distributivity-left", 3,
             lambda x, y, z: eq(mul(x, add(y, z)), add(mul(x, y), mul(x, z))).holds))
         laws.append(_Law(
-            "distributivity-right", 3, 3,
+            "distributivity-right", 3,
             lambda x, y, z: eq(mul(add(x, y), z), add(mul(x, z), mul(y, z))).holds))
     if Kind.INTEGRAL_RING in kinds:
         laws.append(_Law(
-            "no-zero-divisors", 2, 2,
+            "no-zero-divisors", 2,
             lambda x, y: eq(x, zero).holds or eq(y, zero).holds
             or not eq(mul(x, y), zero).holds))
     if "gcd" in inst.ops and "div_mod" in inst.ops and Kind.INTEGRAL_RING in kinds:
@@ -378,7 +373,7 @@ def _laws_for(inst: StructureInstance) -> list:
                 return eq(a, zero).holds and eq(b, zero).holds
             return eq(div_mod(a, g)[1], zero).holds and eq(div_mod(b, g)[1], zero).holds
 
-        laws.append(_Law("gcd-divides", 2, 2, gcd_divides))
+        laws.append(_Law("gcd-divides", 2, gcd_divides))
     if Kind.EUCLIDEAN_RING in kinds:
         div_mod = inst.ops["div_mod"]
         norm = inst.ops["norm"]
@@ -389,21 +384,12 @@ def _laws_for(inst: StructureInstance) -> list:
             q, r = div_mod(a, b)
             return eq(a, add(mul(q, b), r)).holds and (eq(r, zero).holds or norm(r) < norm(b))
 
-        laws.append(_Law("division-contract", 2, 2, division_contract))
+        laws.append(_Law("division-contract", 2, division_contract))
     if "factor" in inst.ops and Kind.RING_WITH_ONE in kinds:
         laws.append(_reconstructs_law(eq, mul, inst.ops["factor"], inst.ops["zero"]))
     if Kind.FIELD in kinds:
-        one = inst.ops["one"]()
-        inv = inst.ops["inv"]
-        laws.append(_Law(
-            "multiplicative-inverse", 1, 1,
-            lambda x: eq(x, zero).holds
-            or (eq(mul(inv(x), x), one).holds and eq(mul(x, inv(x)), one).holds)))
-        laws.append(_Law(
-            "congruence(inv)", 1, 2,
-            lambda x, xv: eq(x, zero).holds or not eq(x, xv).holds
-            or eq(inv(x), inv(xv)).holds,
-            uses_variant=True))
+        laws += _inverse_laws(eq, mul, inst.ops["inv"], inst.ops["one"](),
+                              "multiplicative-inverse", "congruence(inv)", lambda: zero)
     if "native_int" in inst.ops:
         laws.append(_native_int_law(inst.ops))
     return laws
@@ -435,9 +421,10 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
         k = law.sample_arity
         n = max(0, min(budget, len(pool) // k))
         chunks = zip(*[iter(pool[:n * k])] * k)  # consecutive k-tuples
-        if law.uses_variant:
+        if law.uses_variant:  # (x, rest...) becomes (x, variant of x, rest...)
             rng = random.Random(_law_seed(seed, law.name))
-            chunks = [_congruence_case(chunk, rng, dset) for chunk in chunks]
+            vary = dset.variants or (lambda x, rng: x)
+            chunks = [(c[0], vary(c[0], rng)) + c[1:] for c in chunks]
         # the sweep cases, then the random ones, each evaluated by starmap
         tups = [*itertools.product(small, repeat=law.case_arity), *chunks]
         cases += len(tups)

@@ -286,7 +286,7 @@ def _value_eq(x, y):
 
 def _unreduced_variants(x, rng):
     k = rng.randint(2, 5)
-    return [Fraction(x.num * k, x.den * k)]
+    return Fraction(x.num * k, x.den * k)
 
 
 def _unreduced_fractions():

@@ -208,7 +208,7 @@ def test_congruence_violation_is_detected_via_variants():
     d = DSet(name="abs-int", eq=eq,
              sample=lambda seed, count: [((seed + i) % 7) - 3 for i in range(count)],
              enumeration=(0, 1, -1, 2, -2, 3, -3),
-             variants=lambda x, rng: [-x])
+             variants=lambda x, rng: -x)
     inst = StructureInstance(kind=Kind.MAGMA, base=d,
                              ops={"op": lambda a, b: a + b}, name="abs-add")
     report = check_laws(inst, seed=1, budget=80)
