@@ -174,8 +174,10 @@ def _kronecker(ps, qs):
     if kb * n > (len(qs) * sum(a.bit_length() // 8 + 1 for a, _ in ps)
                  + len(ps) * sum(b.bit_length() // 8 + 1 for b, _ in qs)):
         return None
-    if kb <= 8 and _CAST:
-        kb = 1 << (kb - 1).bit_length()  # 1, 2, 4 or 8: slots decode as one array
+    # a 3-byte slot widens to 4 and decodes as one array; 5 to 7 bytes stay
+    # as they are, since widening to 8 costs the product more than the cast saves
+    if kb <= 4 and _CAST:
+        kb = 1 << (kb - 1).bit_length()
 
     def pack(terms):
         low = terms[-1][1]

@@ -341,6 +341,27 @@ def test_packed_route_decodes_wide_slots_like_the_pair_loop(bits, kronecker_call
     assert 9 <= min(widths) and max(widths) <= 24
 
 
+@pytest.mark.parametrize("kb, fields", [(3, None), (5, "5s"), (6, "6s"), (7, "7s")])
+def test_packed_route_widens_only_3_byte_slots(kb, fields, kronecker_calls, monkeypatch):
+    # 3-byte slots widen to 4 and decode through a cast; 5- to 7-byte slots
+    # keep their width and decode as fields, each against the pair loop
+    formats = []
+    real = polynomials.iter_unpack
+    monkeypatch.setattr(polynomials, "iter_unpack",
+                        lambda fmt, raw: formats.append(fmt) or real(fmt, raw))
+    rng = random.Random(kb)
+    bits = (8 * kb - 8) // 2  # so the slot bound, |a| * |b| * 12, needs kb bytes
+    raw_p, raw_q = ([(rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1)), e)
+                     for e in range(k)] for k in (12, 15))
+    p, q = mk_poly(RING, raw_p), mk_poly(RING, raw_q)
+    bound = max(abs(c) for c, _ in p.terms) * max(abs(c) for c, _ in q.terms) * 12
+    assert bound.bit_length() // 8 + 1 == kb
+    _check_all_routes(RING, raw_p, raw_q, kronecker_calls)
+    assert kronecker_calls
+    if polynomials._CAST:  # a host without cast codes reads every width as fields
+        assert formats == ([fields] * 2 if fields else [])
+
+
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 31, 64, 65, 90])
 def test_packed_route_without_cast_codes(bits, packed, monkeypatch):
     # as on a big-endian host: no cast code, so slots of every width are
