@@ -147,6 +147,12 @@ def test_factorizations_equal_up_to_order_and_sign():
                                FactorEntry(3, 2, is_prime(3))))
     # (-2)^2 absorbs no sign; the explicit -1 unit makes this -36
     assert not factorizations_equal(a, c)
+    # (-3)^3 moves its sign into the unit, and a repeated prime's
+    # multiplicities add: (-3)^3 * 2 * 2 = -108 = -1 * 2^2 * 3^3
+    d = FactorizationData(1, (FactorEntry(-3, 3, is_prime(3)), FactorEntry(2, 1, is_prime(2)),
+                              FactorEntry(2, 1, is_prime(2))))
+    assert factorizations_equal(d, factor(-108))
+    assert not factorizations_equal(d, factor(108))
 
 
 def test_merge_factorizations_is_multiplicative():

@@ -11,7 +11,7 @@ from certalg.factorization import int_factorization_ring
 from certalg.fractions import (Fraction, fraction_field, inverse, is_canonical,
                                neg_fraction)
 from certalg.structures import (NO, YES, DSet, Kind, StructureInstance,
-                                _laws_for, check_laws, recheck_failure)
+                                _laws_for, check_laws, recheck_failure, seeded)
 
 
 # ============================================================
@@ -345,8 +345,11 @@ def test_broken_ring_is_reported_under_its_law(law):
 
 
 def test_a_false_native_int_claim_fails_only_the_role_law():
-    report = check_laws(BROKEN_RINGS["native-int"](), seed=1, budget=60, sweep=4)
-    assert {name for name, _ in report.failures} == {"native-int"}
+    # also on a carrier of bools: int arithmetic takes them, but they are not int
+    bools = DSet("bool", _Z.base.eq, seeded(lambda rng: rng.random() < 0.5), (False, True))
+    for inst in (BROKEN_RINGS["native-int"](), _broken(_Z, base=bools)):
+        report = check_laws(inst, seed=1, budget=60, sweep=4)
+        assert {name for name, _ in report.failures} == {"native-int"}
 
 
 # every op a native route stands in for, changed so that it leaves int

@@ -10,7 +10,8 @@ from certalg.structures import (DSet, Decision, Kind, StructureInstance,
                                 _laws_for, ancestors, check_laws,
                                 multiplicative_monoid, recheck_failure,
                                 validate_instance)
-from certalg.numbers import int_dset, nat_add_monoid, nat_dset, nat_monus_semigroup
+from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
+                             nat_monus_semigroup)
 from certalg.euclid import int_ring
 
 
@@ -218,6 +219,9 @@ def test_congruence_violation_is_detected_via_variants():
 def test_recheck_failure_rejects_unknown_law_name():
     with pytest.raises(StructuralError):
         recheck_failure(nat_add_monoid(), "no-such-law", (1, 2))
+    # a known law, but a case of the wrong arity
+    with pytest.raises(StructuralError, match="arity"):
+        recheck_failure(nat_add_monoid(), "associativity(op)", (1, 2))
 
 
 def test_recheck_of_a_passing_case_returns_false():
@@ -236,6 +240,8 @@ def test_multiplicative_monoid_of_commutative_ring():
     assert m.ops["op"](6, 7) == 42
     assert m.ops["identity"]() == 1
     assert check_laws(m, seed=1, budget=80).ok
+    with pytest.raises(StructuralError):  # a group has no mul to take
+        multiplicative_monoid(int_add_group())
 
 
 @pytest.mark.parametrize("make", [int_ring, nat_monus_semigroup])
