@@ -269,7 +269,7 @@ def _op_laws(eq, op, tag, assoc, comm, identity=None) -> list:
 
 def _inverse_laws(eq, op, inv, e, name, congruence_name, zero=None) -> list:
     """inv(x) is a two-sided inverse of x under op with identity e, and inv
-    respects eq. Given the zero role's thunk, as a field's inv, zero is skipped."""
+    respects eq. A field passes its zero role's thunk, and zero is skipped."""
     inverse = lambda x: eq(op(inv(x), x), e).holds and eq(op(x, inv(x)), e).holds
     congruent = lambda x, xv: not eq(x, xv).holds or eq(inv(x), inv(xv)).holds
     if zero is not None:  # a field's laws wrap these; the hot group and ring ones stay flat
