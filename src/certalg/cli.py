@@ -9,10 +9,9 @@ JSON document, for errors too (on stderr, parse errors included).
 Integers obey the interpreter's digit limit for int <-> str conversion
 (sys.get_int_max_str_digits(), 4300 by default): a longer literal is a parse
 error (exit 2); a longer result is exit 7 (`pow nat-mul` refuses it upfront).
-`poly` refuses (exit 7) a product with more than 2^16 term pairs over more
-than 2^16 exponents. `prove` refuses (exit 7) a product of normal forms whose
-term counts multiply past 2^16, and a sum whose normal form has more than
-2^16 terms. `laws --budget` is at most 2^16 (exit 2).
+The products of one `poly` expression, and of each side of `prove`, share
+one errors.Fuel of eqprover.MAX_TERM_PAIRS term pairs; past it, exit 7.
+`laws --budget` is at most 2^16 (exit 2).
 
 Exit codes: 0 ok, 2 usage or parse error, 3 division by zero, 4 composite
 modulus where a prime is required, 5 law failures found, 6 structural
@@ -29,7 +28,7 @@ import re
 import sys
 from functools import partial
 
-from .errors import (CompositeModulusError, InvalidInputError, ParseError,
+from .errors import (CompositeModulusError, Fuel, InvalidInputError, ParseError,
                      StructuralError)
 from .euclid import (Residue, extended_gcd, int_ring, is_prime, make_residue,
                      residue_field, residue_ring, verify_bezout)
@@ -78,24 +77,6 @@ def _fold(ops, numeral, node, power=None):
                     "/": lambda a, b: mul(a, ops["inv"](b))}, leaf, node)
 
 
-# A product has at most min(term pairs, exponent slots) terms. Past this many
-# of both, a `poly` input such as (1 + x)*(1 + x^2)*...*(1 + x^(2^(k-1)))
-# grows fourfold per two more factors, so the product is refused unmade.
-_MAX_POLY_PRODUCT = 1 << 16
-
-
-def _bounded_poly_mul(p, q):
-    from .polynomials import poly_mul
-    if p.terms and q.terms:
-        pairs = len(p.terms) * len(q.terms)
-        slots = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
-        if min(pairs, slots) > _MAX_POLY_PRODUCT:
-            raise InvalidInputError(
-                f"polynomial product too large: {pairs} term pairs over {slots} "
-                f"exponents, both more than 2^16")
-    return poly_mul(p, q)
-
-
 def eval_int(node) -> int:
     return _fold(int_ring().ops, int, node)
 
@@ -106,8 +87,22 @@ def eval_frac(node):
 
 
 def eval_poly(node):
-    from .polynomials import mk_poly, poly_add, poly_neg
-    return _fold({"add": poly_add, "neg": poly_neg, "mul": _bounded_poly_mul},
+    """node as a polynomial over the integers. A product has at most
+    min(term pairs, exponent slots) terms and spends that many of the
+    expression's one fuel of MAX_TERM_PAIRS: (1 + x)*(1 + x^2)*...*(1 + x^(2^(k-1)))
+    grows fourfold per two more factors, so past the fuel it is refused unmade."""
+    from .eqprover import MAX_TERM_PAIRS, _too_large
+    from .polynomials import mk_poly, poly_add, poly_mul, poly_neg
+    fuel = Fuel(MAX_TERM_PAIRS)
+
+    def mul(p, q):
+        if p.terms and q.terms:
+            pairs = len(p.terms) * len(q.terms)
+            slots = p.terms[0][1] - p.terms[-1][1] + q.terms[0][1] - q.terms[-1][1] + 1
+            fuel.spend(min(pairs, slots), _too_large)
+        return poly_mul(p, q)
+
+    return _fold({"add": poly_add, "neg": poly_neg, "mul": mul},
                  lambda n: mk_poly(int_ring(), [(n, 0)]), node,
                  lambda k: mk_poly(int_ring(), [(1, k)]))
 

@@ -15,9 +15,9 @@ commsemiring: commutative multiplication; normal forms are coefficiented
 monomial sums (monomials sorted by degree then lexicographically).
 
 prove_eq answers Yes exactly when both normal forms coincide, which for
-these free theories is provability. A product whose factors' term counts
-multiply past MAX_PRODUCT_TERMS, or a sum whose normal form has more terms
-than that, raises InvalidInputError. eval_nat, eval_word and eval_mat2 are
+these free theories is provability. The products of one normalize call
+build at most MAX_TERM_PAIRS term pairs, spent from one errors.Fuel; past
+it, InvalidInputError is raised. eval_nat, eval_word and eval_mat2 are
 models in which a refuted equation can be checked to fail.
 """
 
@@ -27,7 +27,7 @@ import operator
 import re
 from functools import partial
 
-from .errors import InvalidInputError, ParseError, StructuralError
+from .errors import Fuel, ParseError, StructuralError
 from .numbers import _literal
 from .structures import Decision, Record
 
@@ -248,10 +248,11 @@ def format_expr(node) -> str:
 # ---------------------------------------------------------------------------
 # normal forms
 
-# (x+y)^n has 2^n words in the semiring theory; past this many term pairs a
-# product, and past this many terms a sum, is refused rather than expanded
-# until memory runs out
-MAX_PRODUCT_TERMS = 1 << 16
+# (x+y)^n has 2^n words in the semiring theory. The products of one normalize
+# call, or of one `poly` expression, build at most this many term pairs, or
+# are refused rather than expanded until memory runs out: a 16-factor product
+# of binomials takes 2^17 - 4 and answers, a 17-factor one 2^18 - 4.
+MAX_TERM_PAIRS = 3 << 16
 
 
 class NormalForm(Record):
@@ -298,19 +299,16 @@ def _poly_add(lp: dict, rp: dict) -> dict:
     out = dict(lp)
     for k, c in rp.items():
         out[k] = out.get(k, 0) + c
-    if len(out) > MAX_PRODUCT_TERMS:
-        raise InvalidInputError(
-            f"normal form too large: a sum of {len(lp)} and {len(rp)} terms "
-            f"has more than {MAX_PRODUCT_TERMS} terms")
     return out
 
 
-def _poly_mul(commutative: bool):
+def _too_large() -> str:
+    return f"expression too large: its products take more than {MAX_TERM_PAIRS} term pairs"
+
+
+def _poly_mul(commutative: bool, fuel: Fuel):
     def mul(lp: dict, rp: dict) -> dict:
-        if len(lp) * len(rp) > MAX_PRODUCT_TERMS:
-            raise InvalidInputError(
-                f"normal form too large: a product of {len(lp)} by {len(rp)} terms "
-                f"makes more than {MAX_PRODUCT_TERMS} term pairs")
+        fuel.spend(len(lp) * len(rp), _too_large)
         out = {}
         for k1, c1 in lp.items():
             for k2, c2 in rp.items():
@@ -322,17 +320,16 @@ def _poly_mul(commutative: bool):
 
 
 _WORDS = {"*": operator.add}
-_POLYS = {theory: {"+": _poly_add, "*": _poly_mul(theory == "commsemiring")}
-          for theory in ("semiring", "commsemiring")}
 
 
 def normalize(theory: str, t: Term) -> NormalForm:
-    if theory != "monoid" and theory not in _POLYS:
+    if theory not in ("monoid", "semiring", "commsemiring"):
         raise StructuralError(f"unknown theory {theory!r}")
     try:
         if theory == "monoid":
             return NormalForm(theory, eval_in(_WORDS, _letter, t))
-        poly = eval_in(_POLYS[theory], _monomial, t)
+        mul = _poly_mul(theory == "commsemiring", Fuel(MAX_TERM_PAIRS))
+        poly = eval_in({"+": _poly_add, "*": mul}, _monomial, t)
     except KeyError as e:  # the first operator the theory's table lacks
         where = "monoid theory" if theory == "monoid" else "semiring theories"
         raise StructuralError(f"operator {e.args[0]!r} outside the {where}") from None

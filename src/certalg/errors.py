@@ -1,4 +1,5 @@
-"""Shared error types. Division-by-zero conditions raise the builtin ZeroDivisionError."""
+"""Shared error types, and Fuel, the bound on the work one call may do.
+Division-by-zero conditions raise the builtin ZeroDivisionError."""
 
 
 class CertAlgError(Exception):
@@ -12,7 +13,24 @@ class StructuralError(CertAlgError):
 
 class InvalidInputError(CertAlgError):
     """A precondition on the input data failed: forged witness, primality
-    query on |n| <= 1, non-canonical bit list, zero or invertible modulus."""
+    query on |n| <= 1, non-canonical bit list, zero or invertible modulus,
+    a call that runs out of Fuel."""
+
+
+class Fuel:
+    """The work left to one top-level call, in its caller's unit (rho
+    word-steps, term pairs), so that input causes at most limit units."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit: int):
+        self.left = limit
+
+    def spend(self, cost: int, reason):
+        """Past zero, raise InvalidInputError(reason()) before the step runs."""
+        self.left -= cost
+        if self.left < 0:
+            raise InvalidInputError(reason())
 
 
 class CompositeModulusError(CertAlgError):

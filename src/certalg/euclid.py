@@ -14,8 +14,9 @@ Pollard rho in Brent's variant finds a composite's divisor. A 'prime'
 verdict above the bound carries a Pratt certificate (Pratt, SIAM J. Comput.
 1975): a base of order p-1 plus the prime factors of p-1 as FactorEntry
 values, which verify_primality checks with certified_product and modular
-powers alone. Rho work is bounded by RHO_FUEL word-steps per call; past it,
-InvalidInputError is raised rather than an uncertified verdict returned.
+powers alone. Rho work is bounded by one errors.Fuel of RHO_FUEL word-steps
+per call; past it, InvalidInputError is raised rather than an uncertified
+verdict returned.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import compress, count
 
-from .errors import CompositeModulusError, InvalidInputError
+from .errors import CompositeModulusError, Fuel, InvalidInputError
 from .structures import NO, YES, DSet, Kind, Record, StructureInstance, seeded
 from .numbers import int_dset, _mixed_int
 
@@ -240,39 +241,25 @@ def _miller_rabin(m: int) -> bool:
     return True
 
 
-class _Fuel:
-    """Pollard-rho work left to one is_prime or factor call, in word-steps:
-    one rho step on a number of k 64-bit words costs k."""
-
-    __slots__ = ("left",)
-
-    def __init__(self):
-        self.left = RHO_FUEL
-
-    def spend(self, cost: int, m: int):
-        self.left -= cost
-        if self.left < 0:
-            raise InvalidInputError(
-                f"{m} is composite, but Pollard rho ran out of fuel "
-                f"({RHO_FUEL} word-steps) before finding a divisor")
-
-
-def _rho(m: int, fuel: _Fuel) -> int:
+def _rho(m: int, fuel: Fuel) -> int:
     """A proper divisor of the composite m: Pollard rho, Brent's variant,
-    with gcds taken over batches of 128 steps."""
+    with gcds taken over batches of 128 steps. A step on a number of k
+    64-bit words costs k of the fuel."""
     words = (m.bit_length() + 63) // 64
+    reason = partial("{} is composite, but Pollard rho ran out of fuel ({} word-steps) "
+                     "before finding a divisor".format, m, RHO_FUEL)
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            fuel.spend(r * words, m)
+            fuel.spend(r * words, reason)
             for _ in range(r):
                 y = (y * y + c) % m
             k = 0
             while k < r and g == 1:
                 ys = y
                 steps = min(128, r - k)
-                fuel.spend(steps * words, m)
+                fuel.spend(steps * words, reason)
                 for _ in range(steps):
                     y = (y * y + c) % m
                     q = q * abs(x - y) % m
@@ -308,13 +295,13 @@ def is_prime(n: int) -> PrimalityCert:
         return _composite(n, d)
     if m < TRIAL_BOUND:
         return PrimalityCert(n, "prime")
-    fuel = _Fuel()
+    fuel = Fuel(RHO_FUEL)
     if _miller_rabin(m):
         return PrimalityCert(n, "prime", pratt=_pratt(m, fuel))
     return _composite(n, _rho(m, fuel))
 
 
-def _prime_factors(m: int, fuel: _Fuel) -> list:
+def _prime_factors(m: int, fuel: Fuel) -> list:
     """Sorted (prime, multiplicity) pairs of m >= 1: small primes first, then
     Miller-Rabin to keep a prime part and Pollard rho to split the rest."""
     counts = {}
@@ -340,7 +327,7 @@ def _prime_factors(m: int, fuel: _Fuel) -> list:
     return sorted(counts.items())
 
 
-def _certified_factors(m: int, fuel: _Fuel) -> tuple:
+def _certified_factors(m: int, fuel: Fuel) -> tuple:
     out = []
     for q, e in _prime_factors(m, fuel):
         out.append(FactorEntry(q, e, PrimalityCert(q, "prime", pratt=_pratt(q, fuel)
@@ -352,10 +339,10 @@ def certified_factors(m: int) -> tuple:
     """The FactorEntry values of m >= 1, by increasing prime. Each prime is
     certified once. Raises InvalidInputError when rho runs out of fuel on m
     or on some p-1 a certificate needs."""
-    return _certified_factors(m, _Fuel())
+    return _certified_factors(m, Fuel(RHO_FUEL))
 
 
-def _pratt(p: int, fuel: _Fuel) -> PrattCertificate:
+def _pratt(p: int, fuel: Fuel) -> PrattCertificate:
     factors = _certified_factors(p - 1, fuel)
     exponents = [(p - 1) // q for q, _, _ in factors]
     for a in range(2, _PRATT_BASE_LIMIT):

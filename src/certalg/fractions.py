@@ -29,6 +29,14 @@ class Fraction(Record):
         return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
 
 
+def _canon(ring: StructureInstance, n, d) -> Fraction:
+    """n/d with the canonical unit of d multiplied into both fields."""
+    c = ring.ops["canon_unit"](d)
+    if ring.base.eq(c, ring.ops["one"]()).holds:
+        return Fraction(n, d)
+    return Fraction(ring.ops["mul"](c, n), ring.ops["mul"](c, d))
+
+
 def mk_fraction(ring: StructureInstance, n, d) -> Fraction:
     if "native_int" in ring.ops:
         if d == 0:
@@ -47,18 +55,12 @@ def mk_fraction(ring: StructureInstance, n, d) -> Fraction:
         raise ZeroDivisionError("zero denominator")
     if eq(n, zero).holds:
         return Fraction(zero, one)
-    gcd = ring.ops["gcd"]
     dm = ring.ops["div_mod"]
-    mul = ring.ops["mul"]
-    g = gcd(n, d)
+    g = ring.ops["gcd"](n, d)
     if not ring.ops["is_unit"](g):
         n = dm(n, g)[0]
         d = dm(d, g)[0]
-    c = ring.ops["canon_unit"](d)
-    if not eq(c, one).holds:
-        n = mul(c, n)
-        d = mul(c, d)
-    return Fraction(n, d)
+    return _canon(ring, n, d)
 
 
 def is_canonical(ring: StructureInstance, x: Fraction) -> bool:
@@ -119,11 +121,7 @@ def add_optimized(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
     if not ring.ops["is_unit"](g2):
         num = dm(num, g2)[0]
         den = dm(den, g2)[0]
-    c = ring.ops["canon_unit"](den)
-    if not eq(c, one).holds:
-        num = mul(c, num)
-        den = mul(c, den)
-    return Fraction(num, den)
+    return _canon(ring, num, den)
 
 
 def mul_fractions(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction:
@@ -150,13 +148,7 @@ def mul_fractions(ring: StructureInstance, x: Fraction, y: Fraction) -> Fraction
     d2 = dm(y.den, g1)[0]
     n2 = dm(y.num, g2)[0]
     d1 = dm(x.den, g2)[0]
-    num = mul(n1, n2)
-    den = mul(d1, d2)
-    c = ring.ops["canon_unit"](den)
-    if not eq(c, one).holds:
-        num = mul(c, num)
-        den = mul(c, den)
-    return Fraction(num, den)
+    return _canon(ring, mul(n1, n2), mul(d1, d2))
 
 
 def neg_fraction(ring: StructureInstance, x: Fraction) -> Fraction:
@@ -171,12 +163,7 @@ def inverse(ring: StructureInstance, x: Fraction) -> Fraction:
     eq = ring.base.eq
     if eq(x.num, ring.ops["zero"]()).holds:
         raise ZeroDivisionError("inverse of zero fraction")
-    one = ring.ops["one"]()
-    mul = ring.ops["mul"]
-    c = ring.ops["canon_unit"](x.num)
-    if not eq(c, one).holds:
-        return Fraction(mul(c, x.den), mul(c, x.num))
-    return Fraction(x.den, x.num)
+    return _canon(ring, x.den, x.num)
 
 
 @lru_cache(maxsize=None)

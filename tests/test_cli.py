@@ -575,6 +575,40 @@ def test_hang_guard_poly_product_past_the_bound_is_refused(k):
     assert doc["error"] == "invalid-input" and "too large" in doc["message"]
 
 
+def _binomial_product(k):
+    """(a0 + b0)*(a1 + b1)*...: 2^k monomials from 2^(k+1) - 4 term pairs."""
+    return "*".join(f"(a{i} + b{i})" for i in range(k))
+
+
+def _balanced_sum(term, size):
+    """Copies of (term) summed to about size characters, paired level by
+    level so that the sum stays within the parser's depth limit."""
+    items = [f"({term})"] * (size // (len(term) + 5))
+    while len(items) > 1:
+        items = [f"({' + '.join(items[i:i + 2])})" for i in range(0, len(items), 2)]
+    return items[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "--theory", "csr", " + ".join([f"({_binomial_product(16)})"] * 8) + " = x"),
+    ("poly", " + ".join([f"({_doubling_product(16)})"] * 8)),
+    ("prove", "--theory", "csr", _balanced_sum(_binomial_product(16), 100_000) + " = x"),
+    ("poly", _balanced_sum(_doubling_product(16), 100_000)),
+    ("poly", f"({_doubling_product(16)}) + ({_doubling_product(16)})"),
+], ids=["prove-8-copies", "poly-8-copies", "prove-100kb", "poly-100kb", "poly-2-copies"])
+def test_hang_guard_one_fuel_bounds_the_products_of_a_whole_expression(argv):
+    # each copy answers alone; together they pass the one limit of the call
+    code, doc = _cli(*argv)
+    assert code == 7
+    assert doc["error"] == "invalid-input" and "too large" in doc["message"]
+
+
+def test_hang_guard_each_side_of_prove_has_its_own_fuel():
+    p16 = _binomial_product(16)
+    code, doc = _cli("prove", "--theory", "csr", f"{p16} = {p16}")
+    assert code == 0 and doc["verdict"] is True
+
+
 def test_poly_bound_takes_the_fewer_of_term_pairs_and_exponents():
     # 512 by 512 terms over 1023 exponents: dense, so it answers
     p = f"({_doubling_product(9)})"

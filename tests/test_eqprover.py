@@ -1,5 +1,6 @@
 """Equational provers by normalization and their soundness models."""
 
+import functools
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 import certalg
 from certalg import eqprover
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
+from certalg.eqprover import (MAT_CANDIDATES, Var, eval_mat2, eval_nat, eval_word,
                               normalize, prove_eq, term_vars)
 from eq_corpus import CORPUS, add, e, mul, nat, x, y, z
 
@@ -190,15 +191,18 @@ def test_prover_error_texts_are_pinned(theory, lhs, message):
     assert str(exc.value) == message
 
 
-def test_a_sum_past_the_term_bound_is_refused(monkeypatch):
-    monkeypatch.setattr(eqprover, "MAX_PRODUCT_TERMS", 4)
-    four = add(add(x, y), add(z, nat(1)))
+def test_one_normalize_call_spends_one_fuel_of_term_pairs(monkeypatch):
+    monkeypatch.setattr(eqprover, "MAX_TERM_PAIRS", 4)
+    four = mul(add(x, y), add(z, nat(1)))
     assert len(normalize("commsemiring", four).body) == 4
-    assert len(normalize("commsemiring", add(four, add(x, nat(2)))).body) == 4
+    # the same call's next product, of one more term pair, passes the limit
     with pytest.raises(InvalidInputError, match="too large"):
-        normalize("commsemiring", add(four, mul(x, y)))
+        normalize("commsemiring", mul(four, x))
     with pytest.raises(InvalidInputError, match="too large"):
-        normalize("semiring", add(mul(x, y), four))
+        normalize("semiring", add(four, mul(x, y)))
+    # sums spend nothing: a sum of more monomials than the limit answers
+    many = functools.reduce(add, map(Var, "abcdefgh"))
+    assert len(normalize("commsemiring", many).body) == 8
 
 
 def test_hang_guard_mat2_reads_a_numeral_in_one_step():
