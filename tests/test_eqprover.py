@@ -195,7 +195,7 @@ def test_one_normalize_call_spends_one_fuel_of_term_pairs(monkeypatch):
     monkeypatch.setattr(eqprover, "MAX_TERM_PAIRS", 4)
     four = mul(add(x, y), add(z, nat(1)))
     assert len(normalize("commsemiring", four).body) == 4
-    # the same call's next product, of one more term pair, passes the limit
+    # the same call's next product, of 4 more pairs, passes the limit
     with pytest.raises(InvalidInputError, match="too large"):
         normalize("commsemiring", mul(four, x))
     with pytest.raises(InvalidInputError, match="too large"):
