@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
+from roles import without_roles
 from certalg.cli import LAWFUL_INSTANCE_NAMES, resolve_instance
 from certalg.euclid import int_ring, residue_ring
 from certalg.factorization import int_factorization_ring
@@ -268,6 +270,46 @@ def test_every_law_case_is_pinned():
     for name, digests in CASE_DIGESTS.items():
         inst = resolve_instance(name)
         assert tuple(_eq_digest(inst, seed) for seed in (1, 2, 3)) == digests, name
+
+
+# sha256 of repr(rng.getstate()) after one variants(x, rng) call for each x
+# of sample(seed, 64), with rng = random.Random(seed), for seeds 1, 2 and 3,
+# first 16 hex digits. A variant has x's repr, so CASE_DIGESTS cannot see how
+# it was drawn; the generator's state after the draws pins every draw. Beside
+# the roster's carriers: Z/(257), past the interned tables, and Z/(12) over
+# the integers without native_int, whose residues take the generic route.
+VARIANT_STATE_DIGESTS = {
+    "frac-field": ("4053d77b313a6de8", "ed32975077fc8f5d", "a94ef486e2644d3b"),
+    "poly-int-add": ("d62d7f8898bbf574", "f068a88f88407128", "85310e3b8e209726"),
+    "poly-zmod7-add": ("70bfcd25770450ca", "ea3ee0e6a07bbae0", "7360d572d93dc714"),
+    "zmod6-ring": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+    "zmod12-ring": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+    "zmod7-field": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+    "zmod97-field": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+    "zmod257-field": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+    "generic-zmod12-ring": ("37911c1299a5ecfd", "301f320420b0c6e3", "9252b3ff0efa15da"),
+}
+
+
+def _variant_carrier(name):
+    if name == "generic-zmod12-ring":
+        return residue_ring(without_roles(int_ring(), "native_int", "egcd"), 12).base
+    return resolve_instance(name).base
+
+
+def _variant_state_digest(dset, seed):
+    rng = random.Random(seed)
+    for x in dset.sample(seed, 64):
+        dset.variants(x, rng)
+    return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+
+
+def test_every_variant_draw_is_pinned():
+    assert {n for n in LAWFUL_INSTANCE_NAMES
+            if resolve_instance(n).base.variants is not None} <= set(VARIANT_STATE_DIGESTS)
+    for name, digests in VARIANT_STATE_DIGESTS.items():
+        dset = _variant_carrier(name)
+        assert tuple(_variant_state_digest(dset, seed) for seed in (1, 2, 3)) == digests, name
 
 
 # ============================================================
