@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 from itertools import compress, count
 
 from .errors import CompositeModulusError, Fuel, InvalidInputError
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance, seeded
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below, seeded
 from .numbers import int_dset, _mixed_int
 
 
@@ -489,32 +489,42 @@ def make_residue(ring: StructureInstance, b, v) -> Residue:
 def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
     """Carrier of R/(b); rem maps a ring element to its canonical remainder
     and res a canonical remainder to its Residue. Its enumeration is the
-    first min(|b|, 64) residues."""
-    base_eq = ring.base.eq
-    if "native_int" in ring.ops:
-        def eq(x, y):
-            return YES if x.value == y.value and x.modulus == y.modulus else NO
-    else:
-        def eq(x, y):
-            return YES if x.modulus == y.modulus and base_eq(x.value, y.value).holds else NO
-
+    first min(|b|, 64) residues. A variant of x is a fresh Residue of
+    x.value + k*b reduced, k = 1 + below(rng, 5), so congruence laws compare
+    two distinct residues with equal values. Over a native_int ring the draw
+    and the variant are int arithmetic mod |b|, past rem and the ring's ops."""
     # a prefix: sweeps read at most its first few elements, and a modulus
     # near 2^61 could not be enumerated in full
     enumeration = None
     if isinstance(b, int):
         enumeration = tuple(map(res, range(min(abs(b), _ENUMERATION_PREFIX))))
 
-    mul = ring.ops["mul"]
-    add = ring.ops["add"]
+    if "native_int" in ring.ops:
+        m = abs(b)
 
-    def variants(x, rng):
-        # a fresh object on purpose, so congruence laws compare two
-        # distinct residues with equal values
-        k = rng.randrange(1, 6)
-        return Residue(b, rem(add(x.value, mul(k, b))))
+        def eq(x, y):
+            return YES if x.value == y.value and x.modulus == y.modulus else NO
 
-    return DSet(f"{ring.base.name}/({b})", eq, seeded(lambda rng: res(rem(_mixed_int(rng)))),
-                enumeration, variants)
+        def draw(rng):
+            return res(_mixed_int(rng) % m)
+
+        def variants(x, rng):
+            return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
+    else:
+        base_eq = ring.base.eq
+        mul = ring.ops["mul"]
+        add = ring.ops["add"]
+
+        def eq(x, y):
+            return YES if x.modulus == y.modulus and base_eq(x.value, y.value).holds else NO
+
+        def draw(rng):
+            return res(rem(_mixed_int(rng)))
+
+        def variants(x, rng):
+            return Residue(b, rem(add(x.value, mul(1 + below(rng, 5), b))))
+
+    return DSet(f"{ring.base.name}/({b})", eq, seeded(draw), enumeration, variants)
 
 
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:
@@ -584,7 +594,9 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
     """Field upgrade of residue_ring, justified by a primality certificate.
 
     The certificate is re-verified; a composite verdict raises
-    CompositeModulusError carrying the factor witness.
+    CompositeModulusError carrying the factor witness. Over a native_int ring
+    inv is pow(v, -1, |b|); with |b| <= 2^8 a canonical unit's inverse is read
+    from a table of interned residues built with the field.
     """
     if not ring.base.eq(cert.subject, b).holds:
         raise InvalidInputError(f"certificate subject {cert.subject} is not the modulus {b}")
@@ -606,6 +618,14 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
             except ValueError:  # a non-canonical value such as Residue(7, 14)
                 raise InvalidInputError(
                     f"{x.value} shares a factor with the modulus {b}") from None
+
+        if m <= _TABLE_MAX:  # the units' inverses, interned beside the residues
+            inverses = (None, *(from_int(pow(v, -1, m)) for v in range(1, m)))
+            inv_by_pow = inv
+
+            def inv(x: Residue) -> Residue:
+                v = x.value
+                return inverses[v] if type(v) is int and 0 < v < m else inv_by_pow(x)
     else:
         eq = ring.base.eq
         zero = ring.ops["zero"]()

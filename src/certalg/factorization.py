@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Kind, LawReport, Record, StructureInstance, seeded
+from .structures import DSet, Kind, LawReport, Record, StructureInstance, below, seeded
 from .euclid import (DividesWitness, FactorEntry, certified_factors, certified_product,
                      check_divides, int_ring, prime_split)
 from .numbers import pos_nat_dset
@@ -111,21 +111,21 @@ def check_unique_sampled(ring: StructureInstance, seed: int = 1,
     for _ in range(budget):
         x = 0
         while x == 0:
-            x = rng.randrange(lo, 10**6 + 1)
+            x = lo + below(rng, 10**6 + 1 - lo)
         cases += 1
         fx = do_factor(x)
         if not check_factorization(fx, x):
             failures.append(("factorization-reconstructs", (x,)))
 
-        a = rng.randrange(1, 10**3 + 1)
-        b = rng.randrange(1, 10**3 + 1)
+        a = 1 + below(rng, 10**3)
+        b = 1 + below(rng, 10**3)
         cases += 1
         direct = do_factor(mul(a, b))
         merged = merge_factorizations(do_factor(a), do_factor(b))
         if not factorizations_equal(direct, merged):
             failures.append(("independent-factorizations-agree", (a, b)))
 
-        p = _FIRST_PRIMES[rng.randrange(len(_FIRST_PRIMES))]
+        p = _FIRST_PRIMES[below(rng, len(_FIRST_PRIMES))]
         if rng.random() < 0.5:
             a2, b2 = a * p, b
         else:
@@ -152,7 +152,7 @@ def int_factorization_ring() -> StructureInstance:
     ops["factor"] = factor
     ops["prime_split"] = lambda p, a, b, w: prime_split(base, p, a, b, w)
 
-    sample = seeded(lambda rng: rng.randrange(-(10**6), 10**6 + 1))
+    sample = seeded(lambda rng: -(10**6) + below(rng, 2 * 10**6 + 1))
     dset = DSet("int<=1e6", base.base.eq, sample, base.base.enumeration)
     return StructureInstance(Kind.UNIQUE_FACTORIZATION_RING, dset, ops, "int-ufd")
 
@@ -169,6 +169,6 @@ def pos_nat_factorization_monoid() -> StructureInstance:
     }
 
     base = pos_nat_dset()
-    dset = DSet("nat>=1<=1e6", base.eq, seeded(lambda rng: rng.randrange(1, 10**6 + 1)),
+    dset = DSet("nat>=1<=1e6", base.eq, seeded(lambda rng: 1 + below(rng, 10**6)),
                 base.enumeration)
     return StructureInstance(Kind.FACTORIZATION_MONOID, dset, ops, "nat-factor-monoid")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd as igcd
 
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance, seeded
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below, seeded
 from .euclid import int_ring
 
 
@@ -178,10 +178,10 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
         return YES if base_eq(x.num, y.num).holds and base_eq(x.den, y.den).holds else NO
 
     def draw(rng):
-        n = rng.randrange(-30, 31)
+        n = -30 + below(rng, 61)
         d = 0
         while d == 0:
-            d = rng.randrange(-30, 31)
+            d = -30 + below(rng, 61)
         return mk_fraction(ring, n, d)
 
     enum = []
@@ -194,7 +194,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
     mulr = ring.ops["mul"]
 
     def variants(x, rng):
-        k = rng.randrange(2, 6)
+        k = 2 + below(rng, 4)
         return mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))
 
     dset = DSet(f"frac({ring.base.name})", eq, seeded(draw), tuple(enum), variants)

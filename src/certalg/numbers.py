@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import index
 
 from .errors import InvalidInputError, ParseError, StructuralError
-from .structures import NO, YES, DSet, Kind, StructureInstance, seeded
+from .structures import NO, YES, DSet, Kind, StructureInstance, below, seeded
 
 # the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -145,10 +145,10 @@ def _value_eq(a, b):
 def _mixed_int(rng: random.Random) -> int:
     r = rng.random()
     if r < 0.6:
-        return rng.randrange(-20, 21)
+        return -20 + below(rng, 41)
     if r < 0.9:
-        return rng.randrange(-10**4, 10**4 + 1)
-    return rng.randrange(-(2**63), 2**63)
+        return -10**4 + below(rng, 2 * 10**4 + 1)
+    return -(2**63) + below(rng, 2**64)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from operator import itemgetter
 from struct import calcsize, iter_unpack
 
 from .errors import StructuralError
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance
+from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below
 
 
 class Poly(Record):
@@ -222,10 +222,10 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
         out = []
         k = 0
         for _ in range(count):
-            n_terms = rng.randrange(0, 5)
+            n_terms = below(rng, 5)
             raw = []
             for _ in range(n_terms):
-                raw.append((coeffs[k % len(coeffs)], rng.randrange(0, 13)))
+                raw.append((coeffs[k % len(coeffs)], below(rng, 13)))
                 k += 1
             out.append(mk_poly(ring, raw))
         return out
@@ -244,7 +244,7 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
     def variants(p, rng):
         raw = list(p.terms)
         rng.shuffle(raw)
-        raw.append((zero, rng.randrange(0, 13)))
+        raw.append((zero, below(rng, 13)))
         return mk_poly(ring, raw)
 
     dset = DSet(f"poly({ring.base.name})", eq, sample, tuple(enum), variants)

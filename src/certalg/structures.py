@@ -166,22 +166,35 @@ class DSet(Record):
     elements used for exhaustive law sweeps. variants, when present, maps an
     element x and a random.Random to one element eq-equal to x, built through
     a different construction path; a congruence case pairs x with it. Each
-    shipped carrier returns one whose value reduces back to x (rem(v + k*b),
-    mk_fraction(num*k, den*k), mk_poly over shuffled terms), so its
-    congruence laws catch only an op that tells equal objects apart by
-    identity.
+    shipped carrier returns one whose value reduces back to x (a fresh
+    Residue of (v + k*b) % |b| in int arithmetic, mk_fraction(num*k, den*k),
+    mk_poly over shuffled terms), so its congruence laws catch only an op
+    that tells equal objects apart by identity. The shipped samplers and
+    variants draw their ints with below(rng, n), which draws what
+    rng.randrange(n) does.
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")
     _defaults = (None, None)
 
 
+def below(rng, n):
+    """What rng.randrange(n) draws, with no argument checks: k-bit getrandbits
+    words, k = n.bit_length(), until one is below n, as Random._randbelow does."""
+    if n < 1:  # getrandbits(0) is always 0, which is never below 0
+        raise ValueError(f"empty range for below(): {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def seeded(draw):
     """A DSet sample: sample(seed, count) is count draws draw(rng) from
     rng = random.Random(seed)."""
     def sample(seed, count):
-        rng = random.Random(seed)
-        return [draw(rng) for _ in range(count)]
+        return list(map(draw, itertools.repeat(random.Random(seed), count)))
     return sample
 
 
@@ -422,9 +435,12 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
         n = max(0, min(budget, len(pool) // k))
         chunks = zip(*[iter(pool[:n * k])] * k)  # consecutive k-tuples
         if law.uses_variant:  # (x, rest...) becomes (x, variant of x, rest...)
-            rng = random.Random(_law_seed(seed, law.name))
-            vary = dset.variants or (lambda x, rng: x)
-            chunks = [(c[0], vary(c[0], rng)) + c[1:] for c in chunks]
+            vary = dset.variants
+            if vary is None:  # x stands in for its own variant
+                chunks = [(c[0], *c) for c in chunks]
+            else:
+                rng = random.Random(_law_seed(seed, law.name))
+                chunks = [(c[0], vary(c[0], rng)) + c[1:] for c in chunks]
         # the sweep cases, then the random ones, each evaluated by starmap
         tups = [*itertools.product(small, repeat=law.case_arity), *chunks]
         cases += len(tups)

@@ -392,6 +392,31 @@ def test_larger_residue_rings_build_fresh_residues(ring, b):
     for op, args in (("add", (x, y)), ("mul", (x, y)), ("neg", (x,)), ("from_int", (5,))):
         first, second = zr.ops[op](*args), zr.ops[op](*args)
         assert first == second and first is not second
+    inv = residue_field(ring, b, is_prime(b)).ops["inv"]  # each b here is prime
+    first, second = inv(x), inv(x)
+    assert first == second == Residue(b, pow(x.value, -1, abs(b))) and first is not second
+
+
+_PRIMES_TO_256 = [p for p in range(2, 257) if is_prime(p).verdict == "prime"]
+
+
+@pytest.mark.parametrize("b", _PRIMES_TO_256 + [-p for p in _PRIMES_TO_256])
+def test_small_fields_read_inverses_from_a_table(ring, b, monkeypatch):
+    p = abs(b)
+    field = residue_field(ring, b, is_prime(b))
+    inv, from_int = field.ops["inv"], field.ops["from_int"]
+    want = [from_int(pow(v, -1, p)) for v in range(1, p)]
+    # built with the ring, so a canonical unit's inverse takes no pow call
+    monkeypatch.setattr(euclid, "pow", None, raising=False)
+    assert all(inv(from_int(v)) is w for v, w in zip(range(1, p), want))
+    monkeypatch.undo()
+    # every other value keeps the pow route, with its errors
+    with pytest.raises(ZeroDivisionError):
+        inv(Residue(b, 0))
+    with pytest.raises(InvalidInputError, match=rf"^{2 * p} shares a factor with the modulus {b}$"):
+        inv(Residue(b, 2 * p))
+    for v in (p + 1, -1, True):  # non-canonical values of units
+        assert inv(Residue(b, v)) is from_int(pow(v, -1, p))
 
 
 def test_variants_of_an_interned_residue_are_fresh_objects(ring):

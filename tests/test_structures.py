@@ -1,13 +1,14 @@
 """Law engine tests: kinds, validation, checking, counterexamples."""
 
 import pathlib
+import random
 import re
 
 import pytest
 
 from certalg.errors import StructuralError
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
-                                _laws_for, ancestors, check_laws,
+                                _laws_for, ancestors, below, check_laws,
                                 multiplicative_monoid, recheck_failure,
                                 validate_instance)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
@@ -227,6 +228,29 @@ def test_recheck_failure_rejects_unknown_law_name():
 def test_recheck_of_a_passing_case_returns_false():
     # (0, 0, 0) associates fine even under monus
     assert not recheck_failure(nat_monus_semigroup(), "associativity(op)", (0, 0, 0))
+
+
+# n = 1..300; 2^k and 2^k +- 1 up to 2^70; 10^6, 2*10^6 + 1 and 2^64, the
+# widths of the shipped samplers (2^64 draws 65-bit words)
+_BELOW_WIDTHS = [*range(1, 301),
+                 *sorted({2**k + d for k in range(71) for d in (-1, 0, 1)} - {0}),
+                 10**6, 2 * 10**6 + 1, 2**64]
+
+
+def test_below_draws_what_randrange_draws():
+    # CPython's randrange(n) is _randbelow(n); a change to it fails here by
+    # name, not as a shifted sample or case digest
+    ours, theirs = random.Random(2024), random.Random(2024)
+    for n in _BELOW_WIDTHS:
+        for _ in range(3):
+            assert below(ours, n) == theirs.randrange(n), n
+    assert ours.getstate() == theirs.getstate()
+    for n in (0, -1, -2**64):
+        with pytest.raises(ValueError):
+            below(ours, n)
+        with pytest.raises(ValueError):
+            theirs.randrange(n)
+    assert ours.getstate() == theirs.getstate()
 
 
 # ============================================================

@@ -13,9 +13,15 @@ same seeds.
 
 The second form prints, per workload and metric, each label's median
 [q1, q3] over its runs, then the ratio of the last label's median to the
-first label's and the last label's wins over the pairs, a pair being one run
-of each label on the same workload and seed. Rates (`*_per_s`) are better
-higher, every other metric lower.
+first label's, the last label's wins over the pairs, a pair being one run
+of each label on the same workload and seed, and a verdict on the last label:
+- "gain": it wins at least 9 of 10 pairs, and its median is better than the
+  first label's by more than the first label's interquartile range;
+- "worse": its median is worse by more than the metric's bound, read from
+  the `end_to_end` list of the repository's BENCHMARK.json;
+- "within bound": neither, on a metric with a bound;
+- "unresolved": neither, on a metric without one.
+Rates (`*_per_s`) are better higher, every other metric lower.
 """
 
 from __future__ import annotations
@@ -69,11 +75,32 @@ def _quartiles(values):
     return q2, q1, q3
 
 
-def summarize(records) -> list:
+def bounds(root: Path = REPO) -> dict:
+    """{metric: relative bound} from the `end_to_end` list of root/BENCHMARK.json."""
+    path = root / "BENCHMARK.json"
+    if not path.exists():
+        return {}
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def _verdict(row, first, last, bound) -> str:
+    (m0, q1, q3, _), (m1, _, _, _) = row["labels"][first], row["labels"][last]
+    gap = m1 - m0 if row["metric"].endswith("_per_s") else m0 - m1  # > 0 is better
+    if 10 * row["wins"] >= 9 * row["pairs"] > 0 and gap > q3 - q1:
+        return "gain"
+    if bound is None:
+        return "unresolved"
+    return "worse" if -gap > bound * abs(m0) else "within bound"
+
+
+def summarize(records, bound_of=None) -> list:
     """One row per (workload, metric): {"workload", "metric", "labels":
-    {label: (median, q1, q3, runs)}, "ratio", "wins", "pairs"}. Labels keep
-    the order they first appear in; ratio and wins compare the last label
-    with the first and are None when a workload has one label."""
+    {label: (median, q1, q3, runs)}, "ratio", "wins", "pairs", "verdict"}.
+    Labels keep the order they first appear in; ratio, wins and verdict
+    compare the last label with the first and are None when a workload has
+    one label. bound_of maps a metric to its relative bound, as bounds()
+    reads them."""
+    bound_of = bound_of or {}
     labels = list(dict.fromkeys(r["label"] for r in records))
     rows = []
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -83,7 +110,7 @@ def summarize(records) -> list:
         first, last = present[0], present[-1]
         for name in dict.fromkeys(k for lb in present for _, m in runs[lb] for k in m):
             row = {"workload": workload, "metric": name, "labels": {},
-                   "ratio": None, "wins": None, "pairs": 0}
+                   "ratio": None, "wins": None, "pairs": 0, "verdict": None}
             for lb in present:
                 values = [m[name] for _, m in runs[lb] if name in m]
                 row["labels"][lb] = (*_quartiles(values), len(values))
@@ -98,6 +125,7 @@ def summarize(records) -> list:
                         pairs += 1
                         wins += y > x if higher else y < x
                 row["wins"], row["pairs"] = wins, pairs
+                row["verdict"] = _verdict(row, first, last, bound_of.get(name))
             rows.append(row)
     return rows
 
@@ -110,7 +138,7 @@ def _print(rows):
         if row["ratio"] is not None:
             last, first = list(row["labels"])[-1], list(row["labels"])[0]
             print(f"  {last}/{first} {row['ratio']:.3f}, "
-                  f"{last} wins {row['wins']}/{row['pairs']} pairs")
+                  f"{last} wins {row['wins']}/{row['pairs']} pairs: {row['verdict']}")
 
 
 def main(argv=None):
@@ -123,7 +151,7 @@ def main(argv=None):
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     if args.compare:
-        _print(summarize(json.loads(args.compare.read_text())))
+        _print(summarize(json.loads(args.compare.read_text()), bounds()))
         return 0
     if None in (args.label, args.workload, args.seed, args.out):
         p.error("recording needs --label, --workload, --seed and --out")
