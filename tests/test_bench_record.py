@@ -79,7 +79,6 @@ def test_stderr_table_rows_give_the_family_rates():
 def test_bounds_are_read_from_the_benchmark_declaration():
     declared = json.loads((bench_record.REPO / "BENCHMARK.json").read_text())
     assert bench_record.bounds() == {m["name"]: m["bound"] for m in declared["end_to_end"]}
-    assert bench_record.bounds(Path("/nonexistent")) == {}
 
 
 # parent rates 100..109 over ten seeds: median 104.5, interquartile range 4.5

@@ -75,12 +75,10 @@ def _quartiles(values):
     return q2, q1, q3
 
 
-def bounds(root: Path = REPO) -> dict:
-    """{metric: relative bound} from the `end_to_end` list of root/BENCHMARK.json."""
-    path = root / "BENCHMARK.json"
-    if not path.exists():
-        return {}
-    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+def bounds() -> dict:
+    """{metric: relative bound} from the `end_to_end` list of BENCHMARK.json."""
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
 def _verdict(row, first, last, bound) -> str:
