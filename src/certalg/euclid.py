@@ -142,31 +142,43 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
 
 
 def _int_egcd(a: int, b: int) -> BezoutCertificate:
-    """extended_gcd over plain ints: the generic route's steps, remainders
-    (0 <= r < |b|; only the first divisor can be negative) and sign
-    canonicalization, so the same certificate, field by field. v is the one
-    integer with u*a + v*b = g, so it is solved for at the end."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    while r:
-        q, rem = divmod(old_r, r)
-        if rem < 0:
-            q, rem = q + 1, rem - r
-        old_r, r = r, rem
-        old_u, u = u, old_u - q * u
-    if old_r < 0:
-        old_r, old_u = -old_r, -old_u
-    v = (old_r - old_u * a) // b if b else 0
-    if old_r == 0:
-        return BezoutCertificate(a, b, 0, old_u, v, 1, 1)
-    return BezoutCertificate(a, b, old_r, old_u, v, a // old_r, b // old_r)
+    """extended_gcd over plain ints in closed form: the certificate the
+    generic route returns, field by field, from math.gcd and one modular
+    inverse instead of a loop over the quotients.
+
+    With g = gcd(a, b), b != 0 and m = |b/g|, the generic route's u solves
+    u*(a/g) = 1 (mod m), so it is an inverse of a/g mod m, and its
+    remainders 0 <= r < |b| keep it the one of least magnitude (the
+    cofactor bound; Knuth, TAOCP vol. 2, 4.5.2): pow(a/g, -1, m), less m
+    when it lies above m/2. One tie breaks by sign: when b < 0 and m is odd
+    with a/g = 2 (mod m), Euclid ends on u = (m+1)/2, not -(m-1)/2, hence
+    the `+ (b < 0)`; with m = 2, u = 1. v is the one integer with
+    u*a + v*b = g. b = 0 gives (a, 0, |a|, s, 0, s, 0) for the sign s of a,
+    and (0, 0, 0, 1, 0, 1, 1) for a = 0. test_int_egcd_boundary_classes in
+    tests/test_euclid.py pins each of these cases against the generic route.
+    """
+    if not b:
+        if not a:
+            return BezoutCertificate(0, 0, 0, 1, 0, 1, 1)
+        s = -1 if a < 0 else 1
+        return BezoutCertificate(a, 0, abs(a), s, 0, s, 0)
+    g = math.gcd(a, b)
+    qa, qb = a // g, b // g
+    m = abs(qb)
+    u = pow(qa, -1, m)  # 0 when m = 1
+    if 2 * u > m + (b < 0):
+        u -= m
+    return BezoutCertificate(a, b, g, u, (g - u * a) // b, qa, qb)
 
 
 def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
-    """Re-check the certificate's invariants from its own fields. Over a
-    native_int ring every field must be an int (bool is not) and the
-    equations are checked in int arithmetic, where a = qa*g and b = qb*g
-    already force a = b = 0 when g = 0; otherwise through the ring's ops."""
+    """Re-check the certificate's invariants from its own fields. Anything
+    but a BezoutCertificate is refused. Over a native_int ring every field
+    must be an int (bool is not) and the equations are checked in int
+    arithmetic, where a = qa*g and b = qb*g already force a = b = 0 when
+    g = 0; otherwise through the ring's ops."""
+    if type(cert) is not BezoutCertificate:
+        return False
     if "native_int" in ring.ops:
         a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa,
                                  cert.qb)

@@ -2,7 +2,8 @@
 
 trial_is_prime and trial_factor are the trial-division routines the library
 used before primality got certificates; sieve and strong_probable_prime are
-independent of both.
+independent of both. bezout_holds is the Bezout certificate's three
+equations, for the small-scope tests of verify_bezout.
 """
 
 import math
@@ -74,3 +75,9 @@ def next_prime(n):
     while not strong_probable_prime(n):
         n += 1
     return n
+
+
+def bezout_holds(a, b, g, u, v, qa, qb):
+    """Whether (a, b, g, u, v, qa, qb) is a Bezout certificate:
+    u*a + v*b = g, a = qa*g and b = qb*g."""
+    return u * a + v * b == g and a == qa * g and b == qb * g

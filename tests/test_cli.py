@@ -172,6 +172,26 @@ def test_egcd_command():
     assert text == "g=4 u=1 v=-1 qa=3 qb=2"
 
 
+# the documents egcd printed while its certificate came from a loop over the
+# quotients; -40 -21 and -7 -3 take the odd-modulus tie with b < 0
+EGCD_JSON = {
+    ("-40", "-21"): {"a": -40, "b": -21, "g": 1, "u": 11, "v": -21, "qa": -40, "qb": -21},
+    ("-7", "-3"): {"a": -7, "b": -3, "g": 1, "u": 2, "v": -5, "qa": -7, "qb": -3},
+    ("7", "-3"): {"a": 7, "b": -3, "g": 1, "u": 1, "v": 2, "qa": 7, "qb": -3},
+    ("0", "-5"): {"a": 0, "b": -5, "g": 5, "u": 0, "v": -1, "qa": 0, "qb": -1},
+    ("-5", "0"): {"a": -5, "b": 0, "g": 5, "u": -1, "v": 0, "qa": -1, "qb": 0},
+    ("0", "0"): {"a": 0, "b": 0, "g": 0, "u": 1, "v": 0, "qa": 1, "qb": 1},
+    ("12", "8"): {"a": 12, "b": 8, "g": 4, "u": 1, "v": -1, "qa": 3, "qb": 2},
+}
+
+
+@pytest.mark.parametrize("args", EGCD_JSON, ids=" ".join)
+def test_egcd_json_documents_are_pinned(args, capsys):
+    assert main(["egcd", *args, "--json"]) == 0
+    expected = {"command": "egcd", **EGCD_JSON[args], "verified": True}
+    assert capsys.readouterr().out == json.dumps(expected) + "\n"
+
+
 def test_factor_command_with_unit():
     code, text = run_argv(["factor", "--", "-60"])
     assert code == 0

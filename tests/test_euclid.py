@@ -130,6 +130,16 @@ def test_verify_bezout_rejects_non_int_fields_over_native_int_rings(ring):
     assert not verify_bezout(ring, BezoutCertificate(True, False, True, True, 0, True, 0))
 
 
+@pytest.mark.parametrize("route", ["native", "generic"])
+def test_verify_bezout_refuses_what_is_not_a_certificate(ring, route):
+    inst = ring if route == "native" else without_roles(ring, "native_int")
+    good = extended_gcd(ring, 12, 8)
+    assert verify_bezout(inst, good)
+    fields = tuple(getattr(good, name) for name in good.__slots__)
+    for probe in (None, fields, is_prime(7)):
+        assert verify_bezout(inst, probe) is False, probe
+
+
 def test_native_verify_bezout_agrees_with_the_generic_route(ring):
     generic, calls = spied(without_roles(ring, "native_int"), "mul")
     for a, b in _egcd_pairs()[::7]:
@@ -468,25 +478,70 @@ def test_a_copy_of_int_ring_keeps_the_native_routes(ring):
     assert calls == Counter()
 
 
+def _signed(pairs):
+    return [(s * x, t * y) for x, y in pairs for s in (1, -1) for t in (1, -1)]
+
+
+def _random_signed(rng, n, max_bits):
+    """n signed pairs of 1 to max_bits bits each; about one in five shares
+    an odd factor of up to 128 bits."""
+    pairs = []
+    for _ in range(n):
+        a, b = (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, max_bits))
+                for _ in range(2))
+        if rng.random() < 0.2:
+            f = rng.getrandbits(rng.randint(1, 128)) | 1
+            a, b = a * f, b * f
+        pairs.append((a, b))
+    return pairs
+
+
 def _egcd_pairs():
     grid = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
-    signs = [(s * x, t * y) for x, y in ((0, 0), (0, 12), (12, 0), (12, 12), (12, 18),
-                                         (36, 12), (1, 2**64), (2**64, 2**64 - 1))
-             for s in (1, -1) for t in (1, -1)]
-    rng = random.Random(64)
-    seeded = [(rng.choice((1, -1)) * rng.getrandbits(bits),
-               rng.choice((1, -1)) * rng.getrandbits(bits))
-              for bits in (64, 256) for _ in range(500)]
-    return grid + signs + seeded
+    signs = _signed(((0, 0), (0, 12), (12, 0), (12, 12), (12, 18), (36, 12), (1, 2**64),
+                     (2**64, 2**64 - 1)))
+    return grid + signs + _random_signed(random.Random(64), 1000, 512)
 
 
-def test_native_egcd_agrees_with_the_generic_route(ring):
+def _assert_native_egcd_is_generic(ring, pairs):
     generic, calls = spied(without_roles(ring, "egcd"), "div_mod")
-    for a, b in _egcd_pairs():
+    for a, b in pairs:
         fast, slow = extended_gcd(ring, a, b), extended_gcd(generic, a, b)
         assert fast == slow, (a, b)
         assert verify_bezout(ring, fast)
-    assert calls["div_mod"] > len(_egcd_pairs())
+    assert calls["div_mod"] >= len(pairs)
+
+
+def test_native_egcd_agrees_with_the_generic_route(ring):
+    _assert_native_egcd_is_generic(ring, _egcd_pairs())
+
+
+def test_int_egcd_boundary_classes(ring):
+    """Each case of _int_egcd's closed form, in all four sign combinations,
+    against the generic route; m = |b/g|, as in its docstring."""
+    classes = {
+        "b = 0": [(0, 0), (1, 0), (5, 0), (2**70, 0)],
+        "a = 0": [(0, 1), (0, 7), (0, 2**70)],
+        "m = 1": [(1, 1), (5, 1), (12, 4), (2**70, 2**35)],
+        "m = 2": [(1, 2), (3, 2), (15, 10), (2**70 + 1, 2)],
+        # a/g = 2 (mod m) for a or -a: the sign of b breaks the tie
+        "odd m, a/g = 2": [(2, 3), (1, 3), (2, 7), (5, 7), (40, 21), (6, 21),
+                           (2, 2**61 - 1)],
+        "g > 1": [(12, 8), (36, 12), (6 * 7, 6 * 5), (3**40 * 7, 3**41 * 5)],
+    }
+    for pairs in classes.values():
+        _assert_native_egcd_is_generic(ring, _signed(pairs))
+    ties = 0
+    for a, b in _signed(classes["odd m, a/g = 2"]):
+        cert = extended_gcd(ring, a, b)
+        m = abs(cert.qb)
+        if m > 1 and cert.qa % m == 2:
+            assert cert.u == ((m + 1) // 2 if b < 0 else -(m - 1) // 2), (a, b)
+            ties += 1
+    assert ties == 2 * len(classes["odd m, a/g = 2"])
+    assert extended_gcd(ring, -40, -21).u == 11
+    big = _random_signed(random.Random(512), 40, 512)
+    _assert_native_egcd_is_generic(ring, _signed((abs(a), abs(b)) for a, b in big))
 
 
 def test_instances_with_native_roles_validate(ring):
