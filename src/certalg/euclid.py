@@ -142,20 +142,15 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
 
 
 def _int_egcd(a: int, b: int) -> BezoutCertificate:
-    """extended_gcd over plain ints in closed form: the certificate the
-    generic route returns, field by field, from math.gcd and one modular
-    inverse instead of a loop over the quotients.
-
-    With g = gcd(a, b), b != 0 and m = |b/g|, the generic route's u solves
-    u*(a/g) = 1 (mod m), so it is an inverse of a/g mod m, and its
-    remainders 0 <= r < |b| keep it the one of least magnitude (the
-    cofactor bound; Knuth, TAOCP vol. 2, 4.5.2): pow(a/g, -1, m), less m
-    when it lies above m/2. One tie breaks by sign: when b < 0 and m is odd
-    with a/g = 2 (mod m), Euclid ends on u = (m+1)/2, not -(m-1)/2, hence
-    the `+ (b < 0)`; with m = 2, u = 1. v is the one integer with
-    u*a + v*b = g. b = 0 gives (a, 0, |a|, s, 0, s, 0) for the sign s of a,
-    and (0, 0, 0, 1, 0, 1, 1) for a = 0. test_int_egcd_boundary_classes in
-    tests/test_euclid.py pins each of these cases against the generic route.
+    """extended_gcd over plain ints in closed form: the generic route's
+    certificate, field by field, from math.gcd and one modular inverse.
+    For b != 0, with g = gcd(a, b) and m = |b/g|, Euclid's u is an inverse
+    of a/g mod m, and the cofactor bound (Knuth, TAOCP vol. 2, 4.5.2) puts
+    it in the window (-m/2, m/2], shifted up by 1/2 when b < 0: with odd m
+    and a/g = 2 (mod m), Euclid keeps u = (m+1)/2, not -(m-1)/2. v then
+    solves u*a + v*b = g. b = 0 gives (a, 0, |a|, s, 0, s, 0) for the sign
+    s of a, and (0, 0, 0, 1, 0, 1, 1) for a = 0.
+    test_int_egcd_boundary_classes pins each of these cases.
     """
     if not b:
         if not a:
