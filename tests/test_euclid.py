@@ -482,25 +482,21 @@ def _signed(pairs):
     return [(s * x, t * y) for x, y in pairs for s in (1, -1) for t in (1, -1)]
 
 
-def _random_signed(rng, n, max_bits):
-    """n signed pairs of 1 to max_bits bits each; about one in five shares
-    an odd factor of up to 128 bits."""
-    pairs = []
-    for _ in range(n):
-        a, b = (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, max_bits))
-                for _ in range(2))
-        if rng.random() < 0.2:
-            f = rng.getrandbits(rng.randint(1, 128)) | 1
-            a, b = a * f, b * f
-        pairs.append((a, b))
-    return pairs
-
-
 def _egcd_pairs():
+    """A grid, signed corner cases, and 1,000 seeded signed pairs of 1 to
+    512 bits each; about one in five shares an odd factor of up to 128 bits."""
     grid = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
     signs = _signed(((0, 0), (0, 12), (12, 0), (12, 12), (12, 18), (36, 12), (1, 2**64),
                      (2**64, 2**64 - 1)))
-    return grid + signs + _random_signed(random.Random(64), 1000, 512)
+    rng = random.Random(64)
+    seeded = []
+    for _ in range(1000):
+        a, b = (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 512)) for _ in range(2))
+        if rng.random() < 0.2:
+            f = rng.getrandbits(rng.randint(1, 128)) | 1
+            a, b = a * f, b * f
+        seeded.append((a, b))
+    return grid + signs + seeded
 
 
 def _assert_native_egcd_is_generic(ring, pairs):
@@ -527,7 +523,8 @@ def test_int_egcd_boundary_classes(ring):
         # a/g = 2 (mod m) for a or -a: the sign of b breaks the tie
         "odd m, a/g = 2": [(2, 3), (1, 3), (2, 7), (5, 7), (40, 21), (6, 21),
                            (2, 2**61 - 1)],
-        "g > 1": [(12, 8), (36, 12), (6 * 7, 6 * 5), (3**40 * 7, 3**41 * 5)],
+        "g > 1": [(12, 8), (36, 12), (6 * 7, 6 * 5), (3**40 * 7, 3**41 * 5),
+                  (3**300 * 5, 3**300 * 7)],
     }
     for pairs in classes.values():
         _assert_native_egcd_is_generic(ring, _signed(pairs))
@@ -539,9 +536,9 @@ def test_int_egcd_boundary_classes(ring):
             assert cert.u == ((m + 1) // 2 if b < 0 else -(m - 1) // 2), (a, b)
             ties += 1
     assert ties == 2 * len(classes["odd m, a/g = 2"])
-    assert extended_gcd(ring, -40, -21).u == 11
-    big = _random_signed(random.Random(512), 40, 512)
-    _assert_native_egcd_is_generic(ring, _signed((abs(a), abs(b)) for a, b in big))
+    rng, top = random.Random(512), 1 << 511
+    big = [(rng.getrandbits(512) | top, rng.getrandbits(512) | top) for _ in range(20)]
+    _assert_native_egcd_is_generic(ring, _signed(big))
 
 
 def test_instances_with_native_roles_validate(ring):
