@@ -61,7 +61,10 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     """Independent re-check: perm is a bijection of the positions carrying
     each input element onto an equal element of ys, and adjacent pairs
     re-decide as ordered. The bijection is what proves that ys is the
-    input's multiset under the carrier's eq, so no separate count is taken."""
+    input's multiset under the carrier's eq, so no separate count is taken.
+    Anything but a SortResult is refused."""
+    if type(result) is not SortResult:
+        return False
     xs = list(xs)
     ys = result.ys
     perm = result.perm

@@ -102,11 +102,12 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
 
     The returned g is canonicalized through the ring's canon_unit hook when
     present (non-negative for the integers); the Bezout coefficients and
-    the quotients a = qa*g, b = qb*g are adjusted to match. A ring with an
-    egcd role computes the certificate itself (int_ring() on plain ints).
+    the quotients a = qa*g, b = qb*g are adjusted to match. Over a
+    native_int ring (int_ring(), or a copy of its ops) the certificate comes
+    from _int_egcd in closed form.
     """
-    if "egcd" in ring.ops:
-        return ring.ops["egcd"](a, b)
+    if "native_int" in ring.ops:
+        return _int_egcd(a, b)
     add = ring.ops["add"]
     mul = ring.ops["mul"]
     neg = ring.ops["neg"]
@@ -142,8 +143,8 @@ def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
 
 
 def _int_egcd(a: int, b: int) -> BezoutCertificate:
-    """extended_gcd over plain ints in closed form: the generic route's
-    certificate, field by field, from math.gcd and one modular inverse.
+    """extended_gcd over a native_int ring, in closed form: the generic
+    route's certificate, field by field, from math.gcd and one modular inverse.
     For b != 0, with g = gcd(a, b) and m = |b/g|, Euclid's u is an inverse
     of a/g mod m, and the cofactor bound (Knuth, TAOCP vol. 2, 4.5.2) puts
     it in the window (-m/2, m/2], shifted up by 1/2 when b < 0: with odd m
@@ -389,13 +390,17 @@ def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
 def verify_primality(cert: PrimalityCert) -> bool:
     """Re-check a verdict from its own fields: a composite's witness by one
     product, a prime below TRIAL_BOUND by trial division, a prime above it by
-    its Pratt certificate. Every number in it must be an int."""
+    its Pratt certificate. Every number in it must be an int, and anything but
+    a PrimalityCert, or a composite verdict whose witness is not a
+    DividesWitness, is refused."""
+    if type(cert) is not PrimalityCert:
+        return False
     n = cert.subject
     if type(n) is not int or abs(n) <= 1:
         return False
     if cert.verdict == "composite":
         w = cert.witness
-        if w is None or w.dividend != n or cert.pratt is not None:
+        if type(w) is not DividesWitness or w.dividend != n or cert.pratt is not None:
             return False
         return (type(w.divisor) is type(w.quotient) is int and 1 < abs(w.divisor) < abs(n)
                 and w.divisor * w.quotient == n)
@@ -472,7 +477,6 @@ def int_ring() -> StructureInstance:
         "unit_inv": lambda a: a,
         "canon_unit": lambda a: -1 if a < 0 else 1,
         "primality": is_prime,
-        "egcd": _int_egcd,
         "to_int": _identity,
         "from_int": _identity,
         "native_int": int,  # a marker: ints, int arithmetic (law "native-int")
@@ -493,56 +497,20 @@ def make_residue(ring: StructureInstance, b, v) -> Residue:
     return Residue(b, ring.ops["div_mod"](v, b)[1])
 
 
-def _residue_dset(ring: StructureInstance, b, rem, res) -> DSet:
-    """Carrier of R/(b); rem maps a ring element to its canonical remainder
-    and res a canonical remainder to its Residue. Its enumeration is the
-    first min(|b|, 64) residues. A variant of x is a fresh Residue of
-    x.value + k*b reduced, k = 1 + below(rng, 5), so congruence laws compare
-    two distinct residues with equal values. Over a native_int ring the draw
-    and the variant are int arithmetic mod |b|, past rem and the ring's ops."""
-    # a prefix: sweeps read at most its first few elements, and a modulus
-    # near 2^61 could not be enumerated in full
-    enumeration = None
-    if isinstance(b, int):
-        enumeration = tuple(map(res, range(min(abs(b), _ENUMERATION_PREFIX))))
-
-    if "native_int" in ring.ops:
-        m = abs(b)
-
-        def eq(x, y):
-            return YES if x.value == y.value and x.modulus == y.modulus else NO
-
-        def draw(rng):
-            return res(_mixed_int(rng) % m)
-
-        def variants(x, rng):
-            return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
-    else:
-        base_eq = ring.base.eq
-        mul = ring.ops["mul"]
-        add = ring.ops["add"]
-
-        def eq(x, y):
-            return YES if x.modulus == y.modulus and base_eq(x.value, y.value).holds else NO
-
-        def draw(rng):
-            return res(rem(_mixed_int(rng)))
-
-        def variants(x, rng):
-            return Residue(b, rem(add(x.value, mul(1 + below(rng, 5), b))))
-
-    return DSet(f"{ring.base.name}/({b})", eq, seeded(draw), enumeration, variants)
-
-
 def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     """The quotient ring of a Euclidean ring by (b), on canonical remainders.
 
-    Over a native_int ring (int_ring(), or a copy of its ops) the ops reduce
-    with %, the to_int/from_int roles expose the quotient map from the
-    integers, and with |b| <= 2^8 every residue is built once, with the ring,
-    so the ops hand out shared, immutable objects (hash-consing) instead of a
-    new one per result, read from that table with a subscript. Any other ring
-    goes through its div_mod.
+    Its carrier enumerates the first min(|b|, 64) residues. A variant of x is
+    a fresh Residue of x.value + k*b reduced, k = 1 + below(rng, 5), so
+    congruence laws compare two distinct residues with equal values.
+
+    Over a native_int ring (int_ring(), or a copy of its ops) the ops, the
+    draw and the variants are int arithmetic mod |b|, the to_int/from_int
+    roles expose the quotient map from the integers, and with |b| <= 2^8
+    every residue is built once, with the ring, so the ops hand out shared,
+    immutable objects (hash-consing) instead of a new one per result, read
+    from that table with a subscript. Any other ring goes through its
+    div_mod and ops.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -576,6 +544,15 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
                 "from_int": lambda v: res(v % m),
             }
         ops["to_int"] = lambda x: x.value
+
+        def r_eq(x, y):
+            return YES if x.value == y.value and x.modulus == y.modulus else NO
+
+        def draw(rng):
+            return res(_mixed_int(rng) % m)
+
+        def variants(x, rng):
+            return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
     else:
         dm = ring.ops["div_mod"]
         radd = ring.ops["add"]
@@ -590,11 +567,25 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
             "neg": lambda x: res(rem(rneg(x.value))),
             "mul": lambda x, y: res(rem(rmul(x.value, y.value))),
         }
+
+        def r_eq(x, y):
+            return YES if x.modulus == y.modulus and eq(x.value, y.value).holds else NO
+
+        def draw(rng):
+            return res(rem(_mixed_int(rng)))
+
+        def variants(x, rng):
+            return Residue(b, rem(radd(x.value, rmul(1 + below(rng, 5), b))))
     r_zero, r_one = res(zero), res(rem(one))
     ops["zero"] = lambda: r_zero
     ops["one"] = lambda: r_one
-    return StructureInstance(Kind.COMMUTATIVE_RING, _residue_dset(ring, b, rem, res), ops,
-                             f"{ring.name}/({b})")
+    # a prefix: sweeps read at most its first few elements, and a modulus
+    # near 2^61 could not be enumerated in full
+    enumeration = None
+    if isinstance(b, int):
+        enumeration = tuple(map(res, range(min(abs(b), _ENUMERATION_PREFIX))))
+    dset = DSet(f"{ring.base.name}/({b})", r_eq, seeded(draw), enumeration, variants)
+    return StructureInstance(Kind.COMMUTATIVE_RING, dset, ops, f"{ring.name}/({b})")
 
 
 def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureInstance:
@@ -616,23 +607,19 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
     if "native_int" in ring.ops:
         m = abs(b)
         from_int = base.ops["from_int"]
+        n = m if m <= _TABLE_MAX else 0  # the units' inverses below n are interned
+        inverses = (None, *(from_int(pow(v, -1, m)) for v in range(1, n)))
 
         def inv(x: Residue) -> Residue:
-            if x.value == 0:
+            v = x.value
+            if type(v) is int and 0 < v < n:
+                return inverses[v]
+            if v == 0:
                 raise ZeroDivisionError("inverse of zero residue")
             try:
-                return from_int(pow(x.value, -1, m))
+                return from_int(pow(v, -1, m))
             except ValueError:  # a non-canonical value such as Residue(7, 14)
-                raise InvalidInputError(
-                    f"{x.value} shares a factor with the modulus {b}") from None
-
-        if m <= _TABLE_MAX:  # the units' inverses, interned beside the residues
-            inverses = (None, *(from_int(pow(v, -1, m)) for v in range(1, m)))
-            inv_by_pow = inv
-
-            def inv(x: Residue) -> Residue:
-                v = x.value
-                return inverses[v] if type(v) is int and 0 < v < m else inv_by_pow(x)
+                raise InvalidInputError(f"{v} shares a factor with the modulus {b}") from None
     else:
         eq = ring.base.eq
         zero = ring.ops["zero"]()

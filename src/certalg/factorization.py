@@ -79,10 +79,12 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
 def check_factorization(f: FactorizationData, x: int) -> bool:
     """Re-check a factorization against its nonzero subject x: the unit, an
     int, is the sign of x, and euclid.certified_product accepts the entries
-    for |x|. The subject must be an int too (bool is not)."""
-    if type(x) is not int or type(f.unit) is not int or x == 0:
+    for |x|. The subject must be an int too (bool is not), and anything but a
+    FactorizationData is refused."""
+    if type(f) is not FactorizationData or type(x) is not int or x == 0:
         return False
-    return f.unit == (-1 if x < 0 else 1) and certified_product(f.entries, abs(x))
+    return (type(f.unit) is int and f.unit == (-1 if x < 0 else 1)
+            and certified_product(f.entries, abs(x)))
 
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

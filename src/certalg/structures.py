@@ -85,7 +85,7 @@ _ROLES = frozenset({
     "op", "identity", "inverse", "factor", "power",
     "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
     "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
-    "egcd", "to_int", "from_int", "native_int",
+    "to_int", "from_int", "native_int",
 })
 
 

@@ -1,6 +1,6 @@
 """Generic oracles for the differential tests.
 
-A fast route is chosen by a role: an op such as egcd or native_int in a
+A fast route is chosen by a role: an op such as native_int or to_int in a
 StructureInstance's ops, or the native_int field of a DecTotalOrder. A copy
 without that role is the generic oracle, and a spy on the copy's ops (or
 leq) shows that the oracle really reaches the generic route.

@@ -121,6 +121,14 @@ def test_verify_rejects_order_certificates_that_are_not_holding_decisions():
             assert not verify_sort_result(int_order(), xs, forged), cert
 
 
+def test_verify_refuses_what_is_not_a_sort_result():
+    xs = [5, 3, 9, 1]
+    good = sort_certified(int_order(), xs)
+    assert verify_sort_result(int_order(), xs, good)
+    for probe in (None, "sorted", (good.ys, good.ord_cert, good.perm), list(good.ys)):
+        assert verify_sort_result(int_order(), xs, probe) is False, probe
+
+
 def test_verify_rejects_perm_entries_that_are_not_ints():
     xs = [5, 3, 9, 1]
     good = sort_certified(int_order(), xs)

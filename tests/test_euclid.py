@@ -3,7 +3,7 @@
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -197,6 +197,18 @@ def test_verify_primality_checks_witness_consistency():
     assert not verify_primality(PrimalityCert(91, "prime", None))
 
 
+def test_verify_primality_refuses_what_is_not_its_record():
+    assert verify_primality(is_prime(91)) and verify_primality(is_prime(M61))
+    for probe in (None, "prime", (91, "composite", DividesWitness(7, 91, 13), None),
+                  extended_gcd(int_ring(), 12, 8)):
+        assert verify_primality(probe) is False, probe
+    # a composite's witness must be a DividesWitness, not a look-alike
+    look_alike = namedtuple("Witness", ("divisor", "dividend", "quotient"))
+    for witness in (None, (7, 91, 13), look_alike(7, 91, 13),
+                    BezoutCertificate(7, 91, 7, 1, 0, 1, 13)):
+        assert verify_primality(PrimalityCert(91, "composite", witness)) is False, witness
+
+
 def test_verify_primality_rejects_numbers_that_are_not_ints():
     # 1.75 * 4.0 == 7, so only the types keep the prime 7 from passing as composite
     assert not verify_primality(PrimalityCert(7, "composite", DividesWitness(1.75, 7, 4.0)))
@@ -318,10 +330,10 @@ def test_residue_values_carry_their_modulus(ring):
 
 
 def _generic_int_ring():
-    """int_ring() without the roles that pick native routes, with a spy on
+    """int_ring() without the role that picks native routes, with a spy on
     div_mod: residue rings built over it reduce through div_mod and invert
     through the generic extended_gcd loop."""
-    return spied(without_roles(int_ring(), "native_int", "egcd"), "div_mod")
+    return spied(without_roles(int_ring(), "native_int"), "div_mod")
 
 
 def test_native_residue_ops_agree_with_the_generic_route(ring):
@@ -333,8 +345,10 @@ def test_native_residue_ops_agree_with_the_generic_route(ring):
         assert fast.ops["zero"]() == slow.ops["zero"]()
         assert fast.ops["one"]() == slow.ops["one"]()
         elems = fast.base.enumeration
+        rng_fast, rng_slow = random.Random(b), random.Random(b)
         for x in elems:
             assert fast.ops["neg"](x) == slow.ops["neg"](x)
+            assert fast.base.variants(x, rng_fast) == slow.base.variants(x, rng_slow)
             for y in elems:
                 assert fast.ops["add"](x, y) == slow.ops["add"](x, y)
                 assert fast.ops["mul"](x, y) == slow.ops["mul"](x, y)
@@ -462,8 +476,13 @@ def test_interned_and_generic_residue_rings_check_the_same_cases(ring):
 
 def test_a_copy_of_int_ring_keeps_the_native_routes(ring):
     """The role, not the object, picks the route: a copy of int_ring() with
-    counted ops, like a traced benchmark's, never calls them."""
+    counted ops, like a traced benchmark's, never calls them. native_int
+    alone picks the closed-form egcd, with no egcd op in the table."""
     copy, calls = spied(ring, "div_mod", "gcd", "mul", "canon_unit")
+    bare = replaced(copy, ops={role: fn for role, fn in copy.ops.items() if role != "egcd"})
+    pairs = _signed([(0, 0), (12, 0), (12, 8), (40, 21), (2**64, 2**64 - 1)])
+    assert [extended_gcd(bare, a, b) for a, b in pairs] == [
+        euclid._int_egcd(a, b) for a, b in pairs]
     f7, z257 = residue_field(copy, 7, is_prime(7)), residue_ring(copy, 257)
     assert {"to_int", "from_int"} <= set(f7.ops) & set(z257.ops)
     assert f7.ops["from_int"](3) is f7.ops["from_int"](10)  # the interned table
@@ -500,7 +519,7 @@ def _egcd_pairs():
 
 
 def _assert_native_egcd_is_generic(ring, pairs):
-    generic, calls = spied(without_roles(ring, "egcd"), "div_mod")
+    generic, calls = spied(without_roles(ring, "native_int"), "div_mod")
     for a, b in pairs:
         fast, slow = extended_gcd(ring, a, b), extended_gcd(generic, a, b)
         assert fast == slow, (a, b)
@@ -544,7 +563,7 @@ def test_int_egcd_boundary_classes(ring):
 def test_instances_with_native_roles_validate(ring):
     field = residue_field(ring, 7, is_prime(7))
     ufd = int_factorization_ring()
-    assert {"egcd", "to_int", "from_int", "native_int"} <= set(ring.ops) & set(ufd.ops)
+    assert {"to_int", "from_int", "native_int"} <= set(ring.ops) & set(ufd.ops)
     assert {"to_int", "from_int"} <= set(field.ops)
     # residues are not ints, so no residue ring claims native_int
     assert "native_int" not in field.ops and "native_int" not in residue_ring(ring, 12).ops

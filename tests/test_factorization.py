@@ -91,6 +91,13 @@ def test_check_factorization_rejects_forgeries():
     assert not check_factorization(FactorizationData(2, ()), 2)
 
 
+def test_check_factorization_refuses_what_is_not_its_record():
+    good = factor(12)
+    assert check_factorization(good, 12)
+    for probe in (None, "12", (good.unit, good.entries), is_prime(12)):
+        assert check_factorization(probe, 12) is False, probe
+
+
 def test_check_factorization_rejects_data_that_is_not_int():
     # p ** 1.0 is a float that rounds to 2^64, so the product matched
     p = 2**64 - 59

@@ -293,7 +293,7 @@ VARIANT_STATE_DIGESTS = {
 
 def _variant_carrier(name):
     if name == "generic-zmod12-ring":
-        return residue_ring(without_roles(int_ring(), "native_int", "egcd"), 12).base
+        return residue_ring(without_roles(int_ring(), "native_int"), 12).base
     return resolve_instance(name).base
 
 

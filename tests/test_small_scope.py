@@ -26,7 +26,7 @@ def test_verify_bezout_on_every_certificate_in_the_box(route):
     on 2 vCPUs with Python 3.11."""
     ring = int_ring()
     if route == "generic":
-        ring = without_roles(ring, "native_int", "egcd")
+        ring = without_roles(ring, "native_int")
     accepted = 0
     for fields in itertools.product(BOX, repeat=7):
         verdict = verify_bezout(ring, BezoutCertificate(*fields))

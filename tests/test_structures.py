@@ -141,7 +141,7 @@ def test_every_kind_pins_its_roles_and_laws():
 
 
 def test_no_route_is_chosen_by_object_identity():
-    """Fast routes are chosen by role (native_int, egcd, to_int, ...), so a
+    """Fast routes are chosen by role (native_int, to_int, ...), so a
     copy of a shipped instance takes the same route as the original."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     pattern = re.compile(r"is _Z|is int_ring\(\)|is int_order\(\)")
