@@ -16,7 +16,7 @@ from certalg.errors import InvalidInputError, StructuralError
 from certalg.euclid import (TRIAL_BOUND, DividesWitness, PrimalityCert,
                             is_prime, verify_primality)
 from certalg.factorization import (FactorEntry, FactorizationData,
-                                   check_factorization, check_unique_sampled,
+                                   _normalized_entries, check_factorization, check_unique_sampled,
                                    factor, factorizations_equal,
                                    int_factorization_ring,
                                    merge_factorizations,
@@ -160,6 +160,25 @@ def test_factorizations_equal_up_to_order_and_sign():
                               FactorEntry(2, 1, is_prime(2))))
     assert factorizations_equal(d, factor(-108))
     assert not factorizations_equal(d, factor(108))
+    assert _normalized_entries(d) == (-1, ((2, 2), (3, 3)))
+    two, three, five = is_prime(2), is_prime(3), is_prime(5)
+    # a negative prime: an odd power moves its sign into the unit, an even
+    # power does not
+    odd = FactorizationData(1, (FactorEntry(-5, 1, five), FactorEntry(-3, 3, three)))
+    assert _normalized_entries(odd) == (1, ((3, 3), (5, 1)))
+    assert _normalized_entries(FactorizationData(-1, (FactorEntry(-3, 1, three),))) \
+        == (1, ((3, 1),))
+    even = FactorizationData(-1, (FactorEntry(-2, 4, two), FactorEntry(3, 1, three)))
+    assert _normalized_entries(even) == (-1, ((2, 4), (3, 1)))
+    # one prime split over several entries, with both signs and apart
+    split = FactorizationData(1, (FactorEntry(2, 1, two), FactorEntry(5, 2, five),
+                                  FactorEntry(-2, 1, two), FactorEntry(2, 3, two)))
+    assert _normalized_entries(split) == (-1, ((2, 5), (5, 2)))
+    assert factorizations_equal(split, factor(-800))
+    # no entries: the unit alone
+    assert _normalized_entries(FactorizationData(-1, ())) == (-1, ())
+    assert factorizations_equal(FactorizationData(1, ()), factor(1))
+    assert not factorizations_equal(FactorizationData(-1, ()), factor(1))
 
 
 def test_merge_factorizations_is_multiplicative():

@@ -100,6 +100,17 @@ def test_fraction_field_is_cached():
     assert fraction_field() is fraction_field()
 
 
+def test_fraction_field_enumeration_is_pinned():
+    """Every n/d with -3 <= n <= 3 and 1 <= d <= 3, in first-seen order: the
+    law sweeps read this order, and CASE_DIGESTS sees only its first four."""
+    enum = fraction_field().base.enumeration
+    assert type(enum) is tuple
+    assert enum == tuple(Fraction(n, d) for n, d in [
+        (-3, 1), (-3, 2), (-1, 1), (-2, 1), (-2, 3), (-1, 2), (-1, 3), (0, 1),
+        (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+    assert all(type(f.num) is int and type(f.den) is int for f in enum)
+
+
 def test_build_fraction_field_equality_ignores_representation():
     f = build_fraction_field(RING)
     assert f.base.eq(Fraction(1, 2), Fraction(1, 2)).holds

@@ -103,6 +103,49 @@ def test_poly_group_over_residue_ring_is_lawful():
     assert check_laws(g, seed=2, budget=120).ok
 
 
+# poly_group's enumeration over Z: c2*x^2 + c1*x + c0 for c2, c1, c0 in
+# (0, 1, -1), the first three elements of int_ring()'s carrier, each
+# polynomial kept where it is first seen (terms as (coefficient, exponent))
+POLY_INT_ENUMERATION = [
+    (), ((1, 0),), ((-1, 0),), ((1, 1),), ((1, 1), (1, 0)), ((1, 1), (-1, 0)),
+    ((-1, 1),), ((-1, 1), (1, 0)), ((-1, 1), (-1, 0)),
+    ((1, 2),), ((1, 2), (1, 0)), ((1, 2), (-1, 0)), ((1, 2), (1, 1)),
+    ((1, 2), (1, 1), (1, 0)), ((1, 2), (1, 1), (-1, 0)), ((1, 2), (-1, 1)),
+    ((1, 2), (-1, 1), (1, 0)), ((1, 2), (-1, 1), (-1, 0)),
+    ((-1, 2),), ((-1, 2), (1, 0)), ((-1, 2), (-1, 0)), ((-1, 2), (1, 1)),
+    ((-1, 2), (1, 1), (1, 0)), ((-1, 2), (1, 1), (-1, 0)), ((-1, 2), (-1, 1)),
+    ((-1, 2), (-1, 1), (1, 0)), ((-1, 2), (-1, 1), (-1, 0)),
+]
+
+# the same over Z/(7), whose carrier starts 0, 1, 2 (coefficients as values)
+POLY_ZMOD7_ENUMERATION = [
+    (), ((1, 0),), ((2, 0),), ((1, 1),), ((1, 1), (1, 0)), ((1, 1), (2, 0)),
+    ((2, 1),), ((2, 1), (1, 0)), ((2, 1), (2, 0)),
+    ((1, 2),), ((1, 2), (1, 0)), ((1, 2), (2, 0)), ((1, 2), (1, 1)),
+    ((1, 2), (1, 1), (1, 0)), ((1, 2), (1, 1), (2, 0)), ((1, 2), (2, 1)),
+    ((1, 2), (2, 1), (1, 0)), ((1, 2), (2, 1), (2, 0)),
+    ((2, 2),), ((2, 2), (1, 0)), ((2, 2), (2, 0)), ((2, 2), (1, 1)),
+    ((2, 2), (1, 1), (1, 0)), ((2, 2), (1, 1), (2, 0)), ((2, 2), (2, 1)),
+    ((2, 2), (2, 1), (1, 0)), ((2, 2), (2, 1), (2, 0)),
+]
+
+
+def test_poly_group_enumerations_are_pinned():
+    """The law sweeps read these in order; CASE_DIGESTS sees only the first
+    four of each, while laws --sweep 27 reaches them all."""
+    enum = poly_group(RING).base.enumeration
+    assert type(enum) is tuple
+    assert [p.terms for p in enum] == POLY_INT_ENUMERATION
+    assert all(type(c) is int for p in enum for c, _ in p.terms)
+    z7 = residue_ring(int_ring(), 7)
+    enum = poly_group(z7).base.enumeration
+    assert type(enum) is tuple
+    assert [p.terms for p in enum] == [
+        tuple((make_residue(int_ring(), 7, c), e) for c, e in terms)
+        for terms in POLY_ZMOD7_ENUMERATION]
+    assert all(p.ring is z7 for p in enum)
+
+
 def test_poly_group_addition_over_zmod7_wraps_coefficients():
     z7 = residue_ring(int_ring(), 7)
     g = poly_group(z7)
