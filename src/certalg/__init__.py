@@ -44,8 +44,7 @@ _EXPORTS = {
     "certlists": ("DecTotalOrder", "SortResult", "append", "fraction_order", "int_order",
                   "rev", "sort_certified", "verify_sort_result"),
     "eqprover": ("Apply", "NatConst", "NormalForm", "Term", "UnitConst", "Var",
-                 "eval_mat2", "eval_nat", "eval_word", "normalize", "prove_eq",
-                 "term_vars"),
+                 "eval_mat2", "eval_nat", "eval_word", "normalize", "prove_eq"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -5,8 +5,8 @@ PowSym (the polynomial grammar's x^k), Neg and Apply (a binary operator).
 parse_expr reads the CLI's ASCII grammar straight into these records, in
 one of MODES, and format_expr prints them back. eval_in is the one fold
 over a term, given an ops table for the operators and a leaf map for the
-rest: the normal forms, term_vars, the three models and the CLI's
-integers, fractions, residues and polynomials are all calls of it.
+rest: the normal forms, the three models and the CLI's integers,
+fractions, residues and polynomials are all calls of it.
 
 monoid: terms over one associative op with identity normalize to words.
 semiring: non-commutative multiplication, commutative addition, natural
@@ -346,14 +346,6 @@ def prove_eq(theory: str, lhs: Term, rhs: Term) -> Decision:
     if nl == nr:
         return Decision.yes((nl, nr))
     return Decision.no((nl, nr))
-
-
-# every operator of the grammar joins its operands' names
-_NAMES = dict.fromkeys(_PRECEDENCE, operator.or_) | {"neg": set}
-
-
-def term_vars(t: Term) -> set:
-    return eval_in(_NAMES, lambda s: {s.name} if isinstance(s, Var) else set(), t)
 
 
 # ---------------------------------------------------------------------------

@@ -41,24 +41,16 @@ def product_of(f: FactorizationData) -> int:
 
 
 def _normalized_entries(f: FactorizationData):
-    """Associate-normalize: primes made positive, signs absorbed into the unit."""
-    unit = f.unit
-    out = []
+    """Associate-normalize: the unit, and each prime made positive with its
+    multiplicities added, sorted by prime; an odd power of a negative prime
+    folds its sign into the unit."""
+    unit, counts = f.unit, {}
     for e in f.entries:
-        p = e.prime
-        if p < 0:
-            p = -p
-            if e.multiplicity % 2:
-                unit = -unit
-        out.append((p, e.multiplicity))
-    out.sort()
-    merged = []
-    for p, m in out:
-        if merged and merged[-1][0] == p:
-            merged[-1] = (p, merged[-1][1] + m)
-        else:
-            merged.append((p, m))
-    return unit, tuple(merged)
+        if e.prime < 0 and e.multiplicity % 2:
+            unit = -unit
+        p = abs(e.prime)
+        counts[p] = counts.get(p, 0) + e.multiplicity
+    return unit, tuple(sorted(counts.items()))
 
 
 def factorizations_equal(f1: FactorizationData, f2: FactorizationData) -> bool:

@@ -184,12 +184,7 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
             d = -30 + below(rng, 61)
         return mk_fraction(ring, n, d)
 
-    enum = []
-    for n in range(-3, 4):
-        for d in range(1, 4):
-            f = mk_fraction(ring, n, d)
-            if f not in enum:
-                enum.append(f)
+    enum = dict.fromkeys(mk_fraction(ring, n, d) for n in range(-3, 4) for d in range(1, 4))
 
     mulr = ring.ops["mul"]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import defaultdict
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 from struct import calcsize, iter_unpack
 
@@ -231,13 +231,8 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
         return out
 
     small = ring.base.enumeration[:3] if ring.base.enumeration else ring.base.sample(7, 3)
-    enum = []
-    for c2 in small:
-        for c1 in small:
-            for c0 in small:
-                p = mk_poly(ring, [(c2, 2), (c1, 1), (c0, 0)])
-                if p not in enum:
-                    enum.append(p)
+    enum = dict.fromkeys(mk_poly(ring, [(c2, 2), (c1, 1), (c0, 0)])
+                         for c2, c1, c0 in product(small, repeat=3))
 
     zero = ring.ops["zero"]()
 

@@ -4,10 +4,20 @@ Each row is (theory, lhs, rhs, expected_verdict). The verdicts are the
 intended ground truth; misclassification of any row is a prover defect.
 """
 
-from certalg.eqprover import Apply, NatConst, UnitConst, Var
+import operator
+
+from certalg.eqprover import Apply, NatConst, UnitConst, Var, eval_in
 
 x, y, z = Var("x"), Var("y"), Var("z")
 e = UnitConst()
+
+# every operator of the grammar joins its operands' names
+_NAMES = dict.fromkeys("+-*/", operator.or_) | {"neg": set}
+
+
+def term_vars(t) -> set:
+    """The names of the variables in t; the models' tests draw a value for each."""
+    return eval_in(_NAMES, lambda s: {s.name} if isinstance(s, Var) else set(), t)
 
 
 def mul(a, b):

@@ -17,11 +17,11 @@ from certalg import cli
 from certalg.certlists import (SortResult, append, int_order, rev,
                                sort_certified, verify_sort_result)
 from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
-                              format_expr, parse_expr, prove_eq, term_vars)
+                              format_expr, parse_expr, prove_eq)
 from certalg.numbers import power_instrumented
 from cli_exprgen import random_expr
 from conftest import record_line
-from eq_corpus import CORPUS, add, mul, x, y
+from eq_corpus import CORPUS, add, mul, term_vars, x, y
 
 RING = ca.int_ring()
 PRIMES_UNDER_100 = [p for p in range(2, 100) if ca.is_prime(p).verdict == "prime"]

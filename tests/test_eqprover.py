@@ -14,8 +14,8 @@ import certalg
 from certalg import eqprover
 from certalg.errors import InvalidInputError, StructuralError
 from certalg.eqprover import (MAT_CANDIDATES, Var, eval_mat2, eval_nat, eval_word,
-                              normalize, prove_eq, term_vars)
-from eq_corpus import CORPUS, add, e, mul, nat, x, y, z
+                              normalize, prove_eq)
+from eq_corpus import CORPUS, add, e, mul, nat, term_vars, x, y, z
 
 
 def test_corpus_is_large_enough():
