@@ -62,16 +62,18 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     each input element onto an equal element of ys, and adjacent pairs
     re-decide as ordered. The bijection is what proves that ys is the
     input's multiset under the carrier's eq, so no separate count is taken.
-    Anything but a SortResult is refused."""
+    Anything but a SortResult, or one whose fields are not tuples or lists,
+    is refused."""
     if type(result) is not SortResult:
         return False
     xs = list(xs)
-    ys = result.ys
-    perm = result.perm
+    ys, perm, ord_cert = result.ys, result.perm, result.ord_cert
+    if not {type(ys), type(perm), type(ord_cert)} <= {tuple, list}:
+        return False
     n = len(xs)
     if len(ys) != n or len(perm) != n:
         return False
-    if len(result.ord_cert) != max(n - 1, 0):
+    if len(ord_cert) != max(n - 1, 0):
         return False
     if not {*map(type, perm)} <= {int} or sorted(perm) != list(range(n)):
         return False
@@ -81,7 +83,7 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
             return False
     # every claimed decision must be a Decision that holds, and re-decide so
     leq = dto.leq
-    for y, z, d in zip(ys, ys[1:], result.ord_cert):
+    for y, z, d in zip(ys, ys[1:], ord_cert):
         if not (type(d) is Decision and d.holds and leq(y, z).holds):
             return False
     return True

@@ -362,16 +362,22 @@ def _pratt(p: int, fuel: Fuel) -> PrattCertificate:
 
 
 def certified_product(entries, m: int) -> bool:
-    """True when entries, (prime, multiplicity, cert) triples of ints (bool is
-    not) and 'prime' certs that verify_primality accepts, multiply to m. Since
+    """True when entries, a tuple or list of FactorEntry values whose prime
+    and multiplicity are ints (bool is not) and whose certs are 'prime'
+    PrimalityCerts that verify_primality accepts, multiply to m. Since
     product * q**e >= 2**(product's bits - 1 + (q's bits - 1) * e), a power that
     would take the running product past m is refused before it is taken."""
+    if type(entries) not in (tuple, list):
+        return False
     bound = m.bit_length()
     product = 1
-    for q, e, cert in entries:
+    for entry in entries:
+        if type(entry) is not FactorEntry:
+            return False
+        q, e, cert = entry
         if not type(q) is type(e) is int or q < 2 or not 1 <= e <= bound:
             return False
-        if cert.subject != q or cert.verdict != "prime":
+        if type(cert) is not PrimalityCert or cert.subject != q or cert.verdict != "prime":
             return False
         if product.bit_length() - 1 + (q.bit_length() - 1) * e >= bound:
             return False
@@ -380,7 +386,7 @@ def certified_product(entries, m: int) -> bool:
 
 
 def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
-    if pratt is None or type(pratt.base) is not int:
+    if type(pratt) is not PrattCertificate or type(pratt.base) is not int:
         return False
     a = pratt.base
     return (certified_product(pratt.factors, p - 1) and pow(a, p - 1, p) == 1
@@ -390,9 +396,10 @@ def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
 def verify_primality(cert: PrimalityCert) -> bool:
     """Re-check a verdict from its own fields: a composite's witness by one
     product, a prime below TRIAL_BOUND by trial division, a prime above it by
-    its Pratt certificate. Every number in it must be an int, and anything but
-    a PrimalityCert, or a composite verdict whose witness is not a
-    DividesWitness, is refused."""
+    its Pratt certificate. Every number in it must be an int and every record
+    of its own type: anything but a PrimalityCert, a composite's witness that
+    is not a DividesWitness, or a pratt that is not a PrattCertificate, is
+    refused, and so is a Pratt factor list that certified_product refuses."""
     if type(cert) is not PrimalityCert:
         return False
     n = cert.subject

@@ -129,6 +129,14 @@ def test_verify_refuses_what_is_not_a_sort_result():
         assert verify_sort_result(int_order(), xs, probe) is False, probe
 
 
+@pytest.mark.parametrize("field", ["ys", "ord_cert", "perm"])
+def test_verify_refuses_sort_result_fields_of_none(field):
+    xs = [5, 3, 9, 1]
+    good = sort_certified(int_order(), xs)
+    fields = {"ys": good.ys, "ord_cert": good.ord_cert, "perm": good.perm, field: None}
+    assert verify_sort_result(int_order(), xs, SortResult(**fields)) is False
+
+
 def test_verify_rejects_perm_entries_that_are_not_ints():
     xs = [5, 3, 9, 1]
     good = sort_certified(int_order(), xs)

@@ -13,7 +13,7 @@ from certalg import euclid
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
 from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
-                            PrattCertificate, PrimalityCert, Residue,
+                            FactorEntry, PrattCertificate, PrimalityCert, Residue,
                             check_divides, euclidean_div_mod,
                             extended_gcd, int_ring, is_prime, make_residue,
                             prime_split, residue_field, residue_ring,
@@ -670,7 +670,8 @@ def test_verify_primality_rejects_forged_pratt_certificates():
     assert not verify_primality(_prime_cert(M61, PrattCertificate(1, good.factors)))
     # prime powers that do not multiply to p-1
     q, e, c = good.factors[0]
-    assert not verify_primality(_prime_cert(M61, _replace_factor(good, 0, (q, e + 1, c))))
+    assert not verify_primality(_prime_cert(M61, _replace_factor(good, 0,
+                                                                 FactorEntry(q, e + 1, c))))
     # an omitted prime of p-1
     assert not verify_primality(_prime_cert(M61, _replace_factor(good, -1, None)))
     # no certificate, a witness on a prime, a certificate on a composite verdict
@@ -685,7 +686,7 @@ def test_verify_primality_rejects_forged_pratt_certificates():
 def test_verify_primality_rejects_pratt_fields_that_are_not_ints():
     good = is_prime(M61).pratt
     q, e, c = good.factors[0]
-    for factor in ((float(q), e, c), (q, float(e), c)):
+    for factor in (FactorEntry(float(q), e, c), FactorEntry(q, float(e), c)):
         assert not verify_primality(_prime_cert(M61, _replace_factor(good, 0, factor)))
     floated = PrattCertificate(float(good.base), good.factors)
     assert not verify_primality(_prime_cert(M61, floated))
@@ -697,24 +698,51 @@ def test_verify_primality_rejects_a_composite_factor_of_p_minus_one():
     # sub-certificate built from the true factorization of q - 1
     q = 151 * 331 * 1321
     rest = tuple(t for t in good.factors if t[0] not in (151, 331, 1321))
-    sub_factors = tuple((r, k, is_prime(r)) for r, k in nt_oracles.trial_factor(q - 1))
+    sub_factors = tuple(FactorEntry(r, k, is_prime(r))
+                        for r, k in nt_oracles.trial_factor(q - 1))
     for base in (2, 3, 5, 7):
         forged_q = _prime_cert(q, PrattCertificate(base, sub_factors))
         assert not verify_primality(forged_q)
-        forged = PrattCertificate(good.base, rest + ((q, 1, forged_q),))
+        forged = PrattCertificate(good.base, rest + (FactorEntry(q, 1, forged_q),))
         assert not verify_primality(_prime_cert(M61, forged))
     # a true composite certificate for q in the slot of a prime
-    forged = PrattCertificate(good.base, rest + ((q, 1, is_prime(q)),))
+    forged = PrattCertificate(good.base, rest + (FactorEntry(q, 1, is_prime(q)),))
     assert not verify_primality(_prime_cert(M61, forged))
     # 3^2 * 5^2 = 15^2, with 15 claimed prime below the bound
     swapped = tuple(t for t in good.factors if t[0] not in (3, 5)) + (
-        (15, 2, PrimalityCert(15, "prime")),)
+        FactorEntry(15, 2, PrimalityCert(15, "prime")),)
     assert not verify_primality(_prime_cert(M61, PrattCertificate(good.base, swapped)))
+
+
+def _nested_shape(shape):
+    """A prime verdict for M61 with one nested field of another type."""
+    good = is_prime(M61).pratt
+    q, e, _ = good.factors[0]
+    if shape == "pratt-is-an-int":
+        return _prime_cert(M61, good.base)
+    if shape == "factors-none":
+        return _prime_cert(M61, PrattCertificate(good.base, None))
+    if shape == "entry-cert-none":
+        return _prime_cert(M61, _replace_factor(good, 0, FactorEntry(q, e, None)))
+    assert shape == "entries-plain-triples"  # each a tuple, not a FactorEntry
+    return _prime_cert(M61, PrattCertificate(good.base, tuple(map(tuple, good.factors))))
+
+
+@pytest.mark.parametrize("shape", ["pratt-is-an-int", "factors-none", "entry-cert-none",
+                                   "entries-plain-triples"])
+def test_verify_primality_refuses_nested_fields_of_another_type(shape):
+    assert verify_primality(_nested_shape(shape)) is False
+
+
+def test_verify_primality_accepts_pratt_factors_as_a_list():
+    good = is_prime(M61).pratt
+    assert verify_primality(_prime_cert(M61, PrattCertificate(good.base, list(good.factors))))
 
 
 def test_pratt_certificates_on_carmichael_numbers_are_rejected():
     def pratt_for(n, base):
-        factors = tuple((q, k, is_prime(q)) for q, k in nt_oracles.trial_factor(n - 1))
+        factors = tuple(FactorEntry(q, k, is_prime(q))
+                        for q, k in nt_oracles.trial_factor(n - 1))
         return PrattCertificate(base, factors)
     # 561 = 3 * 11 * 17 sits below the bound; 56052361 = 211 * 421 * 631
     # (Chernick's form) sits above it. Neither has an element of order n - 1.

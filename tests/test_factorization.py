@@ -98,6 +98,19 @@ def test_check_factorization_refuses_what_is_not_its_record():
         assert check_factorization(probe, 12) is False, probe
 
 
+@pytest.mark.parametrize("entries", [
+    None, (4, 3), ((2, 2), (3, 1)),
+    (FactorEntry(2, 2, None), FactorEntry(3, 1, is_prime(3))),
+    ((2, 2, is_prime(2)), (3, 1, is_prime(3))),
+], ids=["none", "ints", "pairs", "entry-cert-none", "plain-triples"])
+def test_check_factorization_refuses_entries_of_another_type(entries):
+    assert check_factorization(FactorizationData(1, entries), 12) is False
+
+
+def test_check_factorization_accepts_entries_as_a_list():
+    assert check_factorization(FactorizationData(1, list(factor(12).entries)), 12)
+
+
 def test_check_factorization_rejects_data_that_is_not_int():
     # p ** 1.0 is a float that rounds to 2^64, so the product matched
     p = 2**64 - 59
