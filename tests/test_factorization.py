@@ -94,6 +94,7 @@ def test_check_factorization_rejects_forgeries():
 def test_check_factorization_refuses_what_is_not_its_record():
     good = factor(12)
     assert check_factorization(good, 12)
+    assert check_factorization(FactorizationData(1, list(good.entries)), 12)
     for probe in (None, "12", (good.unit, good.entries), is_prime(12)):
         assert check_factorization(probe, 12) is False, probe
 
@@ -105,10 +106,6 @@ def test_check_factorization_refuses_what_is_not_its_record():
 ], ids=["none", "ints", "pairs", "entry-cert-none", "plain-triples"])
 def test_check_factorization_refuses_entries_of_another_type(entries):
     assert check_factorization(FactorizationData(1, entries), 12) is False
-
-
-def test_check_factorization_accepts_entries_as_a_list():
-    assert check_factorization(FactorizationData(1, list(factor(12).entries)), 12)
 
 
 def test_check_factorization_rejects_data_that_is_not_int():
