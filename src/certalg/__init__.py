@@ -21,17 +21,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CertAlgError", "CompositeModulusError", "InvalidInputError",
                "ParseError", "StructuralError"),
-    "structures": ("DSet", "Decision", "Kind", "LawReport", "StructureInstance",
-                   "ancestors", "check_laws", "multiplicative_monoid",
-                   "recheck_failure", "validate_instance"),
+    "structures": ("DSet", "Decision", "Kind", "StructureInstance", "ancestors",
+                   "multiplicative_monoid", "validate_instance"),
+    "laws": ("LawReport", "check_laws", "recheck_failure"),
     "numbers": ("bin_add_monoid", "bin_suc", "bin_to_str", "from_bin", "int_add_group",
                 "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
                 "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",
                 "to_bin"),
-    "euclid": ("BezoutCertificate", "DividesWitness", "FactorEntry", "PrattCertificate",
-               "PrimalityCert", "Residue", "check_divides", "euclidean_div_mod",
-               "extended_gcd", "int_ring", "is_prime", "make_residue", "prime_split",
-               "residue_field", "residue_ring", "verify_bezout", "verify_primality"),
+    "euclid": ("BezoutCertificate", "DividesWitness", "Residue", "check_divides",
+               "euclidean_div_mod", "extended_gcd", "int_ring", "make_residue",
+               "residue_field", "residue_ring", "verify_bezout"),
+    "primes": ("FactorEntry", "PrattCertificate", "PrimalityCert", "is_prime",
+               "prime_split", "verify_primality"),
     "factorization": ("FactorizationData", "check_factorization",
                       "check_unique_sampled", "factor", "factorizations_equal",
                       "int_factorization_ring", "merge_factorizations",

@@ -30,12 +30,12 @@ from functools import partial
 
 from .errors import (CompositeModulusError, Fuel, InvalidInputError, ParseError,
                      StructuralError)
-from .euclid import (Residue, extended_gcd, int_ring, is_prime, make_residue,
-                     residue_field, residue_ring, verify_bezout)
+from .euclid import (Residue, extended_gcd, int_ring, make_residue, residue_field,
+                     residue_ring, verify_bezout)
 from .numbers import (_digit_limit, _literal, bin_add_monoid, bin_to_str,
                       int_add_group, nat_add_monoid, nat_monus_semigroup,
                       nat_mul_monoid, pos_nat_mul_monoid, power, to_bin)
-from .structures import StructureInstance, check_laws, multiplicative_monoid
+from .structures import StructureInstance, multiplicative_monoid
 
 DEFAULT_BUDGET = 200
 # check_laws draws a sample pool linear in the budget, so time and memory
@@ -139,7 +139,7 @@ LAWFUL_INSTANCE_NAMES = tuple(n for n in _INSTANCES if n != "nat-monus") + (
 _ZMOD_RE = re.compile(r"zmod(\d+)-(ring|field|mul)")
 _ZMOD = {
     "ring": lambda b: residue_ring(int_ring(), b),
-    "field": lambda p: residue_field(int_ring(), p, is_prime(p)),
+    "field": lambda p: residue_field(int_ring(), p, _package.is_prime(p)),
     "mul": lambda b: multiplicative_monoid(residue_ring(int_ring(), b)),
 }
 
@@ -173,6 +173,7 @@ resolve_monoid = partial(_resolve, "monoid")
 
 
 def _run_laws(ns):
+    from .laws import check_laws
     reports = [(name, check_laws(resolve_instance(name), seed=ns.seed, budget=ns.budget,
                                  sweep=ns.sweep)) for name in ns.names]
     all_ok = all(r.ok for _, r in reports)
@@ -210,6 +211,7 @@ def _run_egcd(ns):
 
 
 def _run_isprime(ns):
+    from .primes import is_prime
     cert = is_prime(ns.n)
     doc = {"command": "isprime", "n": ns.n, "verdict": cert.verdict}
     if cert.verdict == "prime":

@@ -2,7 +2,7 @@
 a sampled uniqueness suite driven by prime_split witnesses.
 
 factor strips the primes below 2^10, keeps what Miller-Rabin calls prime
-and splits the rest with Pollard rho (euclid.certified_factors). Each prime
+and splits the rest with Pollard rho (primes.certified_factors). Each prime
 gets its certificate once: trial division re-checks a prime below 2^20, and
 a Pratt certificate proves a larger one.
 """
@@ -13,9 +13,9 @@ import random
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Kind, LawReport, Record, StructureInstance, below, seeded
-from .euclid import (DividesWitness, FactorEntry, certified_factors, certified_product,
-                     check_divides, int_ring, prime_split)
+from .structures import DSet, Kind, Record, StructureInstance, below, seeded
+from .euclid import DividesWitness, check_divides, int_ring
+from .primes import FactorEntry, certified_factors, certified_product, prime_split
 from .numbers import pos_nat_dset
 
 
@@ -70,7 +70,7 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
 
 def check_factorization(f: FactorizationData, x: int) -> bool:
     """Re-check a factorization against its nonzero subject x: the unit, an
-    int, is the sign of x, and euclid.certified_product accepts the entries
+    int, is the sign of x, and primes.certified_product accepts the entries
     for |x|. The subject must be an int too (bool is not), and anything but a
     FactorizationData is refused."""
     if type(f) is not FactorizationData or type(x) is not int or x == 0:
@@ -91,6 +91,7 @@ def check_unique_sampled(ring: StructureInstance, seed: int = 1,
     the factors' data, (iii) a prime_split run on (p, a, b) with p | a*b
     yields a witness that re-checks.
     """
+    from .laws import LawReport
     for role in ("factor", "prime_split"):
         if role not in ring.ops:
             raise StructuralError(f"{ring.name}: uniqueness check needs op {role!r}")

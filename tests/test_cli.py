@@ -475,8 +475,8 @@ def test_laws_with_no_budget_and_no_sweep_is_a_usage_error():
 
 
 def test_isprime_out_of_fuel_exits_7_with_a_reason(monkeypatch):
-    from certalg import euclid
-    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    from certalg import primes
+    monkeypatch.setattr(primes, "RHO_FUEL", 256)
     n = (2**31 - 1) * (2**32 - 5)
     code, text = run_argv(["isprime", str(n), "--json"])
     assert code == 7

@@ -9,10 +9,10 @@ import pytest
 
 import nt_oracles
 from roles import replaced, spied, without_roles
-from certalg import euclid
+from certalg import euclid, primes
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
-from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
+from certalg.euclid import (BezoutCertificate, DividesWitness,
                             FactorEntry, PrattCertificate, PrimalityCert, Residue,
                             check_divides, euclidean_div_mod,
                             extended_gcd, int_ring, is_prime, make_residue,
@@ -20,6 +20,7 @@ from certalg.euclid import (TRIAL_BOUND, BezoutCertificate, DividesWitness,
                             verify_bezout, verify_primality)
 from certalg.factorization import int_factorization_ring
 from certalg.fractions import Fraction, add_optimized, mk_fraction, mul_fractions
+from certalg.primes import TRIAL_BOUND
 from certalg.structures import (Kind, StructureInstance, check_laws,
                                 validate_instance)
 
@@ -641,8 +642,8 @@ def test_sixty_one_bit_prime_is_fast_and_certified():
 def test_verify_primality_never_trial_divides_above_the_bound(monkeypatch):
     cert = is_prime(M61)
     calls = []
-    real = euclid._least_small_factor
-    monkeypatch.setattr(euclid, "_least_small_factor",
+    real = primes._least_small_factor
+    monkeypatch.setattr(primes, "_least_small_factor",
                         lambda m: calls.append(m) or real(m))
     assert verify_primality(cert)
     assert calls and max(calls) < TRIAL_BOUND
@@ -759,7 +760,7 @@ def _semiprime_of_large_primes(bits):
 def test_is_prime_out_of_fuel_raises_instead_of_guessing(monkeypatch):
     n = _semiprime_of_large_primes(32)
     assert is_prime(n).verdict == "composite"
-    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    monkeypatch.setattr(primes, "RHO_FUEL", 256)
     with pytest.raises(InvalidInputError, match="fuel"):
         is_prime(n)
 
@@ -774,6 +775,6 @@ def test_prime_whose_p_minus_one_cannot_be_split_raises(monkeypatch):
         if nt_oracles.strong_probable_prime(p):
             break
     assert verify_primality(is_prime(p))
-    monkeypatch.setattr(euclid, "RHO_FUEL", 0)
+    monkeypatch.setattr(primes, "RHO_FUEL", 0)
     with pytest.raises(InvalidInputError, match="fuel"):
         is_prime(p)

@@ -11,9 +11,9 @@ import pytest
 
 import nt_oracles
 import certalg
-from certalg import euclid
+from certalg import primes
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.euclid import (TRIAL_BOUND, DividesWitness, PrimalityCert,
+from certalg.euclid import (DividesWitness, PrimalityCert,
                             is_prime, verify_primality)
 from certalg.factorization import (FactorEntry, FactorizationData,
                                    _normalized_entries, check_factorization, check_unique_sampled,
@@ -21,6 +21,7 @@ from certalg.factorization import (FactorEntry, FactorizationData,
                                    int_factorization_ring,
                                    merge_factorizations,
                                    pos_nat_factorization_monoid, product_of)
+from certalg.primes import TRIAL_BOUND
 from certalg.structures import Kind, check_laws
 
 # oracle: sympy.factorint, frozen
@@ -266,6 +267,6 @@ def test_factor_out_of_fuel_raises_instead_of_guessing(monkeypatch):
     rng = random.Random(3)
     n = (nt_oracles.next_prime(rng.getrandbits(32) | 1 << 31)
          * nt_oracles.next_prime(rng.getrandbits(32) | 1 << 31))
-    monkeypatch.setattr(euclid, "RHO_FUEL", 256)
+    monkeypatch.setattr(primes, "RHO_FUEL", 256)
     with pytest.raises(InvalidInputError, match="fuel"):
         factor(n)

@@ -17,9 +17,10 @@ from certalg.euclid import (BezoutCertificate, DividesWitness, FactorEntry,
                             PrattCertificate, PrimalityCert, Residue)
 from certalg.factorization import FactorizationData
 from certalg.fractions import Fraction
+from certalg.laws import _Law
 from certalg.polynomials import Poly
 from certalg.structures import (YES, Decision, DSet, Kind, LawReport,
-                                StructureInstance, _Law)
+                                StructureInstance)
 
 DSET = DSet("bits", max, sorted, (0, 1), None)
 

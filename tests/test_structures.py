@@ -7,8 +7,9 @@ import re
 import pytest
 
 from certalg.errors import StructuralError
+from certalg.laws import _laws_for
 from certalg.structures import (DSet, Decision, Kind, StructureInstance,
-                                _laws_for, ancestors, below, check_laws,
+                                ancestors, below, check_laws,
                                 multiplicative_monoid, recheck_failure,
                                 validate_instance)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
