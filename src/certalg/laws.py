@@ -1,4 +1,4 @@
-"""Executable law suites for the structure kinds of structures.
+"""Executable law suites for the kinds of the structures tower.
 
 check_laws runs an instance's law catalogue, every law of its kind and of
 the kind's ancestors, over a small exhaustive sweep plus seeded random
