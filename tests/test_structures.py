@@ -8,7 +8,8 @@ import pytest
 
 from certalg.errors import StructuralError
 from certalg.laws import _laws_for
-from certalg.structures import (DSet, Decision, Kind, StructureInstance,
+from certalg.structures import (DSet, Decision, GROUP_LIKE_KINDS, Kind,
+                                RING_LIKE_KINDS, StructureInstance, _ROLES,
                                 ancestors, below, check_laws,
                                 multiplicative_monoid, recheck_failure,
                                 validate_instance)
@@ -42,6 +43,76 @@ def test_monoid_ancestry_is_strictly_smaller_than_group():
 
 def test_commutative_monoid_reaches_commutative_semigroup():
     assert Kind.COMMUTATIVE_SEMIGROUP in ancestors(Kind.COMMUTATIVE_MONOID)
+
+
+# each kind's ancestors, itself included, and every op role an instance may
+# carry, spelled out in full so that a change to the tower shows here
+PINNED_ANCESTORS = {
+    "MAGMA": {"MAGMA"},
+    "SEMIGROUP": {"MAGMA", "SEMIGROUP"},
+    "COMMUTATIVE_SEMIGROUP": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP"},
+    "MONOID": {"MAGMA", "SEMIGROUP", "MONOID"},
+    "COMMUTATIVE_MONOID": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                           "COMMUTATIVE_MONOID"},
+    "CC_MONOID": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID", "COMMUTATIVE_MONOID",
+                  "CC_MONOID"},
+    "FACTORIZATION_MONOID": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                             "COMMUTATIVE_MONOID", "CC_MONOID", "FACTORIZATION_MONOID"},
+    "GROUP": {"MAGMA", "SEMIGROUP", "MONOID", "GROUP"},
+    "COMMUTATIVE_GROUP": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                          "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP"},
+    "RINGOID": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID", "COMMUTATIVE_MONOID",
+                "GROUP", "COMMUTATIVE_GROUP", "RINGOID"},
+    "RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID", "COMMUTATIVE_MONOID",
+             "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING"},
+    "RING_WITH_ONE": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                      "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING",
+                      "RING_WITH_ONE"},
+    "COMMUTATIVE_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                         "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING",
+                         "RING_WITH_ONE", "COMMUTATIVE_RING"},
+    "INTEGRAL_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                      "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING",
+                      "RING_WITH_ONE", "COMMUTATIVE_RING", "INTEGRAL_RING"},
+    "GCD_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID", "COMMUTATIVE_MONOID",
+                 "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING", "RING_WITH_ONE",
+                 "COMMUTATIVE_RING", "INTEGRAL_RING", "GCD_RING"},
+    "EUCLIDEAN_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                       "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING",
+                       "RING_WITH_ONE", "COMMUTATIVE_RING", "INTEGRAL_RING", "EUCLIDEAN_RING"},
+    "FACTORIZATION_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                           "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING",
+                           "RING_WITH_ONE", "COMMUTATIVE_RING", "INTEGRAL_RING",
+                           "FACTORIZATION_RING"},
+    "UNIQUE_FACTORIZATION_RING": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                                  "COMMUTATIVE_MONOID", "GROUP", "COMMUTATIVE_GROUP", "RINGOID",
+                                  "RING", "RING_WITH_ONE", "COMMUTATIVE_RING", "INTEGRAL_RING",
+                                  "FACTORIZATION_RING", "UNIQUE_FACTORIZATION_RING"},
+    "FIELD": {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID", "COMMUTATIVE_MONOID",
+              "GROUP", "COMMUTATIVE_GROUP", "RINGOID", "RING", "RING_WITH_ONE",
+              "COMMUTATIVE_RING", "INTEGRAL_RING", "FACTORIZATION_RING",
+              "UNIQUE_FACTORIZATION_RING", "FIELD"},
+}
+PINNED_ROLES = {
+    "add", "canon_unit", "div_mod", "factor", "from_int", "gcd", "identity", "inv",
+    "inverse", "is_unit", "mul", "native_int", "neg", "norm", "one", "op", "power",
+    "primality", "prime_split", "to_int", "unit_inv", "zero",
+}
+PINNED_GROUP_LIKE = {"MAGMA", "SEMIGROUP", "COMMUTATIVE_SEMIGROUP", "MONOID",
+                     "COMMUTATIVE_MONOID", "CC_MONOID", "FACTORIZATION_MONOID", "GROUP",
+                     "COMMUTATIVE_GROUP"}
+
+
+def test_every_kind_pins_its_ancestors():
+    assert set(PINNED_ANCESTORS) == {kind.name for kind in Kind}
+    for kind in Kind:
+        assert {k.name for k in ancestors(kind)} == PINNED_ANCESTORS[kind.name], kind
+
+
+def test_the_role_list_and_the_kind_classes_are_pinned():
+    assert _ROLES == PINNED_ROLES
+    assert {kind.name for kind in GROUP_LIKE_KINDS} == PINNED_GROUP_LIKE
+    assert RING_LIKE_KINDS == set(Kind) - GROUP_LIKE_KINDS
 
 
 # ============================================================
