@@ -41,48 +41,47 @@ class Kind(Enum):
 # not inverse-uniqueness or inverse-antihomomorphism. Roles are written in full, not
 # inherited: a ring kind names add/neg/zero, not its group's op, and a field sits on
 # UniqueFactorizationRing without requiring factor.
+_MAGMA_OPS = frozenset({"op"})
+_MONOID_OPS = _MAGMA_OPS | {"identity"}
+_GROUP_OPS = _MONOID_OPS | {"inverse"}
+_RING_OPS = frozenset({"add", "neg", "zero", "mul"})
+_RING1_OPS = _RING_OPS | {"one"}
 TOWER = {
-    Kind.MAGMA: ((), frozenset({"op"})),
-    Kind.SEMIGROUP: ((Kind.MAGMA,), frozenset({"op"})),
-    Kind.COMMUTATIVE_SEMIGROUP: ((Kind.SEMIGROUP,), frozenset({"op"})),
-    Kind.MONOID: ((Kind.SEMIGROUP,), frozenset({"op", "identity"})),
-    Kind.COMMUTATIVE_MONOID: ((Kind.MONOID, Kind.COMMUTATIVE_SEMIGROUP),
-                              frozenset({"op", "identity"})),
-    Kind.CC_MONOID: ((Kind.COMMUTATIVE_MONOID,), frozenset({"op", "identity"})),
-    Kind.FACTORIZATION_MONOID: ((Kind.CC_MONOID,), frozenset({"op", "identity", "factor"})),
-    Kind.GROUP: ((Kind.MONOID,), frozenset({"op", "identity", "inverse"})),
-    Kind.COMMUTATIVE_GROUP: ((Kind.GROUP, Kind.COMMUTATIVE_MONOID),
-                             frozenset({"op", "identity", "inverse"})),
-    Kind.RINGOID: ((Kind.COMMUTATIVE_GROUP,), frozenset({"add", "neg", "zero", "mul"})),
-    Kind.RING: ((Kind.RINGOID,), frozenset({"add", "neg", "zero", "mul"})),
-    Kind.RING_WITH_ONE: ((Kind.RING,), frozenset({"add", "neg", "zero", "mul", "one"})),
-    Kind.COMMUTATIVE_RING: ((Kind.RING_WITH_ONE,),
-                            frozenset({"add", "neg", "zero", "mul", "one"})),
-    Kind.INTEGRAL_RING: ((Kind.COMMUTATIVE_RING,),
-                         frozenset({"add", "neg", "zero", "mul", "one"})),
-    Kind.GCD_RING: ((Kind.INTEGRAL_RING,),
-                    frozenset({"add", "neg", "zero", "mul", "one", "gcd"})),
-    Kind.EUCLIDEAN_RING: ((Kind.INTEGRAL_RING,),
-                          frozenset({"add", "neg", "zero", "mul", "one", "div_mod", "norm"})),
-    Kind.FACTORIZATION_RING: ((Kind.INTEGRAL_RING,),
-                              frozenset({"add", "neg", "zero", "mul", "one", "factor"})),
-    Kind.UNIQUE_FACTORIZATION_RING: ((Kind.FACTORIZATION_RING,),
-                                     frozenset({"add", "neg", "zero", "mul", "one", "factor"})),
-    Kind.FIELD: ((Kind.UNIQUE_FACTORIZATION_RING,),
-                 frozenset({"add", "neg", "zero", "mul", "one", "inv"})),
+    Kind.MAGMA: ((), _MAGMA_OPS),
+    Kind.SEMIGROUP: ((Kind.MAGMA,), _MAGMA_OPS),
+    Kind.COMMUTATIVE_SEMIGROUP: ((Kind.SEMIGROUP,), _MAGMA_OPS),
+    Kind.MONOID: ((Kind.SEMIGROUP,), _MONOID_OPS),
+    Kind.COMMUTATIVE_MONOID: ((Kind.MONOID, Kind.COMMUTATIVE_SEMIGROUP), _MONOID_OPS),
+    Kind.CC_MONOID: ((Kind.COMMUTATIVE_MONOID,), _MONOID_OPS),
+    Kind.FACTORIZATION_MONOID: ((Kind.CC_MONOID,), _MONOID_OPS | {"factor"}),
+    Kind.GROUP: ((Kind.MONOID,), _GROUP_OPS),
+    Kind.COMMUTATIVE_GROUP: ((Kind.GROUP, Kind.COMMUTATIVE_MONOID), _GROUP_OPS),
+    Kind.RINGOID: ((Kind.COMMUTATIVE_GROUP,), _RING_OPS),
+    Kind.RING: ((Kind.RINGOID,), _RING_OPS),
+    Kind.RING_WITH_ONE: ((Kind.RING,), _RING1_OPS),
+    Kind.COMMUTATIVE_RING: ((Kind.RING_WITH_ONE,), _RING1_OPS),
+    Kind.INTEGRAL_RING: ((Kind.COMMUTATIVE_RING,), _RING1_OPS),
+    Kind.GCD_RING: ((Kind.INTEGRAL_RING,), _RING1_OPS | {"gcd"}),
+    Kind.EUCLIDEAN_RING: ((Kind.INTEGRAL_RING,), _RING1_OPS | {"div_mod", "norm"}),
+    Kind.FACTORIZATION_RING: ((Kind.INTEGRAL_RING,), _RING1_OPS | {"factor"}),
+    Kind.UNIQUE_FACTORIZATION_RING: ((Kind.FACTORIZATION_RING,), _RING1_OPS | {"factor"}),
+    Kind.FIELD: ((Kind.UNIQUE_FACTORIZATION_RING,), _RING1_OPS | {"inv"}),
 }
+
+# Each kind and all its ancestors, in row order: a row above a parent's fails at import.
+_ANCESTORS = {}
+for _kind, (_parents, _) in TOWER.items():
+    _ANCESTORS[_kind] = frozenset({_kind}).union(*map(_ANCESTORS.__getitem__, _parents))
+del _kind, _parents, _
 
 # A group-like kind has one operation, op; the others are rings over add and mul.
 GROUP_LIKE_KINDS = frozenset(kind for kind, (_, roles) in TOWER.items() if "op" in roles)
 RING_LIKE_KINDS = frozenset(set(Kind) - GROUP_LIKE_KINDS)
 
-# Every op role an instance may carry; roles beyond its kind's are auxiliary capability.
-_ROLES = frozenset({
-    "op", "identity", "inverse", "factor", "power",
-    "add", "neg", "zero", "mul", "one", "inv", "gcd", "div_mod", "norm",
-    "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
-    "to_int", "from_int", "native_int",
-})
+# Every op role an instance may carry: the tower's, and auxiliary capability beyond them.
+_ROLES = frozenset().union(*(roles for _, roles in TOWER.values())) | {
+    "power", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
+    "to_int", "from_int", "native_int"}
 
 
 class Record:
@@ -201,15 +200,7 @@ class StructureInstance(Record):
 
 def ancestors(kind: Kind) -> frozenset:
     """The kind itself plus all tower ancestors."""
-    seen = set()
-    stack = [kind]
-    while stack:
-        k = stack.pop()
-        if k in seen:
-            continue
-        seen.add(k)
-        stack.extend(TOWER[k][0])
-    return frozenset(seen)
+    return _ANCESTORS[kind]
 
 
 def validate_instance(inst: StructureInstance) -> None:
