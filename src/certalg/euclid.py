@@ -132,27 +132,29 @@ def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
     but a BezoutCertificate is refused. Over a native_int ring every field
     must be an int (bool is not) and the equations are checked in int
     arithmetic, where a = qa*g and b = qb*g already force a = b = 0 when
-    g = 0; otherwise through the ring's ops."""
+    g = 0; otherwise every field must have the type of the ring's zero, and
+    the equations go through the ring's ops."""
     if type(cert) is not BezoutCertificate:
         return False
+    a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa, cert.qb)
     if "native_int" in ring.ops:
-        a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa,
-                                 cert.qb)
         return (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa)
                 is type(qb) is int and u * a + v * b == g and a == qa * g and b == qb * g)
+    zero = ring.ops["zero"]()
+    if not (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa) is type(qb)
+            is type(zero)):
+        return False
     add = ring.ops["add"]
     mul = ring.ops["mul"]
-    zero = ring.ops["zero"]()
     eq = ring.base.eq
-    combo = add(mul(cert.u, cert.a), mul(cert.v, cert.b))
-    if not eq(combo, cert.g).holds:
+    if not eq(add(mul(u, a), mul(v, b)), g).holds:
         return False
-    if not eq(cert.a, mul(cert.qa, cert.g)).holds:
+    if not eq(a, mul(qa, g)).holds:
         return False
-    if not eq(cert.b, mul(cert.qb, cert.g)).holds:
+    if not eq(b, mul(qb, g)).holds:
         return False
-    if eq(cert.g, zero).holds:
-        return eq(cert.a, zero).holds and eq(cert.b, zero).holds
+    if eq(g, zero).holds:
+        return eq(a, zero).holds and eq(b, zero).holds
     return True
 
 

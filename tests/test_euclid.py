@@ -139,6 +139,16 @@ def test_verify_bezout_refuses_what_is_not_a_certificate(ring, route):
     fields = tuple(getattr(good, name) for name in good.__slots__)
     for probe in (None, fields, is_prime(7)):
         assert verify_bezout(inst, probe) is False, probe
+    if route == "generic":
+        # over Z/(7), a plain int where a Residue belongs: in every field, then
+        # in one at a time
+        z7 = residue_ring(ring, 7)
+        good7 = BezoutCertificate(*(make_residue(ring, 7, v) for v in (3, 0, 3, 1, 0, 1, 0)))
+        assert verify_bezout(z7, good7)
+        for probe in [BezoutCertificate(1, 0, 1, 1, 0, 1, 0)] + [
+                replaced(good7, **{name: getattr(good7, name).value})
+                for name in good7.__slots__]:
+            assert verify_bezout(z7, probe) is False, probe
 
 
 def test_native_verify_bezout_agrees_with_the_generic_route(ring):
@@ -148,8 +158,15 @@ def test_native_verify_bezout_agrees_with_the_generic_route(ring):
         certs = [good] + [replaced(good, **{name: getattr(good, name) + step})
                           for name in ("a", "b", "g", "u", "v", "qa", "qb")
                           for step in (1, -1)]
+        # bool is not int, though True == 1 and False == 0: each field that is
+        # 0 or 1 as a bool, then all of them at once
+        small = [name for name in good.__slots__ if getattr(good, name) in (0, 1)]
+        certs += [replaced(good, **{name: bool(getattr(good, name))}) for name in small]
+        certs.append(replaced(good, **{name: bool(getattr(good, name)) for name in small}))
         for cert in certs:
             assert verify_bezout(ring, cert) == verify_bezout(generic, cert), cert
+    cert = BezoutCertificate(True, 0, True, True, 0, True, 0)
+    assert verify_bezout(ring, cert) is verify_bezout(generic, cert) is False
     assert calls["mul"] > 0
 
 
