@@ -3,7 +3,8 @@
 trial_is_prime and trial_factor are the trial-division routines the library
 used before primality got certificates; sieve and strong_probable_prime are
 independent of both. bezout_holds is the Bezout certificate's three
-equations, for the small-scope tests of verify_bezout.
+equations, sort_holds a sort certificate's conditions and order_mod the
+multiplicative order, for the small-scope tests of the verifiers.
 """
 
 import math
@@ -81,3 +82,26 @@ def bezout_holds(a, b, g, u, v, qa, qb):
     """Whether (a, b, g, u, v, qa, qb) is a Bezout certificate:
     u*a + v*b = g, a = qa*g and b = qb*g."""
     return u * a + v * b == g and a == qa * g and b == qb * g
+
+
+def sort_holds(xs, ys, perm, ord_cert_holds):
+    """Whether (ys, perm) certifies sorting xs, given whether the order
+    certificate beside them holds: ys is sorted, and perm, a sequence of ints,
+    maps the positions of xs one to one onto those of ys with ys[perm[i]]
+    equal to xs[i]."""
+    n = len(xs)
+    return (ord_cert_holds and len(ys) == len(perm) == n
+            and all(type(i) is int for i in perm) and set(perm) == set(range(n))
+            and all(ys[perm[i]] == xs[i] for i in range(n))
+            and all(ys[i] <= ys[i + 1] for i in range(n - 1)))
+
+
+def order_mod(a, m):
+    """The least k >= 1 with a**k = 1 (mod m), by repeated multiplication, or
+    None when there is none (a and m not coprime), for m >= 2."""
+    x = a % m
+    for k in range(1, m):
+        if x == 1:
+            return k
+        x = x * a % m
+    return None
