@@ -68,7 +68,7 @@ TOWER = {
     Kind.FIELD: ((Kind.UNIQUE_FACTORIZATION_RING,), _RING1_OPS | {"inv"}),
 }
 
-# Each kind and all its ancestors, in row order: a row above a parent's fails at import.
+# Each kind with all its ancestors, in row order: a row above its parent's fails at import.
 _ANCESTORS = {}
 for _kind, (_parents, _) in TOWER.items():
     _ANCESTORS[_kind] = frozenset({_kind}).union(*map(_ANCESTORS.__getitem__, _parents))
