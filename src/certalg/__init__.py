@@ -28,13 +28,13 @@ _EXPORTS = {
                 "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
                 "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",
                 "to_bin"),
-    "euclid": ("BezoutCertificate", "DividesWitness", "Residue", "check_divides",
-               "euclidean_div_mod", "extended_gcd", "int_ring", "make_residue",
-               "residue_field", "residue_ring", "verify_bezout"),
-    "primes": ("FactorEntry", "PrattCertificate", "PrimalityCert", "is_prime",
-               "prime_split", "verify_primality"),
-    "factorization": ("FactorizationData", "check_factorization",
-                      "check_unique_sampled", "factor", "factorizations_equal",
+    "kernel": ("BezoutCertificate", "DividesWitness", "FactorEntry", "FactorizationData",
+               "PrattCertificate", "PrimalityCert", "SortResult", "check_divides",
+               "check_factorization", "verify_bezout", "verify_primality", "verify_sort_result"),
+    "euclid": ("Residue", "euclidean_div_mod", "extended_gcd", "int_ring", "make_residue",
+               "residue_field", "residue_ring"),
+    "primes": ("is_prime", "prime_split"),
+    "factorization": ("check_unique_sampled", "factor", "factorizations_equal",
                       "int_factorization_ring", "merge_factorizations",
                       "pos_nat_factorization_monoid", "product_of"),
     "fractions": ("Fraction", "add_naive", "add_optimized", "build_fraction_field",
@@ -42,8 +42,8 @@ _EXPORTS = {
                   "mul_fractions", "neg_fraction"),
     "polynomials": ("Poly", "degree", "mk_poly", "poly_add", "poly_group", "poly_mul",
                     "poly_neg"),
-    "certlists": ("DecTotalOrder", "SortResult", "append", "fraction_order", "int_order",
-                  "rev", "sort_certified", "verify_sort_result"),
+    "certlists": ("DecTotalOrder", "append", "fraction_order", "int_order", "rev",
+                  "sort_certified"),
     "eqprover": ("Apply", "NatConst", "NormalForm", "Term", "UnitConst", "Var",
                  "eval_mat2", "eval_nat", "eval_word", "normalize", "prove_eq"),
 }

@@ -6,15 +6,16 @@ The sort runs through the builtin sorted() with a key derived from the
 order's leq. Under an order with the native_int role (int_order() or a
 copy of it), on a list of plain ints, the key is the element, so no
 comparison calls back into Python; any other order or element type (bool
-included) takes the leq route, the tests' oracle. verify_sort_result
-re-decides every adjacent pair, so it trusts neither route.
+included) takes the leq route, the tests' oracle. The kernel's
+verify_sort_result re-decides every adjacent pair, so it trusts neither route.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
 
-from .structures import NO, YES, Decision, Record
+from .structures import NO, YES, Record
+from .kernel import SortResult, verify_sort_result
 
 
 # ---------------------------------------------------------------------------
@@ -27,13 +28,6 @@ class DecTotalOrder(Record):
 
     __slots__ = ("base", "leq", "native_int")
     _defaults = (False,)
-
-
-class SortResult(Record):
-    """ys sorted output; ord_cert holds the adjacent-pair order decisions;
-    perm maps input positions to output positions (ys[perm[i]] is xs[i])."""
-
-    __slots__ = ("ys", "ord_cert", "perm")
 
 
 def sort_certified(dto: DecTotalOrder, xs) -> SortResult:
@@ -55,38 +49,6 @@ def sort_certified(dto: DecTotalOrder, xs) -> SortResult:
     for out_pos, in_pos in enumerate(order):
         perm[in_pos] = out_pos
     return SortResult(ys, tuple(map(leq, ys, ys[1:])), tuple(perm))
-
-
-def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
-    """Independent re-check: perm is a bijection of the positions carrying
-    each input element onto an equal element of ys, and adjacent pairs
-    re-decide as ordered. The bijection is what proves that ys is the
-    input's multiset under the carrier's eq, so no separate count is taken.
-    Anything but a SortResult, or one whose fields are not tuples or lists,
-    is refused."""
-    if type(result) is not SortResult:
-        return False
-    xs = list(xs)
-    ys, perm, ord_cert = result.ys, result.perm, result.ord_cert
-    if not {type(ys), type(perm), type(ord_cert)} <= {tuple, list}:
-        return False
-    n = len(xs)
-    if len(ys) != n or len(perm) != n:
-        return False
-    if len(ord_cert) != max(n - 1, 0):
-        return False
-    if not {*map(type, perm)} <= {int} or sorted(perm) != list(range(n)):
-        return False
-    eq = dto.base.eq
-    for i, x in enumerate(xs):
-        if not eq(ys[perm[i]], x).holds:
-            return False
-    # every claimed decision must be a Decision that holds, and re-decide so
-    leq = dto.leq
-    for y, z, d in zip(ys, ys[1:], ord_cert):
-        if not (type(d) is Decision and d.holds and leq(y, z).holds):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@ rings R/(b) with a field upgrade for prime moduli.
 
 The ring algorithms are written against a ring instance's ops table, so they
 work for any Euclidean ring; the integers ship as the concrete instance.
-Division with remainder is canonical: 0 <= r < |b|. Primality proving and
-factoring of integers, and prime split, are in primes, which int_ring()'s
-primality role and residue_field import on first use.
+Division with remainder is canonical: 0 <= r < |b|. Certificates and their
+verifiers are in kernel; primality, factoring and prime split of integers
+are in primes, which int_ring()'s primality role imports on first use.
 """
 
 from __future__ import annotations
@@ -16,22 +16,9 @@ from functools import lru_cache, partial
 from .errors import CompositeModulusError, InvalidInputError
 from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below, seeded
 from .numbers import int_dset, _mixed_int
-
-
-class DividesWitness(Record):
-    """Certifies divisor | dividend via dividend = divisor * quotient."""
-
-    __slots__ = ("divisor", "dividend", "quotient")
-
-
-class BezoutCertificate(Record):
-    """Extended-gcd result for the pair (a, b).
-
-    Invariants: u*a + v*b = g, a = qa*g, b = qb*g, and g = 0 only when
-    a = b = 0. Self-contained: carries the subject pair.
-    """
-
-    __slots__ = ("a", "b", "g", "u", "v", "qa", "qb")
+from .kernel import (BezoutCertificate, DividesWitness, FactorEntry, PrattCertificate,
+                     PrimalityCert, certified_product, check_divides, verify_bezout,
+                     verify_primality)
 
 
 class Residue(Record):
@@ -50,11 +37,6 @@ def euclidean_div_mod(a: int, b: int):
         q += 1
         r -= b
     return q, r
-
-
-def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
-    mul = ring.ops["mul"]
-    return ring.base.eq(w.dividend, mul(w.divisor, w.quotient)).holds
 
 
 def extended_gcd(ring: StructureInstance, a, b) -> BezoutCertificate:
@@ -125,37 +107,6 @@ def _int_egcd(a: int, b: int) -> BezoutCertificate:
     if 2 * u > m + (b < 0):
         u -= m
     return BezoutCertificate(a, b, g, u, (g - u * a) // b, qa, qb)
-
-
-def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
-    """Re-check the certificate's invariants from its own fields. Anything
-    but a BezoutCertificate is refused. Over a native_int ring every field
-    must be an int (bool is not) and the equations are checked in int
-    arithmetic, where a = qa*g and b = qb*g already force a = b = 0 when
-    g = 0; otherwise every field must have the type of the ring's zero, and
-    the equations go through the ring's ops."""
-    if type(cert) is not BezoutCertificate:
-        return False
-    a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa, cert.qb)
-    if "native_int" in ring.ops:
-        return (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa)
-                is type(qb) is int and u * a + v * b == g and a == qa * g and b == qb * g)
-    zero = ring.ops["zero"]()
-    if not (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa) is type(qb)
-            is type(zero)):
-        return False
-    add = ring.ops["add"]
-    mul = ring.ops["mul"]
-    eq = ring.base.eq
-    if not eq(add(mul(u, a), mul(v, b)), g).holds:
-        return False
-    if not eq(a, mul(qa, g)).holds:
-        return False
-    if not eq(b, mul(qb, g)).holds:
-        return False
-    if eq(g, zero).holds:
-        return eq(a, zero).holds and eq(b, zero).holds
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +259,6 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
     """
     if not ring.base.eq(cert.subject, b).holds:
         raise InvalidInputError(f"certificate subject {cert.subject} is not the modulus {b}")
-    from .primes import verify_primality
     if not verify_primality(cert):
         raise InvalidInputError("primality certificate failed re-verification")
     if cert.verdict == "composite":
@@ -353,10 +303,9 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
 
 
 def __getattr__(name):
-    """The public names of primality and factoring, from primes, imported on
+    """is_prime, certified_factors and prime_split, from primes, imported on
     first lookup."""
-    if name in ("FactorEntry", "PrattCertificate", "PrimalityCert", "certified_factors",
-                "certified_product", "is_prime", "prime_split", "verify_primality"):
+    if name in ("certified_factors", "is_prime", "prime_split"):
         from . import primes
         return getattr(primes, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,16 +13,12 @@ import random
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
-from .structures import DSet, Kind, Record, StructureInstance, below, seeded
-from .euclid import DividesWitness, check_divides, int_ring
-from .primes import FactorEntry, certified_factors, certified_product, prime_split
+from .structures import DSet, Kind, StructureInstance, below, seeded
+from .euclid import int_ring
+from .kernel import (DividesWitness, FactorEntry, FactorizationData, check_divides,
+                     check_factorization)
+from .primes import certified_factors, prime_split
 from .numbers import pos_nat_dset
-
-
-class FactorizationData(Record):
-    """unit * product(prime^multiplicity), entries sorted by prime."""
-
-    __slots__ = ("unit", "entries")
 
 
 def factor(x: int) -> FactorizationData:
@@ -66,17 +62,6 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
         certs[e.prime] = e.cert
     entries = tuple(FactorEntry(p, m, certs[p]) for p, m in sorted(counts.items()))
     return FactorizationData(f1.unit * f2.unit, entries)
-
-
-def check_factorization(f: FactorizationData, x: int) -> bool:
-    """Re-check a factorization against its nonzero subject x: the unit, an
-    int, is the sign of x, and primes.certified_product accepts the entries
-    for |x|. The subject must be an int too (bool is not), and anything but a
-    FactorizationData is refused."""
-    if type(f) is not FactorizationData or type(x) is not int or x == 0:
-        return False
-    return (type(f.unit) is int and f.unit == (-1 if x < 0 else 1)
-            and certified_product(f.entries, abs(x)))
 
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

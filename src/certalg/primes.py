@@ -1,8 +1,8 @@
-"""Certified primality and factoring of integers, their certificates, and
-prime split.
+"""Certified primality and factoring of integers, and prime split; the
+certificates and their verifiers are in kernel.
 
 Below TRIAL_BOUND = 2^20, trial division by the primes below 2^10 (one gcd
-with their product) decides and re-checks. At and above it, Miller-Rabin on
+with their product) decides. At and above it, the kernel's Miller-Rabin on
 the first 13 prime bases decides (deterministic below 3.3e24; Sorenson and
 Webster, Math. Comp. 2017) and Pollard rho in Brent's variant finds a
 composite's divisor. A 'prime' verdict above the bound carries a Pratt
@@ -16,40 +16,14 @@ raised rather than an uncertified verdict returned.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import partial
 from itertools import compress, count
 
 from .errors import Fuel, InvalidInputError
-from .euclid import DividesWitness, check_divides, extended_gcd
-from .structures import Record
-
-
-class PrattCertificate(Record):
-    """Proof that p is prime: `base` has multiplicative order p-1 mod p.
-
-    factors holds FactorEntry values (q, e, cert_q) that certified_product
-    accepts for p-1: certified primes q whose powers q**e multiply to p-1.
-    Then base**(p-1) = 1 and base**((p-1)/q) != 1 for each q force order p-1.
-    """
-
-    __slots__ = ("base", "factors")
-
-
-class PrimalityCert(Record):
-    """Verdict 'prime' or 'composite'.
-
-    A composite carries a proper factor witness. A prime at or above
-    TRIAL_BOUND carries a Pratt certificate for |subject|; below it, the
-    verifier re-runs trial division and no certificate is attached.
-    """
-
-    __slots__ = ("subject", "verdict", "witness", "pratt")
-    _defaults = (None, None)
-
-
-# prime ** multiplicity, with cert a 'prime' PrimalityCert for prime
-FactorEntry = namedtuple("FactorEntry", ("prime", "multiplicity", "cert"))
+from .euclid import extended_gcd
+from .kernel import (TRIAL_BOUND, DividesWitness, FactorEntry, PrattCertificate, PrimalityCert,
+                     _miller_rabin, _verify_pratt, certified_product, check_divides,
+                     verify_primality)
 
 
 def _sieve(n: int) -> bytearray:
@@ -63,7 +37,6 @@ def _sieve(n: int) -> bytearray:
 
 
 _SMALL_LIMIT = 1 << 10
-TRIAL_BOUND = _SMALL_LIMIT ** 2
 RHO_FUEL = 1 << 19
 _SMALL_PRIMES = tuple(compress(range(_SMALL_LIMIT), _sieve(_SMALL_LIMIT)))
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
@@ -80,25 +53,6 @@ def _least_small_factor(m: int):
     for p in _SMALL_PRIMES:
         if g % p == 0:
             return p
-
-
-def _miller_rabin(m: int) -> bool:
-    """Strong probable-prime test to the first 13 prime bases; m odd, > 41."""
-    d, s = m - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _rho(m: int, fuel: Fuel) -> int:
@@ -156,7 +110,7 @@ def is_prime(n: int) -> PrimalityCert:
     if m < TRIAL_BOUND:
         return PrimalityCert(n, "prime")
     fuel = Fuel(RHO_FUEL)
-    if _miller_rabin(m):
+    if _miller_rabin(m, _MR_BASES):
         return PrimalityCert(n, "prime", pratt=_pratt(m, fuel))
     return _composite(n, _rho(m, fuel))
 
@@ -178,8 +132,8 @@ def _prime_factors(m: int, fuel: Fuel) -> list:
     pending = [m] if m > 1 else []
     while pending:
         k = pending.pop()
-        # k has no prime factor below _SMALL_LIMIT, so below its square it is prime
-        if k < TRIAL_BOUND or _miller_rabin(k):
+        # k has no prime factor below _SMALL_LIMIT, so below its square, TRIAL_BOUND, it is prime
+        if k < TRIAL_BOUND or _miller_rabin(k, _MR_BASES):
             counts[k] = counts.get(k, 0) + 1
         else:
             d = _rho(k, fuel)
@@ -211,64 +165,6 @@ def _pratt(p: int, fuel: Fuel) -> PrattCertificate:
     raise InvalidInputError(
         f"no base below {_PRATT_BASE_LIMIT} has order {p}-1 mod {p}; "
         "its primality is not certified")
-
-
-def certified_product(entries, m: int) -> bool:
-    """True when entries, a tuple or list of FactorEntry values whose prime
-    and multiplicity are ints (bool is not) and whose certs are 'prime'
-    PrimalityCerts that verify_primality accepts, multiply to m. Since
-    product * q**e >= 2**(product's bits - 1 + (q's bits - 1) * e), a power that
-    would take the running product past m is refused before it is taken."""
-    if type(entries) not in (tuple, list):
-        return False
-    bound = m.bit_length()
-    product = 1
-    for entry in entries:
-        if type(entry) is not FactorEntry:
-            return False
-        q, e, cert = entry
-        if not type(q) is type(e) is int or q < 2 or not 1 <= e <= bound:
-            return False
-        if type(cert) is not PrimalityCert or cert.subject != q or cert.verdict != "prime":
-            return False
-        if product.bit_length() - 1 + (q.bit_length() - 1) * e >= bound:
-            return False
-        product *= q ** e
-    return product == m and all(verify_primality(cert) for _, _, cert in entries)
-
-
-def _verify_pratt(p: int, pratt: PrattCertificate | None) -> bool:
-    if type(pratt) is not PrattCertificate or type(pratt.base) is not int:
-        return False
-    a = pratt.base
-    return (certified_product(pratt.factors, p - 1) and pow(a, p - 1, p) == 1
-            and all(pow(a, (p - 1) // q, p) != 1 for q, _, _ in pratt.factors))
-
-
-def verify_primality(cert: PrimalityCert) -> bool:
-    """Re-check a verdict from its own fields: a composite's witness by one
-    product, a prime below TRIAL_BOUND by trial division, a prime above it by
-    its Pratt certificate. Every number in it must be an int and every record
-    of its own type: anything but a PrimalityCert, a composite's witness that
-    is not a DividesWitness, or a pratt that is not a PrattCertificate, is
-    refused, and so is a Pratt factor list that certified_product refuses."""
-    if type(cert) is not PrimalityCert:
-        return False
-    n = cert.subject
-    if type(n) is not int or abs(n) <= 1:
-        return False
-    if cert.verdict == "composite":
-        w = cert.witness
-        if type(w) is not DividesWitness or w.dividend != n or cert.pratt is not None:
-            return False
-        return (type(w.divisor) is type(w.quotient) is int and 1 < abs(w.divisor) < abs(n)
-                and w.divisor * w.quotient == n)
-    if cert.verdict != "prime" or cert.witness is not None:
-        return False
-    m = abs(n)
-    if m < TRIAL_BOUND:
-        return cert.pratt is None and _least_small_factor(m) in (None, m)
-    return _verify_pratt(m, cert.pratt)
 
 
 def prime_split(ring: StructureInstance, p, a, b, w: DividesWitness):

@@ -9,7 +9,7 @@ import pytest
 
 import nt_oracles
 from roles import replaced, spied, without_roles
-from certalg import euclid, primes
+from certalg import euclid, kernel, primes
 from certalg.errors import (CompositeModulusError, InvalidInputError,
                             StructuralError)
 from certalg.euclid import (BezoutCertificate, DividesWitness,
@@ -659,9 +659,9 @@ def test_sixty_one_bit_prime_is_fast_and_certified():
 def test_verify_primality_never_trial_divides_above_the_bound(monkeypatch):
     cert = is_prime(M61)
     calls = []
-    real = primes._least_small_factor
-    monkeypatch.setattr(primes, "_least_small_factor",
-                        lambda m: calls.append(m) or real(m))
+    real = kernel._miller_rabin
+    monkeypatch.setattr(kernel, "_miller_rabin",
+                        lambda m, bases: calls.append(m) or real(m, bases))
     assert verify_primality(cert)
     assert calls and max(calls) < TRIAL_BOUND
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import certalg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-OWN = {"errors", "structures", "numbers", "euclid"}
+OWN = {"errors", "structures", "numbers", "kernel", "euclid"}
 
 
 def _modules(code, *flags):

@@ -12,7 +12,7 @@ import pytest
 
 import nt_oracles
 from roles import without_roles
-from certalg import primes
+from certalg import kernel
 from certalg.certlists import SortResult, int_order, verify_sort_result
 from certalg.euclid import BezoutCertificate, DividesWitness, int_ring, verify_bezout
 from certalg.factorization import FactorizationData, check_factorization
@@ -159,7 +159,7 @@ def _certified_by_hand(q):
 
 
 def test_verify_primality_on_every_pratt_certificate_in_the_box(monkeypatch, factor_lists):
-    """With primes.TRIAL_BOUND lowered to 16 (the verifier reads it at call
+    """With kernel.TRIAL_BOUND lowered to 16 (the verifier reads it at call
     time), verify_primality on a 'prime' verdict for every p < 2^8: with no
     certificate, and with a Pratt certificate of every base below p over each
     factor list of the box whose powers q**e multiply to p-1 and exceed 1
@@ -168,7 +168,7 @@ def test_verify_primality_on_every_pratt_certificate_in_the_box(monkeypatch, fac
     by hand. It accepts exactly the primes: below 16 with no certificate,
     and from 16 on with a base of order p-1 over a list of certified prime
     powers giving p-1's factorization. 439,626 cases."""
-    monkeypatch.setattr(primes, "TRIAL_BOUND", PRATT_BOUND)
+    monkeypatch.setattr(kernel, "TRIAL_BOUND", PRATT_BOUND)
     prime = nt_oracles.sieve(1 << 8)
     cases = 0
     for p in range(2, 1 << 8):
