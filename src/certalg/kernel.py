@@ -30,6 +30,15 @@ class BezoutCertificate(Record):
 
 
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
+    """Re-check dividend = divisor * quotient through the ring's ops. Anything
+    but a DividesWitness is refused, and so is a field that is not an int
+    (bool is not) over a native_int ring, or not of the type of the ring's
+    zero over any other."""
+    if type(w) is not DividesWitness:
+        return False
+    t = int if "native_int" in ring.ops else type(ring.ops["zero"]())
+    if not type(w.divisor) is type(w.dividend) is type(w.quotient) is t:
+        return False
     mul = ring.ops["mul"]
     return ring.base.eq(w.dividend, mul(w.divisor, w.quotient)).holds
 
@@ -115,25 +124,27 @@ def _miller_rabin(m: int, bases: tuple) -> bool:
 
 def certified_product(entries, m: int) -> bool:
     """True when entries, a tuple or list of FactorEntry values whose prime
-    and multiplicity are ints (bool is not) and whose certs are 'prime'
-    PrimalityCerts that verify_primality accepts, multiply to m. Since
-    product * q**e >= 2**(product's bits - 1 + (q's bits - 1) * e), a power that
-    would take the running product past m is refused before it is taken."""
+    and multiplicity are ints (bool is not), whose primes strictly increase
+    and whose certs are 'prime' PrimalityCerts that verify_primality
+    accepts, multiply to m. Since product * q**e >= 2**(product's bits - 1
+    + (q's bits - 1) * e), a power that would take the running product past
+    m is refused before it is taken."""
     if type(entries) not in (tuple, list):
         return False
     bound = m.bit_length()
-    product = 1
+    product = last = 1
     for entry in entries:
         if type(entry) is not FactorEntry:
             return False
         q, e, cert = entry
-        if not type(q) is type(e) is int or q < 2 or not 1 <= e <= bound:
+        if not type(q) is type(e) is int or q <= last or not 1 <= e <= bound:
             return False
         if type(cert) is not PrimalityCert or cert.subject != q or cert.verdict != "prime":
             return False
         if product.bit_length() - 1 + (q.bit_length() - 1) * e >= bound:
             return False
         product *= q ** e
+        last = q
     return product == m and all(verify_primality(cert) for _, _, cert in entries)
 
 

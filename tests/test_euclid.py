@@ -69,6 +69,19 @@ def test_euclidean_div_mod_rejects_zero_divisor():
 def test_check_divides(ring):
     assert check_divides(ring, DividesWitness(3, 12, 4))
     assert not check_divides(ring, DividesWitness(3, 12, 5))
+    # "ab" * 3 == "ababab", 2.0 * 3.0 == 6 and True * True == 1: each product
+    # holds, but no field of a witness over Z may be anything but an int
+    generic = without_roles(ring, "native_int")
+    for probe in (DividesWitness("ab", "ababab", 3), DividesWitness(2.0, 6, 3.0),
+                  DividesWitness(True, 1, True), None, (2, 6, 3)):
+        assert check_divides(ring, probe) is False, probe
+        assert check_divides(generic, probe) is False, probe
+    # over Z/(7) every field must be a residue
+    z7 = residue_ring(ring, 7)
+    two, six, three = map(z7.ops["from_int"], (2, 6, 3))
+    assert check_divides(z7, DividesWitness(two, six, three))
+    assert check_divides(z7, DividesWitness(2, 6, 3)) is False
+    assert check_divides(z7, DividesWitness(two, 6, three)) is False
 
 
 # ================================================================
@@ -657,6 +670,7 @@ def test_sixty_one_bit_prime_is_fast_and_certified():
 
 
 def test_verify_primality_never_trial_divides_above_the_bound(monkeypatch):
+    # the kernel's small-prime check runs on the Pratt tree's primes below the bound
     cert = is_prime(M61)
     calls = []
     real = kernel._miller_rabin
@@ -664,6 +678,17 @@ def test_verify_primality_never_trial_divides_above_the_bound(monkeypatch):
                         lambda m, bases: calls.append(m) or real(m, bases))
     assert verify_primality(cert)
     assert calls and max(calls) < TRIAL_BOUND
+
+
+def test_verify_primality_shares_no_trial_division_with_is_prime(monkeypatch):
+    # 1009 * 1013: with the producer's trial division blind to it, is_prime
+    # calls it prime, and the verifier, which does not trial-divide, refuses
+    n = 1009 * 1013
+    real = primes._least_small_factor
+    monkeypatch.setattr(primes, "_least_small_factor",
+                        lambda m: None if m == n else real(m))
+    assert is_prime(n) == PrimalityCert(n, "prime")
+    assert verify_primality(PrimalityCert(n, "prime")) is False
 
 
 def _replace_factor(pratt, i, entry):

@@ -90,6 +90,15 @@ def test_check_factorization_rejects_forgeries():
     assert not check_factorization(wrong, 12)
     # bad unit
     assert not check_factorization(FactorizationData(2, ()), 2)
+    # entries out of order, or a prime repeated: the product and every cert
+    # hold, but the entries are not sorted by prime
+    c2, c3 = is_prime(2), is_prime(3)
+    assert check_factorization(FactorizationData(1, (FactorEntry(2, 1, c2),
+                                                     FactorEntry(3, 1, c3))), 6)
+    assert not check_factorization(FactorizationData(1, (FactorEntry(3, 1, c3),
+                                                         FactorEntry(2, 1, c2))), 6)
+    assert not check_factorization(FactorizationData(1, (FactorEntry(2, 1, c2),
+                                                         FactorEntry(2, 1, c2))), 4)
 
 
 def test_check_factorization_refuses_what_is_not_its_record():

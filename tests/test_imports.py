@@ -69,14 +69,35 @@ def test_the_law_engine_and_primality_load_only_where_used():
                    "assert main(['isprime', '97']) == 0") == OWN | {"cli", "primes"}
 
 
+def test_the_kernel_loads_no_producer():
+    assert _loaded("import certalg.kernel") == {"errors", "structures", "kernel"}
+
+
+# each name the kernel took over, by the modules that held it before
+KERNEL_NAMES = {
+    "euclid": ("BezoutCertificate", "DividesWitness", "FactorEntry", "PrattCertificate",
+               "PrimalityCert", "certified_product", "check_divides", "verify_bezout",
+               "verify_primality"),
+    "primes": ("FactorEntry", "PrattCertificate", "PrimalityCert", "TRIAL_BOUND",
+               "_miller_rabin", "_verify_pratt", "certified_product", "verify_primality"),
+    "factorization": ("FactorizationData", "check_factorization"),
+    "certlists": ("SortResult", "verify_sort_result"),
+}
+
+
 def test_moved_names_are_still_reachable_from_their_old_modules():
-    from certalg import euclid, laws, primes, structures
+    import importlib
+
+    from certalg import euclid, kernel, laws, primes, structures
 
     for name in ("check_laws", "recheck_failure", "LawReport"):
         assert getattr(structures, name) is getattr(laws, name), name
-    for name in ("is_prime", "verify_primality", "certified_factors", "certified_product",
-                 "prime_split", "FactorEntry", "PrattCertificate", "PrimalityCert"):
+    for name in ("is_prime", "certified_factors", "prime_split"):
         assert getattr(euclid, name) is getattr(primes, name), name
+    for module, names in KERNEL_NAMES.items():
+        old = importlib.import_module(f"certalg.{module}")
+        for name in names:
+            assert getattr(old, name) is getattr(kernel, name), (module, name)
     for module in (structures, euclid):
         assert not hasattr(module, "no_such_name")
 

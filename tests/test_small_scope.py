@@ -6,7 +6,7 @@ hypothesis; Jackson, Software Abstractions, 2006).
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import pytest
 
@@ -95,7 +95,7 @@ def _entry_certs(q):
 @pytest.fixture(scope="module")
 def factor_lists():
     """Every list of at most two entries of the box (57,841), each with its
-    factorization as sorted (prime, multiplicity) pairs when every entry is a
+    (prime, multiplicity) pairs in the order given when every entry is a
     certified prime power, or None, grouped by the product of its powers
     q**e."""
     prime = nt_oracles.sieve(len(FACTOR_PRIMES))
@@ -104,26 +104,23 @@ def factor_lists():
     by_product = defaultdict(list)
     for k in range(3):
         for chosen in itertools.product(entries, repeat=k):
-            counts = Counter()
-            for (q, e, _), _ in chosen:
-                counts[q] += e
-            merged = sorted(counts.items()) if all(ok for _, ok in chosen) else None
+            pairs = [(q, e) for (q, e, _), _ in chosen] if all(ok for _, ok in chosen) else None
             product = math.prod(q ** e for (q, e, _), _ in chosen)
-            by_product[product].append((tuple(entry for entry, _ in chosen), merged))
+            by_product[product].append((tuple(entry for entry, _ in chosen), pairs))
     return by_product
 
 
 def test_certified_product_on_every_list_in_the_box(factor_lists):
     """certified_product(entries, m), for every m in 1..60 and every list of
     the box (60 * 57,841 = 3,470,460 cases), accepts exactly the lists of
-    certified prime powers whose multiplicities, added by prime, give
-    nt_oracles.trial_factor(m)."""
+    certified prime powers whose (prime, multiplicity) pairs, in the order
+    given, equal nt_oracles.trial_factor(m): no prime out of order or twice."""
     lists = [case for cases in factor_lists.values() for case in cases]
     assert len(lists) == 57_841
     for m in SUBJECTS:
         factors = nt_oracles.trial_factor(m)
-        bad = [entries for entries, merged in lists
-               if certified_product(entries, m) is not (merged == factors)]
+        bad = [entries for entries, pairs in lists
+               if certified_product(entries, m) is not (pairs == factors)]
         assert not bad, (m, bad[:3])
 
 
@@ -132,15 +129,16 @@ def test_check_factorization_on_every_nominal_factorization_in_the_box(factor_li
     or True, against each list of the box whose powers q**e multiply to |x|:
     certified_product refuses every other list for |x| (the box above).
     It accepts exactly where the unit is the int sign of x and the entries
-    are certified prime powers giving trial_factor(|x|): 81,186 cases."""
+    are certified prime powers whose pairs, in order, equal trial_factor(|x|):
+    81,186 cases."""
     cases = 0
     for m in SUBJECTS:
         factors = nt_oracles.trial_factor(m)
         for x, unit in itertools.product((m, -m), (-1, 1, True)):
             unit_ok = type(unit) is int and unit == (1 if x > 0 else -1)
-            for entries, merged in factor_lists[m]:
+            for entries, pairs in factor_lists[m]:
                 verdict = check_factorization(FactorizationData(unit, entries), x)
-                assert verdict is (unit_ok and merged == factors), (x, unit, entries)
+                assert verdict is (unit_ok and pairs == factors), (x, unit, entries)
             cases += len(factor_lists[m])
     assert cases == 81_186
 
@@ -167,24 +165,25 @@ def test_verify_primality_on_every_pratt_certificate_in_the_box(monkeypatch, fac
     subject, as its box shows), and over p-1's trial factorization certified
     by hand. It accepts exactly the primes: below 16 with no certificate,
     and from 16 on with a base of order p-1 over a list of certified prime
-    powers giving p-1's factorization. 439,626 cases."""
+    powers whose pairs, in order, equal p-1's trial factorization. 439,626
+    cases."""
     monkeypatch.setattr(kernel, "TRIAL_BOUND", PRATT_BOUND)
     prime = nt_oracles.sieve(1 << 8)
     cases = 0
     for p in range(2, 1 << 8):
         factors = nt_oracles.trial_factor(p - 1)
         by_hand = tuple(FactorEntry(q, e, _certified_by_hand(q)) for q, e in factors)
-        lists = [(entries, merged) for entries, merged in factor_lists[p - 1]
+        lists = [(entries, pairs) for entries, pairs in factor_lists[p - 1]
                  if all(q ** e > 1 for q, e, _ in entries)] + [(by_hand, factors)]
         accepted = verify_primality(PrimalityCert(p, "prime"))
         assert accepted is (p < PRATT_BOUND and prime[p] == 1), p
         for a in range(p):
             # only a prime p has a base of order p-1
             root = p >= PRATT_BOUND and prime[p] == 1 and nt_oracles.order_mod(a, p) == p - 1
-            for entries, merged in lists:
+            for entries, pairs in lists:
                 verdict = verify_primality(PrimalityCert(p, "prime",
                                                          pratt=PrattCertificate(a, entries)))
-                assert verdict is (root and merged == factors), (p, a, entries)
+                assert verdict is (root and pairs == factors), (p, a, entries)
                 accepted |= verdict
         assert accepted is (prime[p] == 1), p
         cases += 1 + p * len(lists)
