@@ -36,7 +36,7 @@ def _sieve(n: int) -> bytearray:
     return flags
 
 
-_SMALL_LIMIT = 1 << 10
+_SMALL_LIMIT = math.isqrt(TRIAL_BOUND)  # 2^10: trial division decides below TRIAL_BOUND
 RHO_FUEL = 1 << 19
 _SMALL_PRIMES = tuple(compress(range(_SMALL_LIMIT), _sieve(_SMALL_LIMIT)))
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
@@ -132,7 +132,7 @@ def _prime_factors(m: int, fuel: Fuel) -> list:
     pending = [m] if m > 1 else []
     while pending:
         k = pending.pop()
-        # k has no prime factor below _SMALL_LIMIT, so below its square, TRIAL_BOUND, it is prime
+        # k has no prime factor below _SMALL_LIMIT, so below its square it is prime
         if k < TRIAL_BOUND or _miller_rabin(k, _MR_BASES):
             counts[k] = counts.get(k, 0) + 1
         else:
