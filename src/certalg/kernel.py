@@ -29,37 +29,35 @@ class BezoutCertificate(Record):
     __slots__ = ("a", "b", "g", "u", "v", "qa", "qb")
 
 
+def _members(ring: StructureInstance, *xs) -> bool:
+    """The membership rule: an element of the ring's carrier is an object of
+    the exact type of the ring's zero, so bool is not int."""
+    t = type(ring.ops["zero"]())
+    return all(type(x) is t for x in xs)
+
+
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
     """Re-check dividend = divisor * quotient through the ring's ops. Anything
-    but a DividesWitness is refused, and so is a field that is not an int
-    (bool is not) over a native_int ring, or not of the type of the ring's
-    zero over any other."""
+    but a DividesWitness is refused, and so is a field that is not a member
+    of the ring (_members)."""
     if type(w) is not DividesWitness:
         return False
-    t = int if "native_int" in ring.ops else type(ring.ops["zero"]())
-    if not type(w.divisor) is type(w.dividend) is type(w.quotient) is t:
+    if not _members(ring, w.divisor, w.dividend, w.quotient):
         return False
     mul = ring.ops["mul"]
     return ring.base.eq(w.dividend, mul(w.divisor, w.quotient)).holds
 
 
 def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
-    """Re-check the certificate's invariants from its own fields. Anything
-    but a BezoutCertificate is refused. Over a native_int ring every field
-    must be an int (bool is not) and the equations are checked in int
-    arithmetic, where a = qa*g and b = qb*g already force a = b = 0 when
-    g = 0; otherwise every field must have the type of the ring's zero, and
-    the equations go through the ring's ops."""
+    """Re-check the certificate's invariants from its own fields, through the
+    ring's ops. Anything but a BezoutCertificate is refused, and so is a
+    field that is not a member of the ring (_members)."""
     if type(cert) is not BezoutCertificate:
         return False
     a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa, cert.qb)
-    if "native_int" in ring.ops:
-        return (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa)
-                is type(qb) is int and u * a + v * b == g and a == qa * g and b == qb * g)
-    zero = ring.ops["zero"]()
-    if not (type(a) is type(b) is type(g) is type(u) is type(v) is type(qa) is type(qb)
-            is type(zero)):
+    if not _members(ring, a, b, g, u, v, qa, qb):
         return False
+    zero = ring.ops["zero"]()
     add = ring.ops["add"]
     mul = ring.ops["mul"]
     eq = ring.base.eq

@@ -181,6 +181,12 @@ def test_native_verify_bezout_agrees_with_the_generic_route(ring):
     cert = BezoutCertificate(True, 0, True, True, 0, True, 0)
     assert verify_bezout(ring, cert) is verify_bezout(generic, cert) is False
     assert calls["mul"] > 0
+    # one route for every ring: over Z too, with native_int kept, each of the
+    # four products goes through int_ring()'s own mul
+    native, native_calls = spied(ring, "mul")
+    assert "native_int" in native.ops
+    assert verify_bezout(native, extended_gcd(ring, 12, 8))
+    assert native_calls["mul"] == 4
 
 
 # ================================================================
