@@ -31,9 +31,12 @@ class BezoutCertificate(Record):
 
 def _members(ring: StructureInstance, *xs) -> bool:
     """The membership rule: an element of the ring's carrier is an object of
-    the exact type of the ring's zero, so bool is not int."""
+    the exact type of the ring's zero, so bool is not int. Where that type is
+    not int and the ring has a to_int role (Z/(m) over int_ring()), the
+    element's to_int value must be an int too."""
     t = type(ring.ops["zero"]())
-    return all(type(x) is t for x in xs)
+    to_int = None if t is int else ring.ops.get("to_int")
+    return all(type(x) is t and (to_int is None or type(to_int(x)) is int) for x in xs)
 
 
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:

@@ -82,6 +82,15 @@ def test_check_divides(ring):
     assert check_divides(z7, DividesWitness(two, six, three))
     assert check_divides(z7, DividesWitness(2, 6, 3)) is False
     assert check_divides(z7, DividesWitness(two, 6, three)) is False
+    # and every residue's value an int (bool is not): True * 6 == 6, but
+    # Residue(7, True) is no element of Z/(7), nor are "x" and 1.0
+    one = z7.ops["from_int"](1)
+    good = DividesWitness(one, six, six)
+    assert check_divides(z7, good)
+    for value in ("x", 1.0, True):
+        for name in good.__slots__:
+            probe = replaced(good, **{name: Residue(7, value)})
+            assert check_divides(z7, probe) is False, probe
 
 
 # ================================================================
@@ -162,6 +171,11 @@ def test_verify_bezout_refuses_what_is_not_a_certificate(ring, route):
                 replaced(good7, **{name: getattr(good7, name).value})
                 for name in good7.__slots__]:
             assert verify_bezout(z7, probe) is False, probe
+        # a Residue whose value is not an int (bool is not), in each field
+        for value in ("x", 1.0, True):
+            for name in good7.__slots__:
+                probe = replaced(good7, **{name: Residue(7, value)})
+                assert verify_bezout(z7, probe) is False, probe
 
 
 def test_native_verify_bezout_agrees_with_the_generic_route(ring):
