@@ -29,8 +29,9 @@ BEZOUT_ACCEPTED = 2841
 def test_verify_bezout_on_every_certificate_in_the_box(route):
     """verify_bezout accepts exactly the certificates whose three equations
     hold, over all 823,543 with every field in [-3, 3]. Each accepted one
-    has |g| = gcd(a, b). Both routes take about 4 s under python -X dev,
-    on 2 vCPUs with Python 3.11."""
+    has |g| = gcd(a, b). verify_bezout has one route, so int_ring() and its
+    copy without native_int must agree; each takes 2 to 3 s under
+    python -X dev, on 2 vCPUs with Python 3.11."""
     ring = int_ring()
     if route == "generic":
         ring = without_roles(ring, "native_int")
@@ -73,6 +74,22 @@ def test_verify_sort_result_on_every_candidate_in_the_box():
                 assert verdict is nt_oracles.sort_holds(xs, ys, perm, holds), (xs, result)
             cases += len(results)
     assert cases == SORT_CASES
+
+
+SMALL_PRIME_BOUND = 1 << 20
+
+
+def test_verify_primality_on_every_small_prime_verdict():
+    """verify_primality on a 'prime' verdict with no certificate, for every m
+    in [2, 2^20), the whole range below TRIAL_BOUND where the kernel's strong
+    probable-prime test to bases 2 and 3 decides: it accepts exactly where
+    nt_oracles.sieve flags m. About 3 to 4 s under python -X dev, on 2 vCPUs
+    with Python 3.11."""
+    assert kernel.TRIAL_BOUND == SMALL_PRIME_BOUND
+    prime = nt_oracles.sieve(SMALL_PRIME_BOUND)
+    bad = [m for m in range(2, SMALL_PRIME_BOUND)
+           if verify_primality(PrimalityCert(m, "prime")) is not (prime[m] == 1)]
+    assert not bad, bad[:5]
 
 
 # The factor-list box: FactorEntry values with primes in 0..15 and
