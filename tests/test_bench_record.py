@@ -9,12 +9,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_record  # noqa: E402
 
 
-def _rec(label, workload, seed, rate, p50, families=None):
+def _rec(label, workload, seed, rate, p50, families=None, src_lines=100):
     metrics = {"rate_per_s": {"value": rate, "unit": "1/s"},
                "op_ms_p50": {"value": p50, "unit": "ms"}}
     result = json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
     return {"label": label, "commit": "abc", "workload": workload, "seed": seed,
-            "result": result, "families": families or {}, "src_lines": 100,
+            "result": result, "families": families or {}, "src_lines": src_lines,
             "python": "3.11.7", "cpu_count": 2}
 
 
@@ -68,6 +68,25 @@ def test_compare_prints_each_row(tmp_path, capsys):
     # pairs is no gain, and rate_per_s has a bound; egcd_per_s has none
     assert "change/parent 1.900, change wins 2/3 pairs: within bound" in out
     assert "change/parent 1.200, change wins 1/1 pairs: gain" in out
+
+
+def test_compare_reports_the_src_line_count_of_each_workload(tmp_path, capsys):
+    records = [_rec("parent", w, seed, 100.0, 1.0, src_lines=3194)
+               for w in ("laws", "certify") for seed in (1, 2, 3)]
+    records += [_rec("change", w, seed, 100.0, 1.0, src_lines=lines)
+                for w in ("laws", "certify") for seed, lines in ((1, 3190), (2, 3190), (3, 3200))]
+    rows = bench_record.summarize(records)
+    for workload in ("laws", "certify"):
+        row = _row(rows, workload, "src_lines")
+        assert row["labels"]["parent"] == (3194, 3194, 3194, 3)
+        assert row["labels"]["change"][0] == 3190
+        # lower is better: two fewer-line runs of three
+        assert (row["wins"], row["pairs"]) == (2, 3)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(records))
+    assert bench_record.main(["--compare", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "laws src_lines" in out and "certify src_lines" in out
 
 
 def test_stderr_table_rows_give_the_family_rates():

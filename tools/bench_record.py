@@ -11,10 +11,11 @@ stderr table, the line count of DIR/src, the Python version and
 os.cpu_count(). To compare two checkouts, record them alternately, with the
 same seeds.
 
-The second form prints, per workload and metric, each label's median
-[q1, q3] over its runs, then the ratio of the last label's median to the
-first label's, the last label's wins over the pairs, a pair being one run
-of each label on the same workload and seed, and a verdict on the last label:
+The second form prints, per workload and metric (the run's metrics, the
+family rates and src_lines), each label's median [q1, q3] over its runs,
+then the ratio of the last label's median to the first label's, the last
+label's wins over the pairs, a pair being one run of each label on the same
+workload and seed, and a verdict on the last label:
 - "gain": it wins at least 9 of 10 pairs, and its median is better than the
   first label's by more than the first label's interquartile range;
 - "worse": its median is worse by more than the metric's bound, read from
@@ -65,6 +66,7 @@ def record(root: Path, label: str, workload: str, seed: int) -> dict:
 def _metrics(rec: dict) -> dict:
     out = {k: m["value"] for k, m in json.loads(rec["result"])["metrics"].items()}
     out.update(rec["families"])
+    out["src_lines"] = rec["src_lines"]
     return out
 
 
