@@ -21,16 +21,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CertAlgError", "CompositeModulusError", "InvalidInputError",
                "ParseError", "StructuralError"),
-    "structures": ("DSet", "Decision", "Kind", "StructureInstance", "ancestors",
-                   "multiplicative_monoid", "validate_instance"),
+    "structures": ("DSet", "Kind", "StructureInstance", "ancestors", "multiplicative_monoid",
+                   "validate_instance"),
     "laws": ("LawReport", "check_laws", "recheck_failure"),
     "numbers": ("bin_add_monoid", "bin_suc", "bin_to_str", "from_bin", "int_add_group",
                 "int_dset", "monus", "nat_add_monoid", "nat_dset", "nat_monus_semigroup",
                 "nat_mul_monoid", "pos_nat_mul_monoid", "power", "power_instrumented",
                 "to_bin"),
-    "kernel": ("BezoutCertificate", "DividesWitness", "FactorEntry", "FactorizationData",
-               "PrattCertificate", "PrimalityCert", "SortResult", "check_divides",
-               "check_factorization", "verify_bezout", "verify_primality", "verify_sort_result"),
+    "kernel": ("BezoutCertificate", "Decision", "DividesWitness", "FactorEntry",
+               "FactorizationData", "PrattCertificate", "PrimalityCert", "SortResult",
+               "check_divides", "check_factorization", "verify_bezout", "verify_primality",
+               "verify_sort_result"),
     "euclid": ("Residue", "euclidean_div_mod", "extended_gcd", "int_ring", "make_residue",
                "residue_field", "residue_ring"),
     "primes": ("is_prime", "prime_split"),

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
 
-from .structures import NO, YES, Record
-from .kernel import SortResult, verify_sort_result
+# verify_sort_result: an old perfbench path, retired by ROADMAP item 1
+from .kernel import NO, YES, Record, SortResult, verify_sort_result
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from functools import partial
 
 from .errors import Fuel, ParseError, StructuralError
 from .numbers import _literal
-from .structures import Decision, Record
+from .kernel import Decision, Record
 
 
 class Var(Record):

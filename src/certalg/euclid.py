@@ -14,11 +14,10 @@ import math
 from functools import lru_cache, partial
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below, seeded
+from .structures import DSet, Kind, StructureInstance, below, seeded
 from .numbers import int_dset, _mixed_int
-from .kernel import (BezoutCertificate, DividesWitness, FactorEntry, PrattCertificate,
-                     PrimalityCert, certified_product, check_divides, verify_bezout,
-                     verify_primality)
+from .kernel import (NO, YES, BezoutCertificate, PrimalityCert, Record, verify_bezout,
+                     verify_primality)  # verify_*: old perfbench paths, retired by ROADMAP item 1
 
 
 class Residue(Record):
@@ -303,9 +302,8 @@ def residue_field(ring: StructureInstance, b, cert: PrimalityCert) -> StructureI
 
 
 def __getattr__(name):
-    """is_prime, certified_factors and prime_split, from primes, imported on
-    first lookup."""
-    if name in ("certified_factors", "is_prime", "prime_split"):
-        from . import primes
-        return getattr(primes, name)
+    """is_prime, which perfbench reads here, from primes, imported on first lookup."""
+    if name == "is_prime":  # an old path, retired by ROADMAP item 1
+        from .primes import is_prime
+        return is_prime
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd as igcd
 
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below, seeded
+from .kernel import NO, YES, Record
+from .structures import DSet, Kind, StructureInstance, below, seeded
 from .euclid import int_ring
 
 

@@ -1,7 +1,7 @@
-"""The trusted kernel: every certificate record, and the verifier that
-re-checks it from the record's own fields. It imports no producer (euclid,
-primes, factorization, certlists), so no verifier runs code that reached the
-verdict it checks. Below TRIAL_BOUND = 2^20, a strong probable-prime test to
+"""The trusted kernel: the record contract (Record, Decision), every
+certificate record, and the verifier that re-checks it from the record's own
+fields. It imports nothing from certalg, so no verifier runs code that reached
+the verdict it checks. Below TRIAL_BOUND = 2^20, a strong probable-prime test to
 bases 2 and 3 checks a 'prime' verdict: no composite below 1,373,653 passes
 it (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980).
 """
@@ -10,7 +10,74 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .structures import Decision, Record
+
+class Record:
+    """An immutable value whose fields are its __slots__.
+
+    Each subclass gets an __init__ (fields by position or name, _defaults for
+    the trailing ones), __eq__ and __hash__, built once when the class is made.
+    A record equals only a record of its own type with equal fields, hashes
+    over its fields, has no order, and reads Name(field=value, ...). Fields in
+    _hidden stay out of ==, hash and repr.
+    """
+
+    __slots__ = ()
+    _defaults = ()
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls._shown = tuple(f for f in fields if f not in cls._hidden)
+        mine = "".join(f"self.{f}, " for f in cls._shown)
+        theirs = "".join(f"other.{f}, " for f in cls._shown)
+        # each field is set through its slot's own descriptor, past __setattr__
+        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + ("".join(f" _set_{f}(self, {f})\n" for f in fields) or " pass\n")
+             + "def __eq__(self, other):\n"
+             f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+             " return NotImplemented\n"
+             f"def __hash__(self):\n return hash(({mine}))\n", ns)
+        ns["__init__"].__defaults__ = cls._defaults
+        for name in ("__init__", "__eq__", "__hash__"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Decision(Record):
+    """Decided proposition: holds plus opaque evidence (witness or refuter)."""
+
+    __slots__ = ("holds", "evidence")
+    _defaults = (None,)
+
+    @classmethod
+    def yes(cls, witness=None):
+        return cls(True, witness)
+
+    @classmethod
+    def no(cls, refuter=None):
+        return cls(False, refuter)
+
+    def __bool__(self):
+        return self.holds
+
+
+# Shared evidence-free verdicts; the shipped carriers' eq returns these.
+YES = Decision(True)
+NO = Decision(False)
 
 
 class DividesWitness(Record):

@@ -15,8 +15,8 @@ import random
 import zlib
 
 from .errors import StructuralError
-from .structures import (GROUP_LIKE_KINDS, Kind, Record, StructureInstance, ancestors,
-                         validate_instance)
+from .kernel import Record
+from .structures import GROUP_LIKE_KINDS, Kind, StructureInstance, ancestors, validate_instance
 
 
 class LawReport(Record):

@@ -15,7 +15,8 @@ from functools import lru_cache
 from operator import index
 
 from .errors import InvalidInputError, ParseError, StructuralError
-from .structures import NO, YES, DSet, Kind, StructureInstance, below, seeded
+from .kernel import NO, YES
+from .structures import DSet, Kind, StructureInstance, below, seeded
 
 # the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)

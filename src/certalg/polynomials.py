@@ -21,7 +21,8 @@ from operator import itemgetter
 from struct import calcsize, iter_unpack
 
 from .errors import StructuralError
-from .structures import NO, YES, DSet, Kind, Record, StructureInstance, below
+from .kernel import NO, YES, Record
+from .structures import DSet, Kind, StructureInstance, below
 
 
 class Poly(Record):

@@ -22,8 +22,7 @@ from itertools import compress, count
 from .errors import Fuel, InvalidInputError
 from .euclid import extended_gcd
 from .kernel import (TRIAL_BOUND, DividesWitness, FactorEntry, PrattCertificate, PrimalityCert,
-                     _miller_rabin, _verify_pratt, certified_product, check_divides,
-                     verify_primality)
+                     _miller_rabin, check_divides)
 
 
 def _sieve(n: int) -> bytearray:

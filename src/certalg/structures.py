@@ -12,6 +12,7 @@ import random
 from enum import Enum
 
 from .errors import StructuralError
+from .kernel import Record
 
 
 class Kind(Enum):
@@ -82,75 +83,6 @@ RING_LIKE_KINDS = frozenset(set(Kind) - GROUP_LIKE_KINDS)
 _ROLES = frozenset().union(*(roles for _, roles in TOWER.values())) | {
     "power", "is_unit", "unit_inv", "canon_unit", "primality", "prime_split",
     "to_int", "from_int", "native_int"}
-
-
-class Record:
-    """An immutable value whose fields are its __slots__.
-
-    Each subclass gets an __init__ (fields by position or name, _defaults for
-    the trailing ones), __eq__ and __hash__, built once when the class is made.
-    A record equals only a record of its own type with equal fields, hashes
-    over its fields, has no order, and reads Name(field=value, ...). Fields in
-    _hidden stay out of ==, hash and repr.
-    """
-
-    __slots__ = ()
-    _defaults = ()
-    _hidden = ()
-
-    def __init_subclass__(cls):
-        fields = cls.__slots__
-        cls._shown = tuple(f for f in fields if f not in cls._hidden)
-        mine = "".join(f"self.{f}, " for f in cls._shown)
-        theirs = "".join(f"other.{f}, " for f in cls._shown)
-        # each field is set through its slot's own descriptor, past __setattr__
-        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-        exec(f"def __init__(self, {', '.join(fields)}):\n"
-             + ("".join(f" _set_{f}(self, {f})\n" for f in fields) or " pass\n")
-             + "def __eq__(self, other):\n"
-             f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
-             " return NotImplemented\n"
-             f"def __hash__(self):\n return hash(({mine}))\n", ns)
-        ns["__init__"].__defaults__ = cls._defaults
-        for name in ("__init__", "__eq__", "__hash__"):
-            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, ns[name])
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __reduce__(self):  # copy and pickle rebuild a record through __init__
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Decision(Record):
-    """Decided proposition: holds plus opaque evidence (witness or refuter)."""
-
-    __slots__ = ("holds", "evidence")
-    _defaults = (None,)
-
-    @classmethod
-    def yes(cls, witness=None):
-        return cls(True, witness)
-
-    @classmethod
-    def no(cls, refuter=None):
-        return cls(False, refuter)
-
-    def __bool__(self):
-        return self.holds
-
-
-# Shared evidence-free verdicts; the shipped carriers' eq returns these.
-YES = Decision(True)
-NO = Decision(False)
 
 
 class DSet(Record):
@@ -234,8 +166,8 @@ def multiplicative_monoid(inst: StructureInstance) -> StructureInstance:
 
 
 def __getattr__(name):
-    """The law engine's public names, from laws, imported on first lookup."""
-    if name in ("LawReport", "check_laws", "recheck_failure"):
+    """check_laws and recheck_failure, which perfbench reads here, from laws."""
+    if name in ("check_laws", "recheck_failure"):  # old paths, retired by ROADMAP item 1
         from . import laws
         return getattr(laws, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

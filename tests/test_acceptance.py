@@ -14,10 +14,10 @@ import time
 
 import certalg as ca
 from certalg import cli
-from certalg.certlists import (SortResult, append, int_order, rev,
-                               sort_certified, verify_sort_result)
+from certalg.certlists import append, int_order, rev, sort_certified
 from certalg.eqprover import (MAT_CANDIDATES, eval_mat2, eval_nat, eval_word,
                               format_expr, parse_expr, prove_eq)
+from certalg.kernel import SortResult, verify_sort_result
 from certalg.numbers import power_instrumented
 from cli_exprgen import random_expr
 from conftest import record_line

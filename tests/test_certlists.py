@@ -10,13 +10,12 @@ from hypothesis import given, strategies as st
 
 from roles import spied, without_roles
 from certalg import certlists
-from certalg.certlists import (DecTotalOrder, SortResult, append,
-                               fraction_order, int_order, rev, sort_certified,
-                               verify_sort_result)
+from certalg.certlists import (DecTotalOrder, append, fraction_order, int_order, rev,
+                               sort_certified)
 from certalg.euclid import int_ring
 from certalg.fractions import mk_fraction
+from certalg.kernel import NO, YES, Decision, SortResult, verify_sort_result
 from certalg.numbers import int_dset
-from certalg.structures import NO, YES, Decision
 
 
 # ================================================================

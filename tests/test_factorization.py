@@ -13,16 +13,16 @@ import nt_oracles
 import certalg
 from certalg import primes
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.euclid import (DividesWitness, PrimalityCert,
-                            is_prime, verify_primality)
-from certalg.factorization import (FactorEntry, FactorizationData,
-                                   _normalized_entries, check_factorization, check_unique_sampled,
+from certalg.factorization import (_normalized_entries, check_unique_sampled,
                                    factor, factorizations_equal,
                                    int_factorization_ring,
                                    merge_factorizations,
                                    pos_nat_factorization_monoid, product_of)
-from certalg.primes import TRIAL_BOUND
-from certalg.structures import Kind, check_laws
+from certalg.kernel import (TRIAL_BOUND, DividesWitness, FactorEntry, FactorizationData,
+                            PrimalityCert, check_factorization, verify_primality)
+from certalg.laws import check_laws
+from certalg.primes import is_prime
+from certalg.structures import Kind
 
 # oracle: sympy.factorint, frozen
 FACTOR_TABLE = {
@@ -151,9 +151,9 @@ def test_check_factorization_rejects_data_that_is_not_int():
 def test_hang_guard_check_factorization_refuses_a_power_past_the_subject(entry, subject):
     # refused before the power is taken; a child process, so that a hang
     # fails the test after 5 s
-    code = ("from certalg.euclid import PrimalityCert, is_prime\n"
-            "from certalg.factorization import (FactorEntry, FactorizationData,\n"
-            "                                   check_factorization)\n"
+    code = ("from certalg.kernel import (FactorEntry, FactorizationData, PrimalityCert,\n"
+            "                            check_factorization)\n"
+            "from certalg.primes import is_prime\n"
             f"print(check_factorization(FactorizationData(1, ({entry},)), {subject}))\n")
     env = dict(os.environ)
     src = str(Path(certalg.__file__).resolve().parents[1])

@@ -12,7 +12,8 @@ from certalg.fractions import (Fraction, add_naive, add_optimized,
                                build_fraction_field, fraction_field, inverse,
                                is_canonical, mk_fraction, mul_fractions,
                                neg_fraction)
-from certalg.structures import Kind, check_laws
+from certalg.laws import check_laws
+from certalg.structures import Kind
 
 RING = int_ring()
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import certalg
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 OWN = {"errors", "structures", "numbers", "kernel", "euclid"}
 
 
@@ -35,6 +36,10 @@ def _loaded(code):
 
 def test_import_certalg_loads_no_submodule():
     assert _loaded("import certalg") == set()
+    # the small-scope boxes' oracle stands apart from the verifiers it checks
+    loaded = _modules(f"import sys\nsys.path.insert(0, {str(TESTS)!r})\nimport nt_oracles")
+    assert "nt_oracles" in loaded
+    assert not {name for name in loaded if name.partition(".")[0] == "certalg"}
 
 
 def test_int_ring_loads_only_its_own_modules():
@@ -70,36 +75,43 @@ def test_the_law_engine_and_primality_load_only_where_used():
 
 
 def test_the_kernel_loads_no_producer():
-    assert _loaded("import certalg.kernel") == {"errors", "structures", "kernel"}
+    assert _loaded("import certalg.kernel") == {"kernel"}
+    # -S: no site, so nothing but the kernel's own imports can load these
+    assert not _modules("import certalg.kernel", "-S") & {"enum", "random"}
 
 
-# each name the kernel took over, by the modules that held it before
-KERNEL_NAMES = {
-    "euclid": ("BezoutCertificate", "DividesWitness", "FactorEntry", "PrattCertificate",
-               "PrimalityCert", "certified_product", "check_divides", "verify_bezout",
-               "verify_primality"),
-    "primes": ("FactorEntry", "PrattCertificate", "PrimalityCert", "TRIAL_BOUND",
-               "_miller_rabin", "_verify_pratt", "certified_product", "verify_primality"),
-    "factorization": ("FactorizationData", "check_factorization"),
-    "certlists": ("SortResult", "verify_sort_result"),
+# the old paths that perfbench reads, by module, each name with its owner;
+# ROADMAP item 1 retires them
+OLD_PATHS = {
+    "structures": {"check_laws": "laws", "recheck_failure": "laws"},
+    "euclid": {"is_prime": "primes", "verify_bezout": "kernel", "verify_primality": "kernel"},
+    "certlists": {"verify_sort_result": "kernel"},
 }
 
 
-def test_moved_names_are_still_reachable_from_their_old_modules():
+def test_the_only_old_paths_are_the_ones_perfbench_reads():
+    import ast
     import importlib
 
-    from certalg import euclid, kernel, laws, primes, structures
-
-    for name in ("check_laws", "recheck_failure", "LawReport"):
-        assert getattr(structures, name) is getattr(laws, name), name
-    for name in ("is_prime", "certified_factors", "prime_split"):
-        assert getattr(euclid, name) is getattr(primes, name), name
-    for module, names in KERNEL_NAMES.items():
+    for module, names in OLD_PATHS.items():
         old = importlib.import_module(f"certalg.{module}")
-        for name in names:
-            assert getattr(old, name) is getattr(kernel, name), (module, name)
-    for module in (structures, euclid):
-        assert not hasattr(module, "no_such_name")
+        for name, owner in names.items():
+            assert getattr(old, name) is getattr(importlib.import_module(f"certalg.{owner}"),
+                                                 name), (module, name)
+    # a name that a module imports from the package and never uses is an old path
+    for path in sorted((SRC / "certalg").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used <= set(OLD_PATHS.get(path.stem, ())), path.name
+    # what the two __getattr__s served before, and no other name
+    from certalg import euclid, structures
+
+    for module, name in ((structures, "LawReport"), (euclid, "certified_factors"),
+                         (euclid, "prime_split"), (structures, "no_such_name"),
+                         (euclid, "no_such_name")):
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_cli_paths_import_neither_dataclasses_nor_typing():

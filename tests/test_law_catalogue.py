@@ -12,9 +12,9 @@ from certalg.euclid import int_ring, residue_ring
 from certalg.factorization import int_factorization_ring
 from certalg.fractions import (Fraction, fraction_field, inverse, is_canonical,
                                neg_fraction)
-from certalg.laws import _laws_for
-from certalg.structures import (NO, YES, DSet, Kind, StructureInstance,
-                                check_laws, recheck_failure, seeded)
+from certalg.kernel import NO, YES
+from certalg.laws import _laws_for, check_laws, recheck_failure
+from certalg.structures import DSet, Kind, StructureInstance, seeded
 
 
 # ============================================================

@@ -12,7 +12,8 @@ from certalg.numbers import (bin_add_monoid, bin_suc, bin_to_str, from_bin,
                              nat_add_monoid, nat_monus_semigroup,
                              nat_mul_monoid, pos_nat_mul_monoid, power,
                              power_instrumented, to_bin)
-from certalg.structures import Kind, check_laws
+from certalg.laws import check_laws
+from certalg.structures import Kind
 
 
 def test_monus_truncates_at_zero():

@@ -12,7 +12,8 @@ from certalg.errors import StructuralError
 from certalg.euclid import int_ring, make_residue, residue_ring
 from certalg.polynomials import (Poly, degree, mk_poly, poly_add, poly_group,
                                  poly_mul, poly_neg)
-from certalg.structures import Kind, check_laws
+from certalg.laws import check_laws
+from certalg.structures import Kind
 
 RING = int_ring()
 

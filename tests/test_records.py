@@ -9,18 +9,17 @@ import pickle
 
 import pytest
 
-from certalg.certlists import DecTotalOrder, SortResult
+from certalg.certlists import DecTotalOrder
 from certalg.cli import _render
 from certalg.eqprover import (Apply, NatConst, Neg, NormalForm, PowSym,
                               UnitConst, Var)
-from certalg.euclid import (BezoutCertificate, DividesWitness, FactorEntry,
-                            PrattCertificate, PrimalityCert, Residue)
-from certalg.factorization import FactorizationData
+from certalg.euclid import Residue
 from certalg.fractions import Fraction
-from certalg.laws import _Law
+from certalg.kernel import (YES, BezoutCertificate, Decision, DividesWitness, FactorEntry,
+                            FactorizationData, PrattCertificate, PrimalityCert, SortResult)
+from certalg.laws import LawReport, _Law
 from certalg.polynomials import Poly
-from certalg.structures import (YES, Decision, DSet, Kind, LawReport,
-                                StructureInstance)
+from certalg.structures import DSet, Kind, StructureInstance
 
 DSET = DSet("bits", max, sorted, (0, 1), None)
 

@@ -11,30 +11,26 @@ from collections import defaultdict
 import pytest
 
 import nt_oracles
-from roles import without_roles
 from certalg import kernel
-from certalg.certlists import SortResult, int_order, verify_sort_result
-from certalg.euclid import BezoutCertificate, DividesWitness, int_ring, verify_bezout
-from certalg.factorization import FactorizationData, check_factorization
-from certalg.primes import (FactorEntry, PrattCertificate, PrimalityCert, certified_product,
-                            verify_primality)
-from certalg.structures import NO, YES, Decision
+from certalg.certlists import int_order
+from certalg.euclid import int_ring
+from certalg.kernel import (NO, YES, BezoutCertificate, Decision, DividesWitness, FactorEntry,
+                            FactorizationData, PrattCertificate, PrimalityCert, SortResult,
+                            certified_product, check_factorization, verify_bezout,
+                            verify_primality, verify_sort_result)
 
 BOX = range(-3, 4)
 # of the 7**7 = 823,543 certificates in the box, the oracle accepts this many
 BEZOUT_ACCEPTED = 2841
 
 
-@pytest.mark.parametrize("route", ["native", "generic"])
-def test_verify_bezout_on_every_certificate_in_the_box(route):
+def test_verify_bezout_on_every_certificate_in_the_box():
     """verify_bezout accepts exactly the certificates whose three equations
     hold, over all 823,543 with every field in [-3, 3]. Each accepted one
-    has |g| = gcd(a, b). verify_bezout has one route, so int_ring() and its
-    copy without native_int must agree; each takes 2 to 3 s under
-    python -X dev, on 2 vCPUs with Python 3.11."""
+    has |g| = gcd(a, b). verify_bezout reads no role, so one ring covers its
+    one route; the box takes 2 to 3 s under python -X dev, on 2 vCPUs with
+    Python 3.11."""
     ring = int_ring()
-    if route == "generic":
-        ring = without_roles(ring, "native_int")
     accepted = 0
     for fields in itertools.product(BOX, repeat=7):
         verdict = verify_bezout(ring, BezoutCertificate(*fields))

@@ -7,12 +7,10 @@ import re
 import pytest
 
 from certalg.errors import StructuralError
-from certalg.laws import _laws_for
-from certalg.structures import (DSet, Decision, GROUP_LIKE_KINDS, Kind,
-                                RING_LIKE_KINDS, StructureInstance, _ROLES,
-                                ancestors, below, check_laws,
-                                multiplicative_monoid, recheck_failure,
-                                validate_instance)
+from certalg.kernel import Decision
+from certalg.laws import _laws_for, check_laws, recheck_failure
+from certalg.structures import (DSet, GROUP_LIKE_KINDS, Kind, RING_LIKE_KINDS, StructureInstance,
+                                _ROLES, ancestors, below, multiplicative_monoid, validate_instance)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
                              nat_monus_semigroup)
 from certalg.euclid import int_ring
