@@ -105,7 +105,7 @@ def test_the_only_old_paths_are_the_ones_perfbench_reads():
                     if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used <= set(OLD_PATHS.get(path.stem, ())), path.name
-    # what the two __getattr__s served before, and no other name
+    # the names that the two __getattr__s served before and serve no more
     from certalg import euclid, structures
 
     for module, name in ((structures, "LawReport"), (euclid, "certified_factors"),
