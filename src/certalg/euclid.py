@@ -161,16 +161,19 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     """The quotient ring of a Euclidean ring by (b), on canonical remainders.
 
     Its carrier enumerates the first min(|b|, 64) residues. A variant of x is
-    a fresh Residue of x.value + k*b reduced, k = 1 + below(rng, 5), so
-    congruence laws compare two distinct residues with equal values.
+    a Residue of x.value + k*b reduced, k = 1 + below(rng, 5), that is not x,
+    so congruence laws compare two distinct residues with equal values.
 
     Over a native_int ring (int_ring(), or a copy of its ops) the ops, the
     draw and the variants are int arithmetic mod |b|, the to_int/from_int
     roles expose the quotient map from the integers, and with |b| <= 2^8
     every residue is built once, with the ring, so the ops hand out shared,
     immutable objects (hash-consing) instead of a new one per result, read
-    from that table with a subscript. Any other ring goes through its
-    div_mod and ops.
+    from that table with a subscript. A twin table beside it, built the same
+    way, holds the variants: the twin of the reduced value, or for a twin
+    the interned residue. eq tests identity first, which the interned
+    results make a frequent hit. Larger moduli, and any other ring, which
+    goes through its div_mod and ops, build a fresh Residue per variant.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()
@@ -189,6 +192,7 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
 
         if m <= _TABLE_MAX:  # a subscript is cheaper than a call to res
             table = tuple(map(res, range(m)))
+            twins = tuple(map(res, range(m)))
             res = table.__getitem__
             ops = {
                 "add": lambda x, y: table[(x.value + y.value) % m],
@@ -196,6 +200,10 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
                 "mul": lambda x, y: table[x.value * y.value % m],
                 "from_int": lambda v: table[v % m],
             }
+
+            def variants(x, rng):
+                v = (x.value + (1 + below(rng, 5)) * b) % m
+                return twins[v] if twins[v] is not x else table[v]
         else:
             ops = {
                 "add": lambda x, y: res((x.value + y.value) % m),
@@ -203,16 +211,16 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
                 "mul": lambda x, y: res(x.value * y.value % m),
                 "from_int": lambda v: res(v % m),
             }
+
+            def variants(x, rng):
+                return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
         ops["to_int"] = lambda x: x.value
 
         def r_eq(x, y):
-            return YES if x.value == y.value and x.modulus == y.modulus else NO
+            return YES if x is y or x.value == y.value and x.modulus == y.modulus else NO
 
         def draw(rng):
             return res(_mixed_int(rng) % m)
-
-        def variants(x, rng):
-            return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
     else:
         dm = ring.ops["div_mod"]
         radd = ring.ops["add"]

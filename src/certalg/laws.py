@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import zlib
 
@@ -204,7 +205,12 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     elements (when the carrier has an enumeration) plus `budget` seeded
     random cases. The random cases come from one seeded sample pool shared
     by all the instance's laws: a law of sample arity k takes the first
-    budget*k elements. Deterministic for a fixed (seed, budget, sweep).
+    budget*k elements as consecutive k-tuples, built column by column in C:
+    column i is pool[i:n*k:k], a congruence law's variants map over column 0,
+    and zip(*columns) gives the cases. The sweep is built once per case arity
+    and failures are picked with itertools.compress, so no per-case Python
+    loop runs outside the predicates. Deterministic for a fixed (seed,
+    budget, sweep).
     """
     validate_instance(inst)
     laws = _laws_for(inst)
@@ -212,24 +218,25 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     small = dset.enumeration[:sweep] if dset.enumeration is not None and sweep > 0 else ()
     pool = dset.sample(_law_seed(seed, "sample-pool"),
                        budget * max(law.sample_arity for law in laws))
+    sweeps = {a: [*itertools.product(small, repeat=a)] for a in {law.case_arity for law in laws}}
     failures = []
     cases = 0
     for law in laws:
         k = law.sample_arity
         n = max(0, min(budget, len(pool) // k))
-        chunks = zip(*[iter(pool[:n * k])] * k)  # consecutive k-tuples
+        cols = [pool[i:n * k:k] for i in range(k)]
         if law.uses_variant:  # (x, rest...) becomes (x, variant of x, rest...)
             vary = dset.variants
             if vary is None:  # x stands in for its own variant
-                chunks = [(c[0], *c) for c in chunks]
+                cols.insert(1, cols[0])
             else:
                 rng = random.Random(_law_seed(seed, law.name))
-                chunks = [(c[0], vary(c[0], rng)) + c[1:] for c in chunks]
+                cols.insert(1, [*map(vary, cols[0], itertools.repeat(rng))])
         # the sweep cases, then the random ones, each evaluated by starmap
-        tups = [*itertools.product(small, repeat=law.case_arity), *chunks]
+        tups = sweeps[law.case_arity] + [*zip(*cols)]
         cases += len(tups)
-        failures += [(law.name, tup)
-                     for tup, ok in zip(tups, itertools.starmap(law.pred, tups)) if not ok]
+        failures += zip(itertools.repeat(law.name), itertools.compress(
+            tups, map(operator.not_, itertools.starmap(law.pred, tups))))
     return LawReport(inst.kind, cases, tuple(failures))
 
 

@@ -93,12 +93,12 @@ class DSet(Record):
     elements used for exhaustive law sweeps. variants, when present, maps an
     element x and a random.Random to one element eq-equal to x, built through
     a different construction path; a congruence case pairs x with it. Each
-    shipped carrier returns one whose value reduces back to x (a fresh
-    Residue of (v + k*b) % |b| in int arithmetic, mk_fraction(num*k, den*k),
-    mk_poly over shuffled terms), so its congruence laws catch only an op
-    that tells equal objects apart by identity. The shipped samplers and
-    variants draw their ints with below(rng, n), which draws what
-    rng.randrange(n) does.
+    shipped carrier returns one whose value reduces back to x, and never x
+    itself (a Residue of (v + k*b) % |b| in int arithmetic, read from a twin
+    table for |b| <= 2^8, mk_fraction(num*k, den*k), mk_poly over shuffled
+    terms), so its congruence laws catch only an op that tells equal objects
+    apart by identity. The shipped samplers and variants draw their ints
+    with below(rng, n), which draws what rng.randrange(n) does.
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")

@@ -16,9 +16,9 @@ from certalg.euclid import (Residue, euclidean_div_mod, extended_gcd, int_ring,
                             make_residue, residue_field, residue_ring)
 from certalg.factorization import int_factorization_ring
 from certalg.fractions import Fraction, add_optimized, mk_fraction, mul_fractions
-from certalg.kernel import (TRIAL_BOUND, BezoutCertificate, DividesWitness, FactorEntry,
-                            PrattCertificate, PrimalityCert, check_divides, verify_bezout,
-                            verify_primality)
+from certalg.kernel import (NO, TRIAL_BOUND, YES, BezoutCertificate, DividesWitness,
+                            FactorEntry, PrattCertificate, PrimalityCert, check_divides,
+                            verify_bezout, verify_primality)
 from certalg.laws import check_laws
 from certalg.primes import is_prime, prime_split
 from certalg.structures import Kind, StructureInstance, validate_instance
@@ -175,7 +175,7 @@ def test_verify_bezout_refuses_what_is_not_a_certificate(ring, route):
                 assert verify_bezout(z7, probe) is False, probe
 
 
-def test_native_verify_bezout_agrees_with_the_generic_route(ring):
+def test_verify_bezout_verdicts_match_the_oracle_through_the_rings_own_mul(ring):
     for a, b in _egcd_pairs()[::7]:
         good = extended_gcd(ring, a, b)
         assert verify_bezout(ring, good) is True, good
@@ -494,12 +494,35 @@ def test_small_fields_read_inverses_from_a_table(ring, b, monkeypatch):
         assert inv(Residue(b, v)) is from_int(pow(v, -1, p))
 
 
-def test_variants_of_an_interned_residue_are_fresh_objects(ring):
-    zr = residue_ring(ring, 7)
-    rng = random.Random(0)
-    for x in zr.base.enumeration:
-        v = zr.base.variants(x, rng)
-        assert v == x and v is not x
+@pytest.mark.parametrize("b", [7, 256, 257])  # 256 has the last table, 257 none
+def test_a_variant_is_eq_equal_to_its_input_and_never_the_input(ring, b):
+    zr = residue_ring(ring, b)
+    vary, eq, from_int = zr.base.variants, zr.base.eq, zr.ops["from_int"]
+    rng = random.Random(b)
+    canonical = [from_int(v) for v in range(b)]  # interned up to 256
+    twins = [vary(x, rng) for x in canonical]
+    for x in (*canonical, *twins):
+        v = vary(x, rng)
+        assert v == x and eq(v, x).holds and v is not x
+    if b <= 256:  # the twin table: a twin's variant is the interned residue
+        assert all(vary(t, rng) is x for t, x in zip(twins, canonical))
+    else:  # past it, a fresh Residue per call
+        assert vary(canonical[3], rng) is not vary(canonical[3], rng)
+    # Residue(b, 2b) is no carrier element: its variant is the canonical residue
+    # of its class, which the native eq, comparing values as given, tells apart
+    odd = Residue(b, 2 * b)
+    v = vary(odd, rng)
+    assert v is not odd and eq(v, from_int(0)).holds and not eq(v, odd).holds
+
+
+@pytest.mark.parametrize("b", [7, 256, 257])
+def test_native_residue_eq_tests_identity_then_value_and_modulus(ring, b):
+    eq = residue_ring(ring, b).base.eq
+    for x in (Residue(b, 3), Residue(b, 2 * b)):  # neither is interned
+        assert eq(x, x) is YES
+    nan = Residue(b, math.nan)  # nan != nan: YES only through the identity test
+    assert eq(nan, nan) is YES and eq(nan, Residue(b, math.nan)) is NO
+    assert eq(Residue(7, 1), Residue(5, 1)) is NO
 
 
 def test_interned_residues_stay_frozen_with_value_equality(ring):

@@ -1,5 +1,6 @@
 """Law engine tests: kinds, validation, checking, counterexamples."""
 
+import itertools
 import pathlib
 import random
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from certalg.errors import StructuralError
 from certalg.kernel import Decision
-from certalg.laws import _laws_for, check_laws, recheck_failure
+from certalg.laws import _law_seed, _laws_for, check_laws, recheck_failure
 from certalg.structures import (DSet, GROUP_LIKE_KINDS, Kind, RING_LIKE_KINDS, StructureInstance,
                                 _ROLES, ancestors, below, multiplicative_monoid, validate_instance)
 from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
@@ -345,6 +346,66 @@ def test_every_law_gets_its_sweep_and_budget_cases(make):
     budget, sweep = 37, 3
     report = check_laws(inst, seed=4, budget=budget, sweep=sweep)
     assert report.cases == sum(sweep ** law.case_arity + budget for law in _laws_for(inst))
+
+
+def _row_wise_cases(inst, seed, budget, sweep):
+    """Each law with its cases, assembled row by row as check_laws once did:
+    the sweep, then consecutive k-tuples of the pool, variants spliced in."""
+    dset = inst.base
+    laws = _laws_for(inst)
+    small = dset.enumeration[:sweep] if sweep > 0 else ()
+    pool = dset.sample(_law_seed(seed, "sample-pool"),
+                       budget * max(law.sample_arity for law in laws))
+    for law in laws:
+        k = law.sample_arity
+        n = max(0, min(budget, len(pool) // k))
+        chunks = zip(*[iter(pool[:n * k])] * k)
+        if law.uses_variant:
+            if dset.variants is None:
+                chunks = [(c[0], *c) for c in chunks]
+            else:
+                rng = random.Random(_law_seed(seed, law.name))
+                chunks = [(c[0], dset.variants(c[0], rng)) + c[1:] for c in chunks]
+        yield law, [*itertools.product(small, repeat=law.case_arity), *chunks]
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["full-pool", "short-pool"])
+@pytest.mark.parametrize("vary", [False, True], ids=["no-variants", "variants"])
+def test_cases_are_assembled_as_row_wise_tuples_in_order(vary, short):
+    # Z/(3) on int representatives: x - y is lawless in most ways, so failures
+    # come from several laws and arities; eq and op record every call they get
+    calls = []
+
+    def eq(a, b):
+        calls.append(("eq", a, b))
+        return Decision.yes() if (a - b) % 3 == 0 else Decision.no((a, b))
+
+    def sub(a, b):
+        calls.append(("op", a, b))
+        return a - b
+
+    def sample(seed, count):
+        rng = random.Random(seed)
+        return [below(rng, 1000) for _ in range(count // 2 if short else count)]
+
+    variants = (lambda x, rng: x + 3 * (1 + below(rng, 5))) if vary else None
+    inst = StructureInstance(Kind.CC_MONOID, DSet("z3", eq, sample, (0, 1, 2), variants),
+                             {"op": sub, "identity": lambda: 0}, "z3-sub")
+    for budget in (0, 1, 7):
+        for sweep in (0, 2):
+            calls.clear()
+            report = check_laws(inst, seed=budget + sweep, budget=budget, sweep=sweep)
+            seen = calls[:]
+            calls.clear()
+            want = [(law.name, case) for law, cases in
+                    _row_wise_cases(inst, budget + sweep, budget, sweep)
+                    for case in cases if not law.pred(*case)]
+            assert seen == calls, (budget, sweep)  # every case, in the same order
+            assert report.failures == tuple(want), (budget, sweep)
+            assert report.cases == sum(len(cases) for _, cases in
+                                       _row_wise_cases(inst, budget + sweep, budget, sweep))
+    assert {law for law, _ in report.failures} >= {
+        "associativity(op)", "commutativity(op)", "identity(op)"}
 
 
 def test_law_failure_report_counts_cases():
