@@ -172,8 +172,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     from that table with a subscript. A twin table beside it, built the same
     way, holds the variants: the twin of the reduced value, or for a twin
     the interned residue. eq tests identity first, which the interned
-    results make a frequent hit. Larger moduli, and any other ring, which
-    goes through its div_mod and ops, build a fresh Residue per variant.
+    results make a frequent hit. Any other ring goes through its div_mod
+    and ops; it and the larger moduli build a fresh Residue per variant.
     """
     eq = ring.base.eq
     zero = ring.ops["zero"]()

@@ -397,13 +397,12 @@ def test_cases_are_assembled_as_row_wise_tuples_in_order(vary, short):
             report = check_laws(inst, seed=budget + sweep, budget=budget, sweep=sweep)
             seen = calls[:]
             calls.clear()
-            want = [(law.name, case) for law, cases in
-                    _row_wise_cases(inst, budget + sweep, budget, sweep)
+            expected = [*_row_wise_cases(inst, budget + sweep, budget, sweep)]
+            want = [(law.name, case) for law, cases in expected
                     for case in cases if not law.pred(*case)]
             assert seen == calls, (budget, sweep)  # every case, in the same order
             assert report.failures == tuple(want), (budget, sweep)
-            assert report.cases == sum(len(cases) for _, cases in
-                                       _row_wise_cases(inst, budget + sweep, budget, sweep))
+            assert report.cases == sum(len(cases) for _, cases in expected)
     assert {law for law, _ in report.failures} >= {
         "associativity(op)", "commutativity(op)", "identity(op)"}
 
