@@ -1,5 +1,5 @@
 """Integer factorization with a primality certificate on every prime, plus
-a sampled uniqueness suite driven by prime_split witnesses.
+a sampled uniqueness suite of two laws, run by the law engine's runner.
 
 factor strips the primes below 2^10, keeps what Miller-Rabin calls prime
 and splits the rest with Pollard rho (primes.certified_factors). Each prime
@@ -9,7 +9,6 @@ a Pratt certificate proves a larger one.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .errors import InvalidInputError, StructuralError
@@ -64,64 +63,48 @@ def merge_factorizations(f1: FactorizationData, f2: FactorizationData) -> Factor
     return FactorizationData(f1.unit * f2.unit, entries)
 
 
-_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
 def check_unique_sampled(ring: StructureInstance, seed: int = 1,
                          budget: int = 300) -> LawReport:
-    """Sampled uniqueness evidence for a factorization-capable instance.
+    """Sampled uniqueness evidence for a factorization-capable instance: two
+    laws over pairs (x, y) of the carrier, on check_laws' runner and sweep.
 
-    Per case: (i) the factorization reconstructs its subject, (ii) the
-    directly computed factorization of a product agrees with the merge of
-    the factors' data, (iii) a prime_split run on (p, a, b) with p | a*b
-    yields a witness that re-checks.
+    independent-factorizations-agree: factor(x*y) re-checks and equals the
+    merge of factor(x) and factor(y); a pair with a zero passes.
+    prime-split-witness: prime_split on the least prime p of x*y yields a
+    witness that re-checks, has divisor p and divides the side it names.
     """
-    from .laws import LawReport
+    from .laws import _Law, _run_laws
     for role in ("factor", "prime_split"):
         if role not in ring.ops:
             raise StructuralError(f"{ring.name}: uniqueness check needs op {role!r}")
-    rng = random.Random(seed)
     do_factor = ring.ops["factor"]
     split = ring.ops["prime_split"]
-    group_like = "op" in ring.ops
-    mul = ring.ops["op"] if group_like else ring.ops["mul"]
-    failures = []
-    cases = 0
-    lo = 1 if group_like else -(10**6)
-    for _ in range(budget):
-        x = 0
-        while x == 0:
-            x = lo + below(rng, 10**6 + 1 - lo)
-        cases += 1
-        fx = do_factor(x)
-        if not check_factorization(fx, x):
-            failures.append(("factorization-reconstructs", (x,)))
+    mul = ring.ops["op"] if "op" in ring.ops else ring.ops["mul"]
 
-        a = 1 + below(rng, 10**3)
-        b = 1 + below(rng, 10**3)
-        cases += 1
-        direct = do_factor(mul(a, b))
-        merged = merge_factorizations(do_factor(a), do_factor(b))
-        if not factorizations_equal(direct, merged):
-            failures.append(("independent-factorizations-agree", (a, b)))
+    def agree(x, y):
+        if x == 0 or y == 0:
+            return True
+        xy = mul(x, y)
+        direct = do_factor(xy)
+        return check_factorization(direct, xy) and factorizations_equal(
+            direct, merge_factorizations(do_factor(x), do_factor(y)))
 
-        p = _FIRST_PRIMES[below(rng, len(_FIRST_PRIMES))]
-        if rng.random() < 0.5:
-            a2, b2 = a * p, b
-        else:
-            a2, b2 = a, b * p
-        w = DividesWitness(p, a2 * b2, (a2 * b2) // p)
-        cases += 1
+    def split_witness(x, y):
+        xy = mul(x, y)
+        entries = do_factor(xy).entries if xy != 0 else ()
+        if not entries:  # 0 and the units have no least prime
+            return True
+        p = entries[0].prime  # entries are sorted by prime
         try:
-            side, witness = split(p, a2, b2, w)
-            ok = check_divides(int_ring(), witness)
-            ok = ok and witness.divisor == p
-            ok = ok and witness.dividend == (a2 if side == "left" else b2)
+            side, witness = split(p, x, y, DividesWitness(p, xy, xy // p))
         except InvalidInputError:
-            ok = False
-        if not ok:
-            failures.append(("prime-split-witness", (p, a2, b2)))
-    return LawReport(ring.kind, cases, tuple(failures))
+            return False
+        return (check_divides(int_ring(), witness) and witness.divisor == p
+                and witness.dividend == (x if side == "left" else y))
+
+    laws = [_Law("independent-factorizations-agree", 2, agree),
+            _Law("prime-split-witness", 2, split_witness)]
+    return _run_laws(ring, laws, seed, budget, 4)
 
 
 @lru_cache(maxsize=None)

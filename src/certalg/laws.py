@@ -213,7 +213,12 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     budget, sweep).
     """
     validate_instance(inst)
-    laws = _laws_for(inst)
+    return _run_laws(inst, _laws_for(inst), seed, budget, sweep)
+
+
+def _run_laws(inst: StructureInstance, laws: list, seed: int, budget: int,
+              sweep: int) -> LawReport:
+    """check_laws' runner, for any list of laws over inst's carrier."""
     dset = inst.base
     small = dset.enumeration[:sweep] if dset.enumeration is not None and sweep > 0 else ()
     pool = dset.sample(_law_seed(seed, "sample-pool"),

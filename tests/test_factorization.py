@@ -1,5 +1,6 @@
 """Factorization with per-prime certificates."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from certalg.kernel import (TRIAL_BOUND, DividesWitness, FactorEntry, Factorizat
                             PrimalityCert, check_factorization, verify_primality)
 from certalg.laws import check_laws
 from certalg.primes import is_prime
-from certalg.structures import Kind
+from certalg.structures import Kind, StructureInstance
 
 # oracle: sympy.factorint, frozen
 FACTOR_TABLE = {
@@ -222,6 +223,64 @@ def test_unique_sampler_requires_factorization_ops():
     from certalg.numbers import nat_add_monoid
     with pytest.raises(StructuralError):
         check_unique_sampled(nat_add_monoid(), budget=10)
+
+
+def _with_ops(inst, **ops):
+    return StructureInstance(inst.kind, inst.base, dict(inst.ops, **ops), inst.name)
+
+
+def _drops_a_prime(f):
+    def factor_op(x):
+        data = f(x)
+        return FactorizationData(data.unit, data.entries[:-1])
+    return factor_op
+
+
+def _names_the_other_side(split):
+    def split_op(p, a, b, w):
+        side, witness = split(p, a, b, w)
+        return ("right" if side == "left" else "left"), witness
+    return split_op
+
+
+@pytest.mark.parametrize("make", [int_factorization_ring, pos_nat_factorization_monoid])
+def test_uniqueness_suite_names_each_broken_op(make):
+    inst = make()
+    for broken, law in [
+        (_with_ops(inst, factor=_drops_a_prime(inst.ops["factor"])),
+         "independent-factorizations-agree"),
+        (_with_ops(inst, prime_split=_names_the_other_side(inst.ops["prime_split"])),
+         "prime-split-witness"),
+    ]:
+        report = check_unique_sampled(broken, seed=1, budget=300)
+        assert report.failures, law
+        assert {name for name, _ in report.failures} == {law}
+
+
+# sha256 over repr(x) of every x that the factor role receives, in call
+# order, during check_unique_sampled at seeds 1, 2 and 3 with budget 300,
+# first 16 hex digits: a change to which pairs the suite draws, or how it
+# factors them, shows up even when every case passes
+UNIQUE_CASE_DIGESTS = {
+    "int-ufd": ("dc0f02e289ec190e", "0a789641c85168e3", "571f1b6829cb4adc"),
+    "nat-factor-monoid": ("33949f24c649f32d", "46995435f08c0189", "aef949832267ce0c"),
+}
+
+
+@pytest.mark.parametrize("make", [int_factorization_ring, pos_nat_factorization_monoid])
+def test_every_uniqueness_case_is_pinned(make):
+    inst = make()
+    got = []
+    for seed in (1, 2, 3):
+        h = hashlib.sha256()
+
+        def spy(x, factor_op=inst.ops["factor"]):
+            h.update(repr(x).encode())
+            return factor_op(x)
+
+        assert check_unique_sampled(_with_ops(inst, factor=spy), seed=seed, budget=300).ok
+        got.append(h.hexdigest()[:16])
+    assert tuple(got) == UNIQUE_CASE_DIGESTS[inst.name]
 
 
 def test_shipped_factorization_instances_are_lawful():
