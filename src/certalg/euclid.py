@@ -14,7 +14,7 @@ import math
 from functools import lru_cache, partial
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import DSet, Kind, StructureInstance, below, seeded
+from .structures import DSet, Kind, StructureInstance, seeded
 from .numbers import int_dset, _mixed_int
 from .kernel import (NO, YES, BezoutCertificate, PrimalityCert, Record, verify_bezout,
                      verify_primality)  # verify_*: old perfbench paths, retired by ROADMAP item 1
@@ -161,8 +161,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     """The quotient ring of a Euclidean ring by (b), on canonical remainders.
 
     Its carrier enumerates the first min(|b|, 64) residues. A variant of x is
-    a Residue of x.value + k*b reduced, k = 1 + below(rng, 5), that is not x,
-    so congruence laws compare two distinct residues with equal values.
+    a Residue of x.value reduced that is not x, so congruence laws compare
+    two distinct residues with equal values.
 
     Over a native_int ring (int_ring(), or a copy of its ops) the ops, the
     draw and the variants are int arithmetic mod |b|, the to_int/from_int
@@ -184,6 +184,10 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     one = ring.ops["one"]()
 
     res = partial(Residue, b)
+
+    def variants(x):  # a fresh Residue; the interned route reads a twin instead
+        return Residue(b, rem(x.value))
+
     if "native_int" in ring.ops:
         m = abs(b)
 
@@ -201,8 +205,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
                 "from_int": lambda v: table[v % m],
             }
 
-            def variants(x, rng):
-                v = (x.value + (1 + below(rng, 5)) * b) % m
+            def variants(x):
+                v = x.value % m
                 return twins[v] if twins[v] is not x else table[v]
         else:
             ops = {
@@ -211,9 +215,6 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
                 "mul": lambda x, y: res(x.value * y.value % m),
                 "from_int": lambda v: res(v % m),
             }
-
-            def variants(x, rng):
-                return Residue(b, (x.value + (1 + below(rng, 5)) * b) % m)
         ops["to_int"] = lambda x: x.value
 
         def r_eq(x, y):
@@ -241,9 +242,6 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
 
         def draw(rng):
             return res(rem(_mixed_int(rng)))
-
-        def variants(x, rng):
-            return Residue(b, rem(radd(x.value, rmul(1 + below(rng, 5), b))))
     r_zero, r_one = res(zero), res(rem(one))
     ops["zero"] = lambda: r_zero
     ops["one"] = lambda: r_one

@@ -189,9 +189,8 @@ def build_fraction_field(ring: StructureInstance) -> StructureInstance:
 
     mulr = ring.ops["mul"]
 
-    def variants(x, rng):
-        k = 2 + below(rng, 4)
-        return mk_fraction(ring, mulr(x.num, k), mulr(x.den, k))
+    def variants(x):
+        return mk_fraction(ring, mulr(x.num, 2), mulr(x.den, 2))
 
     dset = DSet(f"frac({ring.base.name})", eq, seeded(draw), tuple(enum), variants)
     ops = {

@@ -99,11 +99,17 @@ class BezoutCertificate(Record):
 def _members(ring: StructureInstance, *xs) -> bool:
     """The membership rule: an element of the ring's carrier is an object of
     the exact type of the ring's zero, so bool is not int. Where that type is
-    not int and the ring has a to_int role (Z/(m) over int_ring()), the
+    not int, an element has the zero's modulus when the zero has one (Z/(m)),
+    and where the ring has a to_int role (Z/(m) over int_ring()), the
     element's to_int value must be an int too."""
-    t = type(ring.ops["zero"]())
-    to_int = None if t is int else ring.ops.get("to_int")
-    return all(type(x) is t and (to_int is None or type(to_int(x)) is int) for x in xs)
+    zero = ring.ops["zero"]()
+    t = type(zero)
+    if t is int:
+        return all(type(x) is int for x in xs)
+    m = getattr(zero, "modulus", None)
+    to_int = ring.ops.get("to_int")
+    return all(type(x) is t and (m is None or x.modulus == m)
+               and (to_int is None or type(to_int(x)) is int) for x in xs)
 
 
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
@@ -281,12 +287,16 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     re-decide as ordered. The bijection is what proves that ys is the
     input's multiset under the carrier's eq, so no separate count is taken.
     Anything but a SortResult, or one whose fields are not tuples or lists,
-    is refused."""
+    is refused, and so is an element of xs or ys whose type is not exactly
+    that of the carrier's first enumerated element, when it has one."""
     if type(result) is not SortResult:
         return False
     xs = list(xs)
     ys, perm, ord_cert = result.ys, result.perm, result.ord_cert
     if not {type(ys), type(perm), type(ord_cert)} <= {tuple, list}:
+        return False
+    enum = dto.base.enumeration
+    if enum and {*map(type, xs), *map(type, ys)} - {type(enum[0])}:
         return False
     n = len(xs)
     if len(ys) != n or len(perm) != n:

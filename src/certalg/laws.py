@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 import zlib
 
 from .errors import StructuralError
@@ -206,11 +205,11 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     random cases. The random cases come from one seeded sample pool shared
     by all the instance's laws: a law of sample arity k takes the first
     budget*k elements as consecutive k-tuples, built column by column in C:
-    column i is pool[i:n*k:k], a congruence law's variants map over column 0,
-    and zip(*columns) gives the cases. The sweep is built once per case arity
-    and failures are picked with itertools.compress, so no per-case Python
-    loop runs outside the predicates. Deterministic for a fixed (seed,
-    budget, sweep).
+    column i is pool[i:n*k:k], a congruence law's variants(x) map over
+    column 0 with no generator of their own, and zip(*columns) gives the
+    cases. The sweep is built once per case arity and failures are picked
+    with itertools.compress, so no per-case Python loop runs outside the
+    predicates. Deterministic for a fixed (seed, budget, sweep).
     """
     validate_instance(inst)
     return _run_laws(inst, _laws_for(inst), seed, budget, sweep)
@@ -231,12 +230,8 @@ def _run_laws(inst: StructureInstance, laws: list, seed: int, budget: int,
         n = max(0, min(budget, len(pool) // k))
         cols = [pool[i:n * k:k] for i in range(k)]
         if law.uses_variant:  # (x, rest...) becomes (x, variant of x, rest...)
-            vary = dset.variants
-            if vary is None:  # x stands in for its own variant
-                cols.insert(1, cols[0])
-            else:
-                rng = random.Random(_law_seed(seed, law.name))
-                cols.insert(1, [*map(vary, cols[0], itertools.repeat(rng))])
+            vary = dset.variants  # without one, x stands in for its own variant
+            cols.insert(1, cols[0] if vary is None else [*map(vary, cols[0])])
         # the sweep cases, then the random ones, each evaluated by starmap
         tups = sweeps[law.case_arity] + [*zip(*cols)]
         cases += len(tups)

@@ -237,11 +237,8 @@ def poly_group(ring: StructureInstance) -> StructureInstance:
 
     zero = ring.ops["zero"]()
 
-    def variants(p, rng):
-        raw = list(p.terms)
-        rng.shuffle(raw)
-        raw.append((zero, below(rng, 13)))
-        return mk_poly(ring, raw)
+    def variants(p):
+        return mk_poly(ring, [*reversed(p.terms), (zero, 0)])
 
     dset = DSet(f"poly({ring.base.name})", eq, sample, tuple(enum), variants)
     ops = {

@@ -91,14 +91,14 @@ class DSet(Record):
     eq(a, b) returns a Decision; sample(seed, count) returns a list of count
     elements. enumeration, when present, is a bounded tuple of carrier
     elements used for exhaustive law sweeps. variants, when present, maps an
-    element x and a random.Random to one element eq-equal to x, built through
+    element x, and nothing else, to one element eq-equal to x, built through
     a different construction path; a congruence case pairs x with it. Each
     shipped carrier returns one whose value reduces back to x, and never x
-    itself (a Residue of (v + k*b) % |b| in int arithmetic, read from a twin
-    table for |b| <= 2^8, mk_fraction(num*k, den*k), mk_poly over shuffled
-    terms), so its congruence laws catch only an op that tells equal objects
-    apart by identity. The shipped samplers and variants draw their ints
-    with below(rng, n), which draws what rng.randrange(n) does.
+    itself (a Residue of v % |b| in int arithmetic, read from a twin table
+    for |b| <= 2^8, mk_fraction(num*2, den*2), mk_poly over the reversed
+    terms and a zero term), so its congruence laws catch only an op that
+    tells equal objects apart by identity. The shipped samplers draw their
+    ints with below(rng, n), which draws what rng.randrange(n) does.
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")

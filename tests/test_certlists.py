@@ -16,6 +16,7 @@ from certalg.euclid import int_ring
 from certalg.fractions import mk_fraction
 from certalg.kernel import NO, YES, Decision, SortResult, verify_sort_result
 from certalg.numbers import int_dset
+from certalg.structures import DSet
 
 
 # ================================================================
@@ -134,6 +135,20 @@ def test_verify_refuses_sort_result_fields_of_none(field):
     good = sort_certified(int_order(), xs)
     fields = {"ys": good.ys, "ord_cert": good.ord_cert, "perm": good.perm, field: None}
     assert verify_sort_result(int_order(), xs, SortResult(**fields)) is False
+
+
+def test_verify_refuses_elements_of_another_type_than_the_carriers():
+    # the type is that of the carrier's first enumerated element: over
+    # int_order(), None and "a" would make leq raise, and 1.5 and True pass it
+    for xs in ([1, None], [1, "a"], [1.5, 2], [True, 2]):
+        assert verify_sort_result(int_order(), xs, SortResult(xs, (YES,), (0, 1))) is False, xs
+    half = mk_fraction(int_ring(), 1, 2)
+    for xs in ([half, 1], [1, half]):  # an int would make the fraction eq raise
+        assert verify_sort_result(fraction_order(), xs, SortResult(xs, (YES,), (0, 1))) is False
+    # a carrier without an enumeration gives no type, so no element is refused
+    base = int_dset()
+    bare = DecTotalOrder(DSet("int", base.eq, base.sample), int_order().leq)
+    assert verify_sort_result(bare, [1.5, 2], SortResult([1.5, 2], (YES,), (0, 1))) is True
 
 
 def test_verify_rejects_perm_entries_that_are_not_ints():
@@ -274,7 +289,8 @@ def test_int_order_takes_the_leq_route_unless_every_element_is_an_int(monkeypatc
         oracle = sort_certified(LEQ_INT_ORDER, xs)
         assert (res.ys, res.perm, res.ord_cert) == (oracle.ys, oracle.perm, oracle.ord_cert)
         assert all(res.ys[res.perm[i]] is x for i, x in enumerate(xs))
-        assert verify_sort_result(int_order(), xs, res)
+        # sorted, but a bool or a float is no element of int_order()'s carrier
+        assert verify_sort_result(int_order(), xs, res) is False
     keyed.clear()
     sort_certified(LEQ_INT_ORDER, [3, 1, 2])
     assert len(keyed) == 1

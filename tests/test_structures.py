@@ -281,11 +281,31 @@ def test_congruence_violation_is_detected_via_variants():
     d = DSet(name="abs-int", eq=eq,
              sample=lambda seed, count: [((seed + i) % 7) - 3 for i in range(count)],
              enumeration=(0, 1, -1, 2, -2, 3, -3),
-             variants=lambda x, rng: -x)
+             variants=lambda x: -x)
     inst = StructureInstance(kind=Kind.MAGMA, base=d,
                              ops={"op": lambda a, b: a + b}, name="abs-add")
     report = check_laws(inst, seed=1, budget=80)
     assert any(law == "congruence(op)" for law, _ in report.failures)
+
+
+def test_a_carrier_whose_variants_take_x_alone_runs_through_check_laws():
+    # Z/(3) on int representatives, variants(x) = x + 3 with no generator: +
+    # respects eq, max does not (max(0, 1) = 1 but max(3, 1) = 3 = 0 mod 3)
+    def eq(a, b):
+        return Decision.yes() if (a - b) % 3 == 0 else Decision.no((a, b))
+
+    def sample(seed, count):
+        rng = random.Random(seed)
+        return [below(rng, 10) for _ in range(count)]
+
+    d = DSet("z3", eq, sample, (0, 1, 2), lambda x: x + 3)
+    for op, failing in ((lambda a, b: a + b, set()), (max, {"congruence(op)"})):
+        inst = StructureInstance(Kind.COMMUTATIVE_MONOID, d,
+                                 {"op": op, "identity": lambda: 0}, "z3-op")
+        report = check_laws(inst, seed=1, budget=50)
+        assert report.cases > 0
+        assert {law for law, _ in report.failures} == failing
+        assert all(case[1] == case[0] + 3 for _, case in report.failures)
 
 
 def test_recheck_failure_rejects_unknown_law_name():
@@ -364,8 +384,7 @@ def _row_wise_cases(inst, seed, budget, sweep):
             if dset.variants is None:
                 chunks = [(c[0], *c) for c in chunks]
             else:
-                rng = random.Random(_law_seed(seed, law.name))
-                chunks = [(c[0], dset.variants(c[0], rng)) + c[1:] for c in chunks]
+                chunks = [(c[0], dset.variants(c[0])) + c[1:] for c in chunks]
         yield law, [*itertools.product(small, repeat=law.case_arity), *chunks]
 
 
@@ -388,7 +407,7 @@ def test_cases_are_assembled_as_row_wise_tuples_in_order(vary, short):
         rng = random.Random(seed)
         return [below(rng, 1000) for _ in range(count // 2 if short else count)]
 
-    variants = (lambda x, rng: x + 3 * (1 + below(rng, 5))) if vary else None
+    variants = (lambda x: x + 3 * (1 + x % 5)) if vary else None
     inst = StructureInstance(Kind.CC_MONOID, DSet("z3", eq, sample, (0, 1, 2), variants),
                              {"op": sub, "identity": lambda: 0}, "z3-sub")
     for budget in (0, 1, 7):
