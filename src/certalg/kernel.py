@@ -99,9 +99,8 @@ class BezoutCertificate(Record):
 def _members(ring: StructureInstance, *xs) -> bool:
     """The membership rule: an element of the ring's carrier is an object of
     the exact type of the ring's zero, so bool is not int. Where that type is
-    not int, an element has the zero's modulus when the zero has one (Z/(m)),
-    and where the ring has a to_int role (Z/(m) over int_ring()), the
-    element's to_int value must be an int too."""
+    not int, it has the zero's modulus, if the zero has one (Z/(m)), and its
+    to_int value is an int, if the ring has that role (Z/(m) over int_ring())."""
     zero = ring.ops["zero"]()
     t = type(zero)
     if t is int:
