@@ -29,25 +29,21 @@ class LawReport(Record):
 
 
 class _Law(Record):
-    # sample_arity: fresh samples consumed per random case; uses_variant: a
-    # congruence law splices an eq-equal variant in as the second element
-    __slots__ = ("name", "sample_arity", "pred", "uses_variant")
-    _defaults = (False,)
-
-    @property
-    def case_arity(self) -> int:
-        """Elements in a case, and so in a stored counterexample tuple."""
-        return self.sample_arity + self.uses_variant
+    # sample_arity: elements in a case, and so in a stored counterexample
+    # tuple; a random case takes that many fresh samples
+    __slots__ = ("name", "sample_arity", "pred")
 
 
-def _op_laws(eq, op, tag, assoc, comm, identity=None) -> list:
-    """congruence(tag), plus associativity, commutativity and, given the identity
-    role's thunk, identity. Callers gate on the kind: an identity may be None."""
-    laws = [_Law(
-        f"congruence({tag})", 2,
-        lambda x, xv, y: not eq(x, xv).holds
-        or (eq(op(x, y), op(xv, y)).holds and eq(op(y, x), op(y, xv)).holds),
-        uses_variant=True)]
+def _op_laws(eq, vary, op, tag, assoc, comm, identity=None) -> list:
+    """congruence(tag) on a case (x, y): op gives eq-equal results when x's
+    variant vary(x) stands in for x, on either side. Plus associativity,
+    commutativity and, given the identity role's thunk, identity. Callers
+    gate on the kind: an identity may be None."""
+    def congruent(x, y):
+        xv = vary(x)
+        return eq(op(x, y), op(xv, y)).holds and eq(op(y, x), op(y, xv)).holds
+
+    laws = [_Law(f"congruence({tag})", 2, congruent)]
     if assoc:
         laws.append(_Law(
             f"associativity({tag})", 3,
@@ -64,16 +60,17 @@ def _op_laws(eq, op, tag, assoc, comm, identity=None) -> list:
     return laws
 
 
-def _inverse_laws(eq, op, inv, e, name, congruence_name, zero=None) -> list:
+def _inverse_laws(eq, vary, op, inv, e, name, congruence_name, zero=None) -> list:
     """inv(x) is a two-sided inverse of x under op with identity e, and inv
-    respects eq. A field passes its zero role's thunk, and zero is skipped."""
+    respects eq: inv(vary(x)) is eq-equal to inv(x). A field passes its zero
+    role's thunk, and zero is skipped."""
     inverse = lambda x: eq(op(inv(x), x), e).holds and eq(op(x, inv(x)), e).holds
-    congruent = lambda x, xv: not eq(x, xv).holds or eq(inv(x), inv(xv)).holds
+    congruent = lambda x: eq(inv(x), inv(vary(x))).holds
     if zero is not None:  # a field's laws wrap these; the hot group and ring ones stay flat
         z, on_nonzero, congruent_on_nonzero = zero(), inverse, congruent
         inverse = lambda x: eq(x, z).holds or on_nonzero(x)
-        congruent = lambda x, xv: eq(x, z).holds or congruent_on_nonzero(x, xv)
-    return [_Law(name, 1, inverse), _Law(congruence_name, 1, congruent, uses_variant=True)]
+        congruent = lambda x: eq(x, z).holds or congruent_on_nonzero(x)
+    return [_Law(name, 1, inverse), _Law(congruence_name, 1, congruent)]
 
 
 def _reconstructs_law(eq, op, factor, zero=None) -> _Law:
@@ -113,11 +110,12 @@ def _native_int_law(ops) -> _Law:
 
 def _laws_for(inst: StructureInstance) -> list:
     eq = inst.base.eq
+    vary = inst.base.variants or (lambda x: x)  # without variants, x stands in for its own
     kinds = ancestors(inst.kind)
 
     if inst.kind in GROUP_LIKE_KINDS:
         op = inst.ops["op"]
-        laws = _op_laws(eq, op, "op", Kind.SEMIGROUP in kinds,
+        laws = _op_laws(eq, vary, op, "op", Kind.SEMIGROUP in kinds,
                         Kind.COMMUTATIVE_SEMIGROUP in kinds,
                         inst.ops["identity"] if Kind.MONOID in kinds else None)
         if Kind.CC_MONOID in kinds:
@@ -130,7 +128,7 @@ def _laws_for(inst: StructureInstance) -> list:
         if Kind.GROUP in kinds:
             e = inst.ops["identity"]()
             inv = inst.ops["inverse"]
-            laws += _inverse_laws(eq, op, inv, e, "inverse(op)", "congruence(inverse)")
+            laws += _inverse_laws(eq, vary, op, inv, e, "inverse(op)", "congruence(inverse)")
             laws.append(_Law(
                 "inverse-uniqueness", 2,
                 lambda x, y: not eq(op(x, y), e).holds or eq(y, inv(x)).holds))
@@ -144,9 +142,9 @@ def _laws_for(inst: StructureInstance) -> list:
     add = inst.ops["add"]
     zero = inst.ops["zero"]()
     mul = inst.ops["mul"]
-    laws = _op_laws(eq, add, "add", True, True, inst.ops["zero"])
-    laws += _inverse_laws(eq, add, inst.ops["neg"], zero, "inverse(add)", "congruence(neg)")
-    laws += _op_laws(eq, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
+    laws = _op_laws(eq, vary, add, "add", True, True, inst.ops["zero"])
+    laws += _inverse_laws(eq, vary, add, inst.ops["neg"], zero, "inverse(add)", "congruence(neg)")
+    laws += _op_laws(eq, vary, mul, "mul", Kind.RING in kinds, Kind.COMMUTATIVE_RING in kinds,
                      inst.ops["one"] if Kind.RING_WITH_ONE in kinds else None)
     if Kind.RING in kinds:
         laws.append(_Law(
@@ -185,7 +183,7 @@ def _laws_for(inst: StructureInstance) -> list:
     if "factor" in inst.ops and Kind.RING_WITH_ONE in kinds:
         laws.append(_reconstructs_law(eq, mul, inst.ops["factor"], inst.ops["zero"]))
     if Kind.FIELD in kinds:
-        laws += _inverse_laws(eq, mul, inst.ops["inv"], inst.ops["one"](),
+        laws += _inverse_laws(eq, vary, mul, inst.ops["inv"], inst.ops["one"](),
                               "multiplicative-inverse", "congruence(inv)", lambda: zero)
     if "native_int" in inst.ops:
         laws.append(_native_int_law(inst.ops))
@@ -205,11 +203,13 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     random cases. The random cases come from one seeded sample pool shared
     by all the instance's laws: a law of sample arity k takes the first
     budget*k elements as consecutive k-tuples, built column by column in C:
-    column i is pool[i:n*k:k], a congruence law's variants(x) map over
-    column 0 with no generator of their own, and zip(*columns) gives the
-    cases. The sweep is built once per case arity and failures are picked
-    with itertools.compress, so no per-case Python loop runs outside the
-    predicates. Deterministic for a fixed (seed, budget, sweep).
+    column i is pool[i:n*k:k] and zip(*columns) gives the cases. Every law
+    has that one case shape: a congruence law's case is (x, y) or (x,), and
+    its predicate builds the variant of x itself, so its sweep pairs each
+    enumerated x with its variant. The sweep is built once per sample arity
+    and failures are picked with itertools.compress, so no per-case Python
+    loop runs outside the predicates. Deterministic for a fixed (seed,
+    budget, sweep).
     """
     validate_instance(inst)
     return _run_laws(inst, _laws_for(inst), seed, budget, sweep)
@@ -222,18 +222,14 @@ def _run_laws(inst: StructureInstance, laws: list, seed: int, budget: int,
     small = dset.enumeration[:sweep] if dset.enumeration is not None and sweep > 0 else ()
     pool = dset.sample(_law_seed(seed, "sample-pool"),
                        budget * max(law.sample_arity for law in laws))
-    sweeps = {a: [*itertools.product(small, repeat=a)] for a in {law.case_arity for law in laws}}
+    sweeps = {k: [*itertools.product(small, repeat=k)] for k in {law.sample_arity for law in laws}}
     failures = []
     cases = 0
     for law in laws:
         k = law.sample_arity
         n = max(0, min(budget, len(pool) // k))
-        cols = [pool[i:n * k:k] for i in range(k)]
-        if law.uses_variant:  # (x, rest...) becomes (x, variant of x, rest...)
-            vary = dset.variants  # without one, x stands in for its own variant
-            cols.insert(1, cols[0] if vary is None else [*map(vary, cols[0])])
         # the sweep cases, then the random ones, each evaluated by starmap
-        tups = sweeps[law.case_arity] + [*zip(*cols)]
+        tups = sweeps[k] + [*zip(*(pool[i:n * k:k] for i in range(k)))]
         cases += len(tups)
         failures += zip(itertools.repeat(law.name), itertools.compress(
             tups, map(operator.not_, itertools.starmap(law.pred, tups))))
@@ -244,7 +240,7 @@ def recheck_failure(inst: StructureInstance, law_name: str, case: tuple) -> bool
     """Re-evaluate one reported counterexample; True means it still fails."""
     for law in _laws_for(inst):
         if law.name == law_name:
-            if len(case) != law.case_arity:
+            if len(case) != law.sample_arity:
                 raise StructuralError(f"case arity mismatch for {law_name}")
             return not law.pred(*case)
     raise StructuralError(f"unknown law {law_name!r} for kind {inst.kind.value}")

@@ -34,8 +34,8 @@ CASES = [
      + ", ops={'op': <built-in function max>}, name='m')"),
     (LawReport, ("kind", "cases", "failures"), (Kind.MAGMA, 3, (("assoc", (1,)),)),
      "LawReport(kind=<Kind.MAGMA: 'Magma'>, cases=3, failures=(('assoc', (1,)),))"),
-    (_Law, ("name", "sample_arity", "pred", "uses_variant"), ("n", 1, max, True),
-     "_Law(name='n', sample_arity=1, pred=<built-in function max>, uses_variant=True)"),
+    (_Law, ("name", "sample_arity", "pred"), ("n", 1, max),
+     "_Law(name='n', sample_arity=1, pred=<built-in function max>)"),
     (DividesWitness, ("divisor", "dividend", "quotient"), (2, 6, 3),
      "DividesWitness(divisor=2, dividend=6, quotient=3)"),
     (BezoutCertificate, ("a", "b", "g", "u", "v", "qa", "qb"), (12, 8, 4, 1, -1, 3, 2),
@@ -146,7 +146,7 @@ def test_trailing_defaults():
     assert DSet("d", max, sorted) == DSet("d", max, sorted, None, None)
     base = DSet("d", max, sorted)
     assert StructureInstance(Kind.MAGMA, base, {}).name == ""
-    assert _Law("n", 1, max).uses_variant is False
+    assert PrimalityCert(7, "prime", None).pratt is None
     assert PrimalityCert(7, "prime") == PrimalityCert(7, "prime", None, None)
     assert DecTotalOrder(base, max).native_int is False
     assert Poly(None).terms == ()

@@ -305,7 +305,28 @@ def test_a_carrier_whose_variants_take_x_alone_runs_through_check_laws():
         report = check_laws(inst, seed=1, budget=50)
         assert report.cases > 0
         assert {law for law, _ in report.failures} == failing
-        assert all(case[1] == case[0] + 3 for _, case in report.failures)
+        # a congruence case is (x, y): the law builds x's variant itself
+        assert all(len(case) == 2 and recheck_failure(inst, law, case)
+                   for law, case in report.failures)
+
+
+def test_the_sweep_pairs_each_enumerated_element_with_its_variant():
+    # Z/(3) on int representatives, variants(x) = x + 3; op is addition mod 3
+    # on 0..2 but one more when an argument is 3 or above, so only a case that
+    # builds a variant can see it. budget=0: the sweep alone must find it
+    def eq(a, b):
+        return Decision.yes() if (a - b) % 3 == 0 else Decision.no((a, b))
+
+    def op(a, b):
+        return (a + b) % 3 + (a >= 3 or b >= 3)
+
+    d = DSet("z3", eq, lambda seed, count: [0] * count, (0, 1, 2), lambda x: x + 3)
+    inst = StructureInstance(Kind.COMMUTATIVE_MONOID, d,
+                             {"op": op, "identity": lambda: 0}, "z3-leaky")
+    report = check_laws(inst, budget=0, sweep=3)
+    assert report.failures == tuple(
+        ("congruence(op)", case) for case in itertools.product((0, 1, 2), repeat=2))
+    assert report.cases == 3 ** 2 + 3 ** 3 + 3 ** 2 + 3  # congruence, assoc., comm., identity
 
 
 def test_recheck_failure_rejects_unknown_law_name():
@@ -365,12 +386,12 @@ def test_every_law_gets_its_sweep_and_budget_cases(make):
     inst = make()
     budget, sweep = 37, 3
     report = check_laws(inst, seed=4, budget=budget, sweep=sweep)
-    assert report.cases == sum(sweep ** law.case_arity + budget for law in _laws_for(inst))
+    assert report.cases == sum(sweep ** law.sample_arity + budget for law in _laws_for(inst))
 
 
 def _row_wise_cases(inst, seed, budget, sweep):
     """Each law with its cases, assembled row by row as check_laws once did:
-    the sweep, then consecutive k-tuples of the pool, variants spliced in."""
+    the sweep, then consecutive k-tuples of the pool."""
     dset = inst.base
     laws = _laws_for(inst)
     small = dset.enumeration[:sweep] if sweep > 0 else ()
@@ -380,12 +401,7 @@ def _row_wise_cases(inst, seed, budget, sweep):
         k = law.sample_arity
         n = max(0, min(budget, len(pool) // k))
         chunks = zip(*[iter(pool[:n * k])] * k)
-        if law.uses_variant:
-            if dset.variants is None:
-                chunks = [(c[0], *c) for c in chunks]
-            else:
-                chunks = [(c[0], dset.variants(c[0])) + c[1:] for c in chunks]
-        yield law, [*itertools.product(small, repeat=law.case_arity), *chunks]
+        yield law, [*itertools.product(small, repeat=k), *chunks]
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["full-pool", "short-pool"])
