@@ -197,22 +197,22 @@ def test_every_carrier_samples_its_pinned_stream():
 # of the laws --all roster and of the nat-monus control, pinned, so a faster
 # law engine must count the same cases and report the same counterexamples
 VERDICT_DIGESTS = {
-    "nat-add": ("d45680928383c3a0", "d45680928383c3a0", "d45680928383c3a0"),
-    "nat-mul": ("d45680928383c3a0", "d45680928383c3a0", "d45680928383c3a0"),
-    "nat-pos-mul": ("683bd26287c82e0a", "683bd26287c82e0a", "683bd26287c82e0a"),
-    "int-add": ("7d5e8da86d9c1428", "7d5e8da86d9c1428", "7d5e8da86d9c1428"),
-    "int-ring": ("a0ce51fa2d1796cd", "a0ce51fa2d1796cd", "a0ce51fa2d1796cd"),
-    "int-ufd": ("e77e69e4e254e18e", "e77e69e4e254e18e", "e77e69e4e254e18e"),
-    "nat-factor-monoid": ("53c24f9d15abdd57", "53c24f9d15abdd57", "53c24f9d15abdd57"),
-    "bin-add": ("d45680928383c3a0", "d45680928383c3a0", "d45680928383c3a0"),
-    "frac-field": ("404ceaefdf327399", "404ceaefdf327399", "404ceaefdf327399"),
-    "poly-int-add": ("7d5e8da86d9c1428", "7d5e8da86d9c1428", "7d5e8da86d9c1428"),
-    "poly-zmod7-add": ("7d5e8da86d9c1428", "7d5e8da86d9c1428", "7d5e8da86d9c1428"),
-    "zmod6-ring": ("34894bf11bc2d5fe", "34894bf11bc2d5fe", "34894bf11bc2d5fe"),
-    "zmod12-ring": ("34894bf11bc2d5fe", "34894bf11bc2d5fe", "34894bf11bc2d5fe"),
-    "zmod7-field": ("404ceaefdf327399", "404ceaefdf327399", "404ceaefdf327399"),
-    "zmod97-field": ("404ceaefdf327399", "404ceaefdf327399", "404ceaefdf327399"),
-    "nat-monus": ("46f9c997c162525d", "cb664d9d14b53320", "6ea63640c10ad18e"),
+    "nat-add": ("abad7b15cab8c30f", "abad7b15cab8c30f", "abad7b15cab8c30f"),
+    "nat-mul": ("abad7b15cab8c30f", "abad7b15cab8c30f", "abad7b15cab8c30f"),
+    "nat-pos-mul": ("020f586c4c5bbf13", "020f586c4c5bbf13", "020f586c4c5bbf13"),
+    "int-add": ("d1a529550c482f76", "d1a529550c482f76", "d1a529550c482f76"),
+    "int-ring": ("1191b125169f4fce", "1191b125169f4fce", "1191b125169f4fce"),
+    "int-ufd": ("0e38c1b7ab730273", "0e38c1b7ab730273", "0e38c1b7ab730273"),
+    "nat-factor-monoid": ("9e2e2e5b36dd9db0", "9e2e2e5b36dd9db0", "9e2e2e5b36dd9db0"),
+    "bin-add": ("abad7b15cab8c30f", "abad7b15cab8c30f", "abad7b15cab8c30f"),
+    "frac-field": ("568bc57c2d53ccc5", "568bc57c2d53ccc5", "568bc57c2d53ccc5"),
+    "poly-int-add": ("d1a529550c482f76", "d1a529550c482f76", "d1a529550c482f76"),
+    "poly-zmod7-add": ("d1a529550c482f76", "d1a529550c482f76", "d1a529550c482f76"),
+    "zmod6-ring": ("19655af841ddc949", "19655af841ddc949", "19655af841ddc949"),
+    "zmod12-ring": ("19655af841ddc949", "19655af841ddc949", "19655af841ddc949"),
+    "zmod7-field": ("568bc57c2d53ccc5", "568bc57c2d53ccc5", "568bc57c2d53ccc5"),
+    "zmod97-field": ("568bc57c2d53ccc5", "568bc57c2d53ccc5", "568bc57c2d53ccc5"),
+    "nat-monus": ("00014adeef018b73", "78de77bef6bdc0c0", "53985bf133e7f538"),
 }
 
 
@@ -230,22 +230,22 @@ def test_every_law_verdict_is_pinned():
 # first 16 hex digits: the contents of every case, not only the verdicts, so
 # a change to which cases are drawn, or how, shows up even when all pass
 CASE_DIGESTS = {
-    "nat-add": ("9a41383286e13a32", "8f52468d7d5c638d", "5e9108cb3dda8b1a"),
-    "nat-mul": ("4572c2b27c9d94d4", "a09bc9b112fbb708", "db74bb5942cb762e"),
-    "nat-pos-mul": ("b9d809949aa4c9e0", "9a1a2a32c215b48d", "fc423310c034ec10"),
-    "int-add": ("02bb21fb734f70ee", "9b19797220753dfd", "f4711bf788b9c905"),
-    "int-ring": ("b97256d4bb64d7fb", "31d4b185dd041f89", "fe839cf4ddd9985a"),
-    "int-ufd": ("bb4cc299cfbffe69", "b195b9ed1e745090", "a336928c92c94ae3"),
-    "nat-factor-monoid": ("2aa4f9a9faafda4c", "d177a0b0316edf04", "9ba7ee9fd1109e10"),
-    "bin-add": ("d71bcf341c65203d", "69c01a3af77b7874", "c10d3a3172a1c2e8"),
-    "frac-field": ("d7343430f9373710", "23ab50cdf3ffa54b", "1d8d970f1c68b5c9"),
-    "poly-int-add": ("f79650d8133b89b7", "0ca495dd67fc3826", "59f1cbec8ba1dbbe"),
-    "poly-zmod7-add": ("855ac8132dc36cb1", "47fac80c6cfa017d", "3705fad376888786"),
-    "zmod6-ring": ("e452ac1906177dd7", "01a01fbb2c1529f9", "40a35fbe72ce6416"),
-    "zmod12-ring": ("a533015b81925cdb", "b7f39e039c911b4a", "e6e54d401a012ee9"),
-    "zmod7-field": ("e2efcddaa0ffdf74", "7983bb74d86dc744", "bf1f92c843f9556b"),
-    "zmod97-field": ("8d43505ea0bc87f5", "bbdefc7f7de77f50", "6f4034ddb22fdfca"),
-    "nat-monus": ("9bbfd6a0da14c438", "df637b35cb98779f", "6a16dc3ff3d6c29b"),
+    "nat-add": ("619188ab2971dcee", "2f402190228b11bc", "63b290070a889fe4"),
+    "nat-mul": ("d0d604a79cdf5973", "a4a27539880cc38a", "1bc45786eb2e756c"),
+    "nat-pos-mul": ("2c620debecff3950", "ac3090fc5f8ff127", "de317a13673b82b5"),
+    "int-add": ("6dea40c954346b9b", "ef8ae799a32721b0", "ad1679b5063f3b9e"),
+    "int-ring": ("0867e08ea03493b7", "4ab5f0706e795a44", "eff3ba97a390989d"),
+    "int-ufd": ("e3a93bd9917afd7d", "50f4c938ed9910aa", "8759dc8d18f42427"),
+    "nat-factor-monoid": ("d0cfe0964e9e81d4", "81cb3bb5be1ba3dd", "51d26bb245068583"),
+    "bin-add": ("f396ec99f0b5e091", "77528fcceff3642f", "e248329754bdead9"),
+    "frac-field": ("6b487874e1d58dd3", "f12e1e073db9be7a", "b505392e6beb5f66"),
+    "poly-int-add": ("86223f8c51f946ca", "8c5e9d24dfd30276", "015d648199e7b877"),
+    "poly-zmod7-add": ("543ef780cd347c63", "1b8444e82ee3224a", "32b9803c0be27c08"),
+    "zmod6-ring": ("471e5300e682b90a", "adfa6d3ff72423ce", "68aacb84ca198642"),
+    "zmod12-ring": ("3ea6ca907868194e", "e0249850f9ee84b6", "d9f1c2e54f054e8b"),
+    "zmod7-field": ("50041a18fc585b32", "7699570000d861b6", "45fb60c970d7897b"),
+    "zmod97-field": ("71533f28771b81ca", "bc8feda1d762c2f1", "399b373e10eb09b1"),
+    "nat-monus": ("19ef99ff2c43c41c", "e89c7ac2e946f63a", "ab31d36078b9fff4"),
 }
 
 
