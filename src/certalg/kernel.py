@@ -98,17 +98,17 @@ class BezoutCertificate(Record):
 
 def _members(ring: StructureInstance, *xs) -> bool:
     """The membership rule: an element of the ring's carrier is an object of
-    the exact type of the ring's zero, so bool is not int. Where that type is
-    not int, it has the zero's modulus, if the zero has one (Z/(m)), and its
-    to_int value is an int, if the ring has that role (Z/(m) over int_ring())."""
+    the exact type of the ring's zero, so bool is not int. Where the zero has
+    a modulus (Z/(m), on either route), the element has that modulus and its
+    value has the exact type of the zero's value."""
     zero = ring.ops["zero"]()
     t = type(zero)
     if t is int:
         return all(type(x) is int for x in xs)
     m = getattr(zero, "modulus", None)
-    to_int = ring.ops.get("to_int")
-    return all(type(x) is t and (m is None or x.modulus == m)
-               and (to_int is None or type(to_int(x)) is int) for x in xs)
+    vt = type(getattr(zero, "value", None))
+    return all(type(x) is t and (m is None or x.modulus == m and type(x.value) is vt)
+               for x in xs)
 
 
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:

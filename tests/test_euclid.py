@@ -178,20 +178,20 @@ def test_verify_bezout_refuses_what_is_not_a_certificate(ring, route):
     for probe in (None, fields, is_prime(7)):
         assert verify_bezout(inst, probe) is False, probe
     if route == "generic":
-        # over Z/(7), a plain int where a Residue belongs: in every field, then
-        # in one at a time
-        z7 = residue_ring(ring, 7)
+        # over Z/(7), built over the native ring and over this one: a plain int
+        # where a Residue belongs, in every field, then in one at a time
         good7 = BezoutCertificate(*(make_residue(ring, 7, v) for v in (3, 0, 3, 1, 0, 1, 0)))
-        assert verify_bezout(z7, good7)
-        for probe in [BezoutCertificate(1, 0, 1, 1, 0, 1, 0)] + [
-                replaced(good7, **{name: getattr(good7, name).value})
-                for name in good7.__slots__]:
-            assert verify_bezout(z7, probe) is False, probe
-        # a Residue whose value is not an int (bool is not), in each field
-        for value in ("x", 1.0, True):
-            for name in good7.__slots__:
-                probe = replaced(good7, **{name: Residue(7, value)})
+        for z7 in (residue_ring(ring, 7), residue_ring(inst, 7)):
+            assert verify_bezout(z7, good7)
+            for probe in [BezoutCertificate(1, 0, 1, 1, 0, 1, 0)] + [
+                    replaced(good7, **{name: getattr(good7, name).value})
+                    for name in good7.__slots__]:
                 assert verify_bezout(z7, probe) is False, probe
+            # a Residue whose value is not an int (bool is not), in each field
+            for value in ("x", 1.0, True):
+                for name in good7.__slots__:
+                    probe = replaced(good7, **{name: Residue(7, value)})
+                    assert verify_bezout(z7, probe) is False, probe
 
 
 def test_verify_bezout_verdicts_match_the_oracle_through_the_rings_own_mul(ring):

@@ -102,6 +102,6 @@ def test_a_verifier_calls_nothing_of_the_package_but_what_it_is_handed():
         assert not stray, (verify.__name__, args, stray)
         seen.update(codes)
     # the profile sees the handed ops: int_ring()'s mul, the residue ring's
-    # to_int, an order's leq
-    assert {int_ring().ops["mul"].__code__, residue_ring(int_ring(), 7).ops["to_int"].__code__,
+    # mul, an order's leq
+    assert {int_ring().ops["mul"].__code__, residue_ring(int_ring(), 7).ops["mul"].__code__,
             int_order().leq.__code__, fraction_order().leq.__code__} <= seen
