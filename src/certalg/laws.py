@@ -35,10 +35,9 @@ class _Law(Record):
 
 
 def _op_laws(eq, vary, op, tag, assoc, comm, identity=None) -> list:
-    """congruence(tag) on a case (x, y): op gives eq-equal results when x's
-    variant vary(x) stands in for x, on either side. Plus associativity,
-    commutativity and, given the identity role's thunk, identity. Callers
-    gate on the kind: an identity may be None."""
+    """congruence(tag): op's results stay eq-equal when vary(x) stands in for x,
+    plus associativity, commutativity and, given the identity role's thunk,
+    identity. Callers gate on the kind: an identity may be None."""
     def congruent(x, y):
         xv = vary(x)
         return eq(op(x, y), op(xv, y)).holds and eq(op(y, x), op(y, xv)).holds
@@ -203,13 +202,12 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     random cases. The random cases come from one seeded sample pool shared
     by all the instance's laws: a law of sample arity k takes the first
     budget*k elements as consecutive k-tuples, built column by column in C:
-    column i is pool[i:n*k:k] and zip(*columns) gives the cases. Every law
-    has that one case shape: a congruence law's case is (x, y) or (x,), and
-    its predicate builds the variant of x itself, so its sweep pairs each
-    enumerated x with its variant. The sweep is built once per sample arity
-    and failures are picked with itertools.compress, so no per-case Python
-    loop runs outside the predicates. Deterministic for a fixed (seed,
-    budget, sweep).
+    column i is pool[i:n*k:k] and zip(*columns) gives the cases. A
+    congruence law's predicate builds x's variant itself, so its sweep pairs
+    each enumerated x with its variant. The sweep is built once per sample
+    arity and failures are picked with itertools.compress, so no per-case
+    Python loop runs outside the predicates. Deterministic for a fixed
+    (seed, budget, sweep).
     """
     validate_instance(inst)
     return _run_laws(inst, _laws_for(inst), seed, budget, sweep)

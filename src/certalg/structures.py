@@ -92,7 +92,8 @@ class DSet(Record):
     elements. enumeration, when present, is a bounded tuple of carrier
     elements used for exhaustive law sweeps. variants, when present, maps an
     element x, and nothing else, to one element eq-equal to x, built through
-    a different construction path; a congruence case pairs x with it. Each
+    a different construction path; a congruence law builds it from its case's
+    x and checks that each op gives eq-equal results on x and on it. Each
     shipped carrier returns one whose value reduces back to x, and never x
     itself (a Residue of v % |b| in int arithmetic, read from a twin table
     for |b| <= 2^8, mk_fraction(num*2, den*2), mk_poly over the reversed
