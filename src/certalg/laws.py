@@ -204,10 +204,10 @@ def check_laws(inst: StructureInstance, seed: int = 1, budget: int = 200,
     budget*k elements as consecutive k-tuples, built column by column in C:
     column i is pool[i:n*k:k] and zip(*columns) gives the cases. A
     congruence law's predicate builds x's variant itself, so its sweep pairs
-    each enumerated x with its variant. The sweep is built once per sample
-    arity and failures are picked with itertools.compress, so no per-case
-    Python loop runs outside the predicates. Deterministic for a fixed
-    (seed, budget, sweep).
+    each enumerated x with its variant. Every law of sample arity k runs
+    over one list: the sweep's k-tuples, then the random ones. Failures are
+    picked with itertools.compress, so no per-case Python loop runs outside
+    the predicates. Deterministic for a fixed (seed, budget, sweep).
     """
     validate_instance(inst)
     return _run_laws(inst, _laws_for(inst), seed, budget, sweep)
@@ -220,14 +220,13 @@ def _run_laws(inst: StructureInstance, laws: list, seed: int, budget: int,
     small = dset.enumeration[:sweep] if dset.enumeration is not None and sweep > 0 else ()
     pool = dset.sample(_law_seed(seed, "sample-pool"),
                        budget * max(law.sample_arity for law in laws))
-    sweeps = {k: [*itertools.product(small, repeat=k)] for k in {law.sample_arity for law in laws}}
+    n = max(budget, 0)
+    tups_of = {k: [*itertools.product(small, repeat=k), *zip(*(pool[i:n * k:k] for i in range(k)))]
+               for k in {law.sample_arity for law in laws}}
     failures = []
     cases = 0
     for law in laws:
-        k = law.sample_arity
-        n = max(0, min(budget, len(pool) // k))
-        # the sweep cases, then the random ones, each evaluated by starmap
-        tups = sweeps[k] + [*zip(*(pool[i:n * k:k] for i in range(k)))]
+        tups = tups_of[law.sample_arity]
         cases += len(tups)
         failures += zip(itertools.repeat(law.name), itertools.compress(
             tups, map(operator.not_, itertools.starmap(law.pred, tups))))
