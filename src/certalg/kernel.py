@@ -9,6 +9,7 @@ it (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 
 
 class Record:
@@ -96,28 +97,28 @@ class BezoutCertificate(Record):
     __slots__ = ("a", "b", "g", "u", "v", "qa", "qb")
 
 
-def _members(ring: StructureInstance, *xs) -> bool:
-    """The membership rule: an element of the ring's carrier is an object of
-    the exact type of the ring's zero, so bool is not int. Where the zero has
-    a modulus (Z/(m), on either route), the element has that modulus and its
-    value has the exact type of the zero's value."""
-    zero = ring.ops["zero"]()
-    t = type(zero)
-    if t is int:
-        return all(type(x) is int for x in xs)
-    m = getattr(zero, "modulus", None)
-    vt = type(getattr(zero, "value", None))
-    return all(type(x) is t and (m is None or x.modulus == m and type(x.value) is vt)
-               for x in xs)
+def _members(e, xs) -> bool:
+    """The membership rule, read from an exemplar e of the carrier: each of
+    xs, a tuple or list, has e's exact type (bool is not int), each field of
+    a record has the exact type of e's field, and where e has a modulus
+    (Z/(m), on either route), each of xs has that modulus."""
+    t = type(e)
+    if {*map(type, xs)} - {t}:
+        return False
+    fields = getattr(t, "__slots__", ())  # a record's fields; an int has none
+    for f in fields:
+        if {*map(type, map(attrgetter(f), xs))} - {type(getattr(e, f))}:
+            return False
+    return "modulus" not in fields or all(x.modulus == e.modulus for x in xs)
 
 
 def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
     """Re-check dividend = divisor * quotient through the ring's ops. Anything
     but a DividesWitness is refused, and so is a field that is not a member
-    of the ring (_members)."""
+    of the ring (_members) by the ring's zero."""
     if type(w) is not DividesWitness:
         return False
-    if not _members(ring, w.divisor, w.dividend, w.quotient):
+    if not _members(ring.ops["zero"](), (w.divisor, w.dividend, w.quotient)):
         return False
     mul = ring.ops["mul"]
     return ring.base.eq(w.dividend, mul(w.divisor, w.quotient)).holds
@@ -126,13 +127,13 @@ def check_divides(ring: StructureInstance, w: DividesWitness) -> bool:
 def verify_bezout(ring: StructureInstance, cert: BezoutCertificate) -> bool:
     """Re-check the certificate's invariants from its own fields, through the
     ring's ops. Anything but a BezoutCertificate is refused, and so is a
-    field that is not a member of the ring (_members)."""
+    field that is not a member (_members) by the ring's zero."""
     if type(cert) is not BezoutCertificate:
         return False
-    a, b, g, u, v, qa, qb = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa, cert.qb)
-    if not _members(ring, a, b, g, u, v, qa, qb):
-        return False
     zero = ring.ops["zero"]()
+    a, b, g, u, v, qa, qb = fields = (cert.a, cert.b, cert.g, cert.u, cert.v, cert.qa, cert.qb)
+    if not _members(zero, fields):
+        return False
     add = ring.ops["add"]
     mul = ring.ops["mul"]
     eq = ring.base.eq
@@ -286,8 +287,8 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     re-decide as ordered. The bijection is what proves that ys is the
     input's multiset under the carrier's eq, so no separate count is taken.
     Anything but a SortResult, or one whose fields are not tuples or lists,
-    is refused, and so is an element of xs or ys whose type is not exactly
-    that of the carrier's first enumerated element, when it has one."""
+    is refused, and so is an element of xs or ys that is not a member
+    (_members) by the carrier's first enumerated element, when it has one."""
     if type(result) is not SortResult:
         return False
     xs = list(xs)
@@ -295,7 +296,7 @@ def verify_sort_result(dto: DecTotalOrder, xs, result: SortResult) -> bool:
     if not {type(ys), type(perm), type(ord_cert)} <= {tuple, list}:
         return False
     enum = dto.base.enumeration
-    if enum and {*map(type, xs), *map(type, ys)} - {type(enum[0])}:
+    if enum and not (_members(enum[0], xs) and _members(enum[0], ys)):
         return False
     n = len(xs)
     if len(ys) != n or len(perm) != n:

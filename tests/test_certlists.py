@@ -13,7 +13,7 @@ from certalg import certlists
 from certalg.certlists import (DecTotalOrder, append, fraction_order, int_order, rev,
                                sort_certified)
 from certalg.euclid import int_ring
-from certalg.fractions import mk_fraction
+from certalg.fractions import Fraction, mk_fraction
 from certalg.kernel import NO, YES, Decision, SortResult, verify_sort_result
 from certalg.numbers import int_dset
 from certalg.structures import DSet
@@ -142,8 +142,11 @@ def test_verify_refuses_elements_of_another_type_than_the_carriers():
     # int_order(), None and "a" would make leq raise, and 1.5 and True pass it
     for xs in ([1, None], [1, "a"], [1.5, 2], [True, 2]):
         assert verify_sort_result(int_order(), xs, SortResult(xs, (YES,), (0, 1))) is False, xs
+    # an int would make the fraction eq raise, and so would a field "a" or
+    # None make leq; a field True passes leq, but it is no int
     half = mk_fraction(int_ring(), 1, 2)
-    for xs in ([half, 1], [1, half]):  # an int would make the fraction eq raise
+    for xs in ([half, 1], [1, half], [half, Fraction(1, "a")], [half, Fraction(None, 1)],
+               [half, Fraction(True, 1)]):
         assert verify_sort_result(fraction_order(), xs, SortResult(xs, (YES,), (0, 1))) is False
     # a carrier without an enumeration gives no type, so no element is refused
     base = int_dset()

@@ -95,16 +95,17 @@ def test_check_divides(ring):
 def test_a_residue_of_another_modulus_is_no_member(ring, route):
     # the ops read only .value and eq compares no Z/(7) residue with these
     # fields, so only the membership rule, which reads the modulus of the
-    # ring's zero, can refuse a residue of Z/(5), or one with no modulus
+    # ring's zero, can refuse a residue of Z/(5), or one with no modulus;
+    # a modulus 7.0 equals 7, but it is no int
     z7 = residue_ring(ring if route == "native" else without_roles(ring, "native_int"), 7)
     r7 = partial(make_residue, ring, 7)
     good = BezoutCertificate(*map(r7, (3, 0, 3, 1, 0, 1, 0)))
     assert verify_bezout(z7, good)
-    for other in (Residue(5, 1), Residue(None, 1)):
+    for other in (Residue(5, 1), Residue(None, 1), Residue(7.0, 1)):
         assert verify_bezout(z7, replaced(good, u=other)) is False, other
     one, six = r7(1), r7(6)
     assert check_divides(z7, DividesWitness(one, six, six))
-    for other in (Residue(5, 1), Residue(None, 1)):
+    for other in (Residue(5, 1), Residue(None, 1), Residue(7.0, 1)):
         assert check_divides(z7, DividesWitness(other, six, six)) is False, other
     assert check_divides(z7, DividesWitness(one, six, Residue(5, 6))) is False
 
