@@ -84,6 +84,8 @@ def test_names_need_the_right_mode():
         parse_expr("y + 1", "poly")
     parse_expr("x + 1", "poly")
     parse_expr("foo * bar", "term")
+    with pytest.raises(StructuralError, match="unknown expression mode 'bogus'"):
+        parse_expr("1", "bogus")
 
 
 def test_term_mode_has_no_subtraction_or_negation():
@@ -145,6 +147,8 @@ def test_resolve_instance_builds_working_structures():
     z = resolve_instance("zmod5-ring")
     assert z.ops["add"].__call__ is not None
     assert resolve_instance("nat-add") is resolve_instance("nat-add")
+    with pytest.raises(ParseError, match="unknown instance 'no-such'"):
+        resolve_instance("no-such")
 
 
 def test_monoid_names():

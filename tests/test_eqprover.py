@@ -13,7 +13,7 @@ import pytest
 import certalg
 from certalg import eqprover
 from certalg.errors import InvalidInputError, StructuralError
-from certalg.eqprover import (MAT_CANDIDATES, Var, eval_mat2, eval_nat, eval_word,
+from certalg.eqprover import (MAT_CANDIDATES, PowSym, Var, eval_mat2, eval_nat, eval_word,
                               normalize, prove_eq)
 from eq_corpus import CORPUS, add, e, mul, nat, term_vars, x, y, z
 
@@ -66,6 +66,8 @@ def test_monoid_yes_verdicts_hold_under_word_evaluation():
         names = term_vars(lhs) | term_vars(rhs)
         for env in _assignments(names, pool, rng, 25):
             assert eval_word(lhs, env) == eval_word(rhs, env)
+    with pytest.raises(StructuralError, match="cannot evaluate NatConst.* into words"):
+        eval_word(nat(2), {})  # the word model has no numerals
 
 
 def test_semiring_yes_verdicts_hold_in_the_matrix_model():
@@ -183,8 +185,9 @@ def test_unknown_theory_is_rejected():
     ("semiring", mul(e, x), "the identity symbol belongs to the monoid theory"),
     ("commsemiring", add(x, nat(-1)), "semiring constants are naturals"),
     ("grouplike", x, "unknown theory 'grouplike'"),
+    ("semiring", PowSym("x", 2), "unsupported term PowSym(name='x', exp=2)"),
 ], ids=["plus-in-monoid", "numeral-in-monoid", "plus-before-numeral", "unit-in-semiring",
-        "negative-numeral", "unknown-theory"])
+        "negative-numeral", "unknown-theory", "power-symbol-in-semiring"])
 def test_prover_error_texts_are_pinned(theory, lhs, message):
     with pytest.raises(StructuralError) as exc:
         prove_eq(theory, lhs, x)

@@ -310,6 +310,10 @@ def test_prime_split_right_side(ring):
 def test_prime_split_rejects_bogus_witness(ring):
     with pytest.raises(InvalidInputError):
         prime_split(ring, 5, 3, 7, DividesWitness(5, 21, 4))
+    with pytest.raises(InvalidInputError, match="does not certify p [|] a[*]b"):
+        prime_split(ring, 5, 3, 7, DividesWitness(3, 21, 7))  # the divisor is not p
+    with pytest.raises(InvalidInputError, match="4 is not prime"):
+        prime_split(ring, 4, 2, 6, DividesWitness(4, 12, 3))
 
 
 def test_prime_split_exhaustive_small(ring):

@@ -243,6 +243,12 @@ def _names_the_other_side(split):
     return split_op
 
 
+def _certifies_another_product(split):
+    def split_op(p, a, b, w):  # split refuses the witness: InvalidInputError
+        return split(p, a, b, DividesWitness(p, w.dividend + p, w.quotient + 1))
+    return split_op
+
+
 @pytest.mark.parametrize("make", [int_factorization_ring, pos_nat_factorization_monoid])
 def test_uniqueness_suite_names_each_broken_op(make):
     inst = make()
@@ -250,6 +256,8 @@ def test_uniqueness_suite_names_each_broken_op(make):
         (_with_ops(inst, factor=_drops_a_prime(inst.ops["factor"])),
          "independent-factorizations-agree"),
         (_with_ops(inst, prime_split=_names_the_other_side(inst.ops["prime_split"])),
+         "prime-split-witness"),
+        (_with_ops(inst, prime_split=_certifies_another_product(inst.ops["prime_split"])),
          "prime-split-witness"),
     ]:
         report = check_unique_sampled(broken, seed=1, budget=300)

@@ -232,6 +232,8 @@ def test_bin_add_power_refuses_a_non_canonical_base_at_every_exponent(bits):
     for n in (0, 1, 2, 3, 2**64 + 1):
         with pytest.raises(InvalidInputError, match="non-canonical"):
             power(bin_add_monoid(), bits, n)
+    with pytest.raises(InvalidInputError, match="non-canonical"):  # and so does the successor
+        bin_suc(bits)
 
 
 # ----------------------------------------------------------------

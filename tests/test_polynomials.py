@@ -97,6 +97,8 @@ def test_poly_group_over_int_is_lawful():
     g = poly_group(RING)
     assert g.kind is Kind.COMMUTATIVE_GROUP
     assert check_laws(g, seed=1, budget=120).ok
+    # x and 2x: term lists of one length whose coefficients differ
+    assert not g.base.eq(mk_poly(RING, [(1, 1)]), mk_poly(RING, [(2, 1)])).holds
 
 
 def test_poly_group_over_residue_ring_is_lawful():
