@@ -105,9 +105,9 @@ PARENT = [100.0 + i for i in range(10)]
 BOUNDS = {"rate_per_s": 0.25, "op_ms_p50": 0.25}
 
 
-def _verdicts(change_rates, change_p50=1.0):
+def _verdicts(change_rates, change_p50=1.0, parent=PARENT):
     records = []
-    for seed, (a, b) in enumerate(zip(PARENT, change_rates)):
+    for seed, (a, b) in enumerate(zip(parent, change_rates)):
         records += [_rec("parent", "laws", seed, a, 1.0, {"egcd_per_s": a}),
                     _rec("change", "laws", seed, b, change_p50, {"egcd_per_s": b})]
     rows = bench_record.summarize(records, BOUNDS)
@@ -137,3 +137,15 @@ def test_a_metric_without_a_bound_is_a_gain_or_unresolved():
     assert _verdicts([a + 10 for a in PARENT])["egcd_per_s"] == "gain"
     assert _verdicts([a * 0.5 for a in PARENT])["egcd_per_s"] == "unresolved"
     assert _verdicts(PARENT)["egcd_per_s"] == "unresolved"
+
+
+def test_a_spread_past_its_bound_is_unresolved_unless_every_run_beats_every_run():
+    # parent rates with median 100 and interquartile range 45, past 0.25 * 100
+    wide = [20.0, 30.0, 40.0] + [100.0] * 6 + [102.0]
+    assert _verdicts(wide, parent=wide)["rate_per_s"] == "unresolved"
+    assert _verdicts([a * 0.9 for a in wide], parent=wide)["rate_per_s"] == "unresolved"
+    # every run above 102, by less than the range: no gain, but no doubt either
+    assert _verdicts([103.0] * 10, parent=wide)["rate_per_s"] == "within bound"
+    # a gain and a worse median keep their rules
+    assert _verdicts([200.0] * 10, parent=wide)["rate_per_s"] == "gain"
+    assert _verdicts([70.0] * 10, parent=wide)["rate_per_s"] == "worse"

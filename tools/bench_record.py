@@ -20,8 +20,12 @@ workload and seed, and a verdict on the last label:
   first label's by more than the first label's interquartile range;
 - "worse": its median is worse by more than the metric's bound, read from
   the `end_to_end` list of the repository's BENCHMARK.json;
-- "within bound": neither, on a metric with a bound;
-- "unresolved": neither, on a metric without one.
+- "within bound": neither, on a metric with a bound whose first label's
+  interquartile range is at most the bound times its median, or on one
+  whose range is wider but where every run of the last label beats every
+  run of the first;
+- "unresolved": neither, on a metric without a bound, or on one whose
+  spread is too wide to tell, as above.
 Rates (`*_per_s`) are better higher, every other metric lower.
 """
 
@@ -83,14 +87,19 @@ def bounds() -> dict:
     return {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
-def _verdict(row, first, last, bound) -> str:
-    (m0, q1, q3, _), (m1, _, _, _) = row["labels"][first], row["labels"][last]
-    gap = m1 - m0 if row["metric"].endswith("_per_s") else m0 - m1  # > 0 is better
+def _verdict(row, a, b, bound) -> str:
+    """The last label's verdict, from a and b, the first and the last label's values."""
+    (m0, q1, q3), m1 = _quartiles(a), _quartiles(b)[0]
+    higher = row["metric"].endswith("_per_s")
+    gap = m1 - m0 if higher else m0 - m1  # > 0 is better
     if 10 * row["wins"] >= 9 * row["pairs"] > 0 and gap > q3 - q1:
         return "gain"
     if bound is None:
         return "unresolved"
-    return "worse" if -gap > bound * abs(m0) else "within bound"
+    if -gap > bound * abs(m0):
+        return "worse"
+    beats_every_run = min(b) > max(a) if higher else max(b) < min(a)
+    return "unresolved" if q3 - q1 > bound * abs(m0) and not beats_every_run else "within bound"
 
 
 def summarize(records, bound_of=None) -> list:
@@ -111,9 +120,9 @@ def summarize(records, bound_of=None) -> list:
         for name in dict.fromkeys(k for lb in present for _, m in runs[lb] for k in m):
             row = {"workload": workload, "metric": name, "labels": {},
                    "ratio": None, "wins": None, "pairs": 0, "verdict": None}
+            values = {lb: [m[name] for _, m in runs[lb] if name in m] for lb in present}
             for lb in present:
-                values = [m[name] for _, m in runs[lb] if name in m]
-                row["labels"][lb] = (*_quartiles(values), len(values))
+                row["labels"][lb] = (*_quartiles(values[lb]), len(values[lb]))
             if first != last:
                 row["ratio"] = row["labels"][last][0] / row["labels"][first][0]
                 higher = name.endswith("_per_s")
@@ -125,7 +134,7 @@ def summarize(records, bound_of=None) -> list:
                         pairs += 1
                         wins += y > x if higher else y < x
                 row["wins"], row["pairs"] = wins, pairs
-                row["verdict"] = _verdict(row, first, last, bound_of.get(name))
+                row["verdict"] = _verdict(row, values[first], values[last], bound_of.get(name))
             rows.append(row)
     return rows
 
