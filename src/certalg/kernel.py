@@ -105,7 +105,7 @@ def _members(e, xs) -> bool:
     t = type(e)
     if {*map(type, xs)} - {t}:
         return False
-    fields = getattr(t, "__slots__", ())  # a record's fields; an int has none
+    fields = () if t is int else getattr(t, "__slots__", ())  # a record's fields
     for f in fields:
         if {*map(type, map(attrgetter(f), xs))} - {type(getattr(e, f))}:
             return False
