@@ -20,12 +20,11 @@ workload and seed, and a verdict on the last label:
   first label's by more than the first label's interquartile range;
 - "worse": its median is worse by more than the metric's bound, read from
   the `end_to_end` list of the repository's BENCHMARK.json;
-- "within bound": neither, on a metric with a bound whose first label's
-  interquartile range is at most the bound times its median, or on one
-  whose range is wider but where every run of the last label beats every
-  run of the first;
-- "unresolved": neither, on a metric without a bound, or on one whose
-  spread is too wide to tell, as above.
+- "within bound": neither, on a metric with a bound;
+- "unresolved": neither, on a metric without one, and in place of "within
+  bound" where the first label's interquartile range is wider than the
+  bound times its median, unless every run of the last label beats every
+  run of the first.
 Rates (`*_per_s`) are better higher, every other metric lower.
 """
 
