@@ -14,7 +14,7 @@ import math
 from functools import lru_cache, partial
 
 from .errors import CompositeModulusError, InvalidInputError
-from .structures import DSet, Kind, StructureInstance, seeded
+from .structures import DSet, Kind, StructureInstance
 from .numbers import int_dset, _mixed_int
 from .kernel import (NO, YES, BezoutCertificate, PrimalityCert, Record, verify_bezout,
                      verify_primality)  # verify_*: old perfbench paths, retired by ROADMAP item 1
@@ -198,12 +198,32 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
             table = tuple(map(res, range(m)))
             twins = tuple(map(res, range(m)))
             res = table.__getitem__
-            ops = {
-                "add": lambda x, y: table[(x.value + y.value) % m],
-                "neg": lambda x: table[-x.value % m],
-                "mul": lambda x, y: table[x.value * y.value % m],
-                "from_int": lambda v: table[v % m],
-            }
+            # Cayley tables over the interned residues: twice[s] is s mod m for
+            # -2m <= s < 2m, and products[u][v] is u*v mod m for -m < u, v < m
+            twice = table * 2
+            rep = table * m
+            products = (table[:1] * m, *(rep[:u * m:u] for u in range(1, m)))
+
+            # a value outside the tables (Residue(7, 14), say) is reduced
+            def add(x, y):
+                try:
+                    return twice[x.value + y.value]
+                except IndexError:
+                    return table[(x.value + y.value) % m]
+
+            def neg(x):
+                try:
+                    return table[-x.value]
+                except IndexError:
+                    return table[-x.value % m]
+
+            def mul(x, y):
+                try:
+                    return products[x.value][y.value]
+                except IndexError:
+                    return table[x.value * y.value % m]
+
+            ops = {"add": add, "neg": neg, "mul": mul, "from_int": lambda v: table[v % m]}
 
             def variants(x):
                 v = x.value % m
@@ -220,8 +240,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
         def r_eq(x, y):
             return YES if x is y or x.value == y.value and x.modulus == y.modulus else NO
 
-        def draw(rng):
-            return res(_mixed_int(rng) % m)
+        def sample(seed, count):
+            return list(map(res, map(m.__rmod__, _mixed_int(seed, count))))
     else:
         dm = ring.ops["div_mod"]
         radd = ring.ops["add"]
@@ -240,8 +260,8 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
         def r_eq(x, y):
             return YES if x.modulus == y.modulus and eq(x.value, y.value).holds else NO
 
-        def draw(rng):
-            return res(rem(_mixed_int(rng)))
+        def sample(seed, count):
+            return list(map(res, map(rem, _mixed_int(seed, count))))
     r_zero, r_one = res(zero), res(rem(one))
     ops["zero"] = lambda: r_zero
     ops["one"] = lambda: r_one
@@ -250,7 +270,7 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     enumeration = None
     if isinstance(b, int):
         enumeration = tuple(map(res, range(min(abs(b), _ENUMERATION_PREFIX))))
-    dset = DSet(f"{ring.base.name}/({b})", r_eq, seeded(draw), enumeration, variants)
+    dset = DSet(f"{ring.base.name}/({b})", r_eq, sample, enumeration, variants)
     return StructureInstance(Kind.COMMUTATIVE_RING, dset, ops, f"{ring.name}/({b})")
 
 

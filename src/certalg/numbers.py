@@ -16,7 +16,7 @@ from operator import index
 
 from .errors import InvalidInputError, ParseError, StructuralError
 from .kernel import NO, YES
-from .structures import DSet, Kind, StructureInstance, below, seeded
+from .structures import DSet, Kind, StructureInstance
 
 # the most digits int <-> str converts; 0 (no limit) before Python 3.10.7
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -143,37 +143,58 @@ def _value_eq(a, b):
     return YES if a == b else NO
 
 
-def _mixed_int(rng: random.Random) -> int:
-    r = rng.random()
-    if r < 0.6:
-        return -20 + below(rng, 41)
-    if r < 0.9:
-        return -10**4 + below(rng, 2 * 10**4 + 1)
-    return -(2**63) + below(rng, 2**64)
+def _mixed_int(seed, count) -> list:
+    """The int stream: count draws from random.Random(seed), each small (60%),
+    medium (30%) or 64-bit (10%), with below()'s getrandbits words: 6, 15 and
+    65 bits wide, redrawn until below 41, 20,001 and 2^64."""
+    rng = random.Random(seed)
+    rand, bits = rng.random, rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = rand()
+        if r < 0.6:
+            v = bits(6)
+            while v >= 41:
+                v = bits(6)
+            append(v - 20)
+        elif r < 0.9:
+            v = bits(15)
+            while v > 20000:
+                v = bits(15)
+            append(v - 10**4)
+        else:
+            v = bits(65)
+            while v >> 64:
+                v = bits(65)
+            append(v - 2**63)
+    return out
 
 
 @lru_cache(maxsize=None)
 def int_dset() -> DSet:
     enum = (0,) + tuple(v for k in range(1, 17) for v in (k, -k))
-    return DSet("int", _value_eq, seeded(_mixed_int), enumeration=enum)
+    return DSet("int", _value_eq, _mixed_int, enumeration=enum)
 
 
 @lru_cache(maxsize=None)
 def nat_dset() -> DSet:
-    return DSet("nat", _value_eq, seeded(lambda rng: abs(_mixed_int(rng))),
+    return DSet("nat", _value_eq, lambda seed, count: list(map(abs, _mixed_int(seed, count))),
                 enumeration=tuple(range(33)))
 
 
 @lru_cache(maxsize=None)
 def pos_nat_dset() -> DSet:
-    return DSet("nat>=1", _value_eq, seeded(lambda rng: abs(_mixed_int(rng)) + 1),
-                enumeration=tuple(range(1, 34)))
+    def sample(seed, count):
+        return list(map((1).__add__, map(abs, _mixed_int(seed, count))))
+    return DSet("nat>=1", _value_eq, sample, enumeration=tuple(range(1, 34)))
 
 
 @lru_cache(maxsize=None)
 def bin_dset() -> DSet:
-    return DSet("bin", _value_eq, seeded(lambda rng: to_bin(abs(_mixed_int(rng)))),
-                enumeration=tuple(to_bin(n) for n in range(17)))
+    def sample(seed, count):
+        return list(map(to_bin, map(abs, _mixed_int(seed, count))))
+    return DSet("bin", _value_eq, sample, enumeration=tuple(to_bin(n) for n in range(17)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import types
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -149,3 +150,28 @@ def test_a_spread_past_its_bound_is_unresolved_unless_every_run_beats_every_run(
     # a gain and a worse median keep their rules
     assert _verdicts([200.0] * 10, parent=wide)["rate_per_s"] == "gain"
     assert _verdicts([70.0] * 10, parent=wide)["rate_per_s"] == "worse"
+
+
+def test_a_record_says_whether_the_bytecode_cache_was_on(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    result = json.loads(FIXTURE[0]["result"])
+
+    def run(argv, **kwargs):  # both the git call and the perfbench run
+        return types.SimpleNamespace(stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    off = bench_record.record(tmp_path, "parent", "laws", 1)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    on = bench_record.record(tmp_path, "change", "laws", 1)
+    assert (off["bytecode_cache"], on["bytecode_cache"], on["src_lines"]) == (False, True, 1)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps([off, on]))
+    assert bench_record.main(["--compare", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["parent     bytecode_cache False", "change     bytecode_cache True"]
+    # a file written before the field reads back as it did
+    path.write_text(json.dumps(FIXTURE))
+    assert bench_record.main(["--compare", str(path)]) == 0
+    assert "bytecode_cache" not in capsys.readouterr().out

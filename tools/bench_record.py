@@ -7,11 +7,13 @@ The first form runs the checkout's own `perfbench/run.py --workload W --seed S`
 (at its default length) from DIR, default this repository, and appends one
 record to FILE, a JSON list: the label, the commit, the workload, the seed,
 the run's last stdout line verbatim, the family rates (`*_per_s`) from its
-stderr table, the line count of DIR/src, the Python version and
-os.cpu_count(). To compare two checkouts, record them alternately, with the
-same seeds.
+stderr table, the line count of DIR/src, the Python version,
+os.cpu_count() and bytecode_cache: false when PYTHONDONTWRITEBYTECODE is set,
+so that the run compiled src without a cache. To compare two checkouts,
+record them alternately, with the same seeds.
 
-The second form prints, per workload and metric (the run's metrics, the
+The second form prints each label's bytecode_cache values, where its records
+have the field, then, per workload and metric (the run's metrics, the
 family rates and src_lines), each label's median [q1, q3] over its runs,
 then the ratio of the last label's median to the first label's, the last
 label's wins over the pairs, a pair being one run of each label on the same
@@ -63,7 +65,8 @@ def record(root: Path, label: str, workload: str, seed: int) -> dict:
     return {"label": label, "commit": _commit(root), "workload": workload, "seed": seed,
             "result": proc.stdout.strip().splitlines()[-1], "families": families,
             "src_lines": _src_lines(root), "python": platform.python_version(),
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(),
+            "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def _metrics(rec: dict) -> dict:
@@ -138,6 +141,15 @@ def summarize(records, bound_of=None) -> list:
     return rows
 
 
+def _print_modes(records):
+    modes = {}
+    for r in records:
+        if "bytecode_cache" in r:
+            modes.setdefault(r["label"], set()).add(r["bytecode_cache"])
+    for lb, seen in modes.items():
+        print(f"{lb:10} bytecode_cache {'/'.join(map(str, sorted(seen)))}")
+
+
 def _print(rows):
     for row in rows:
         print(f"{row['workload']} {row['metric']}")
@@ -159,7 +171,9 @@ def main(argv=None):
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     if args.compare:
-        _print(summarize(json.loads(args.compare.read_text()), bounds()))
+        records = json.loads(args.compare.read_text())
+        _print_modes(records)
+        _print(summarize(records, bounds()))
         return 0
     if None in (args.label, args.workload, args.seed, args.out):
         p.error("recording needs --label, --workload, --seed and --out")
