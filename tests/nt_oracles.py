@@ -4,7 +4,8 @@ trial_is_prime and trial_factor are the trial-division routines the library
 used before primality got certificates; sieve and strong_probable_prime are
 independent of both. bezout_holds is the Bezout certificate's three
 equations, sort_holds a sort certificate's conditions and order_mod the
-multiplicative order, for the small-scope tests of the verifiers.
+multiplicative order, for the small-scope tests of the verifiers. mixed_int
+is one draw of the library's int stream, written with randrange.
 """
 
 import math
@@ -76,6 +77,16 @@ def next_prime(n):
     while not strong_probable_prime(n):
         n += 1
     return n
+
+
+def mixed_int(rng):
+    """One int drawn from rng: small (60%), medium (30%) or 64-bit (10%)."""
+    r = rng.random()
+    if r < 0.6:
+        return rng.randrange(-20, 21)
+    if r < 0.9:
+        return rng.randrange(-10**4, 10**4 + 1)
+    return rng.randrange(-2**63, 2**63)
 
 
 def bezout_holds(a, b, g, u, v, qa, qb):

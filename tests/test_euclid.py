@@ -426,6 +426,14 @@ def test_native_residue_ops_agree_with_the_generic_route(ring):
                 assert fast.ops["add"](x, y) == slow.ops["add"](x, y)
                 assert fast.ops["mul"](x, y) == slow.ops["mul"](x, y)
                 assert fast.base.eq(x, y).holds == slow.base.eq(x, y).holds
+    # every row of the product tables, not only the enumerated prefix
+    for b in (97, 255, 256, -256):
+        fast, slow = residue_ring(ring, b), residue_ring(generic, b)
+        elems = [fast.ops["from_int"](v) for v in range(abs(b))]
+        for x in elems:
+            assert fast.ops["neg"](x) == slow.ops["neg"](x)
+            assert [fast.ops["add"](x, y) for y in elems] == [slow.ops["add"](x, y) for y in elems]
+            assert [fast.ops["mul"](x, y) for y in elems] == [slow.ops["mul"](x, y) for y in elems]
     assert calls["div_mod"] > 0
 
 
@@ -458,7 +466,12 @@ def _op_results(zr):
     out = [(ops["zero"](), 0), (ops["one"](), 1)]
     out += [(x, x.value) for x in xs + list(zr.base.enumeration)]
     out += [(ops["from_int"](v), v % m) for v in (-m - 3, -1, 0, 5, 3 * m + 2)]
-    for x, y in zip(xs, xs[1:]):
+    # operands outside [0, m): past the op tables, or read from their ends
+    b = ops["one"]().modulus
+    odd = [Residue(b, v) for v in (-m - 1, -1, m, 2 * m + 1, m * m, 10**30, True)]
+    pairs = list(zip(xs, xs[1:])) + [(x, y) for x in odd for y in odd + xs[:2]]
+    pairs += [(x, y) for x in xs[:2] for y in odd]
+    for x, y in pairs:
         out += [(ops["add"](x, y), (x.value + y.value) % m),
                 (ops["mul"](x, y), x.value * y.value % m),
                 (ops["neg"](x), -x.value % m)]

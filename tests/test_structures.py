@@ -12,9 +12,11 @@ from certalg.kernel import Decision
 from certalg.laws import _law_seed, _laws_for, check_laws, recheck_failure
 from certalg.structures import (DSet, GROUP_LIKE_KINDS, Kind, RING_LIKE_KINDS, StructureInstance,
                                 _ROLES, ancestors, below, multiplicative_monoid, validate_instance)
-from certalg.numbers import (int_add_group, int_dset, nat_add_monoid, nat_dset,
-                             nat_monus_semigroup)
-from certalg.euclid import int_ring
+from certalg.numbers import (bin_dset, int_add_group, int_dset, nat_add_monoid, nat_dset,
+                             nat_monus_semigroup, pos_nat_dset, to_bin)
+from certalg.euclid import Residue, int_ring, residue_ring
+from nt_oracles import mixed_int
+from roles import without_roles
 
 
 # ============================================================
@@ -363,6 +365,26 @@ def test_below_draws_what_randrange_draws():
         with pytest.raises(ValueError):
             theirs.randrange(n)
     assert ours.getstate() == theirs.getstate()
+
+
+def test_the_int_stream_draws_what_randrange_draws():
+    # int_dset's sample is one loop over the words that below() would draw;
+    # the other int-fed carriers map its list
+    generic = without_roles(int_ring(), "native_int")
+    mapped = [(nat_dset(), abs), (pos_nat_dset(), lambda v: abs(v) + 1),
+              (bin_dset(), lambda v: to_bin(abs(v)))]
+    mapped += [(residue_ring(r, b).base, lambda v, b=b: Residue(b, v % abs(b)))
+               for r in (int_ring(), generic) for b in (7, -12, 257)]
+    for seed in (1, 2, 12345, 2**31 - 1):
+        for count in (0, 1, 150, 1000):
+            rng = random.Random(seed)
+            want = [mixed_int(rng) for _ in range(count)]
+            assert int_dset().sample(seed, count) == want, (seed, count)
+            for dset, f in mapped:
+                assert dset.sample(seed, count) == list(map(f, want)), (dset.name, seed, count)
+    # check_laws with a negative budget draws an empty pool
+    for dset in (int_dset(), *(d for d, _ in mapped)):
+        assert dset.sample(1, -5) == [], dset.name
 
 
 # ============================================================
