@@ -165,11 +165,14 @@ def residue_ring(ring: StructureInstance, b) -> StructureInstance:
     two distinct residues with equal values.
 
     Over a native_int ring (int_ring(), or a copy of its ops) the ops, the
-    draw and the variants are int arithmetic mod |b|, the to_int/from_int
-    roles expose the quotient map from the integers, and with |b| <= 2^8
-    every residue is built once, with the ring, so the ops hand out shared,
-    immutable objects (hash-consing) instead of a new one per result, read
-    from that table with a subscript. A twin table beside it, built the same
+    sample (the int stream reduced mod |b|) and the variants are int
+    arithmetic, the to_int/from_int roles expose the quotient map from the
+    integers, and with |b| <= 2^8 every residue is built once, with the
+    ring, so the ops hand out shared, immutable objects (hash-consing)
+    instead of a new one per result. Those ops reduce nothing: they read
+    Cayley tables of the interned residues, a doubled table for add, the
+    table itself for neg and one row per residue for mul, and reduce only a
+    value past a table, such as 14 mod 7. A twin table beside it, built the same
     way, holds the variants: the twin of the reduced value, or for a twin
     the interned residue. eq tests identity first, which the interned
     results make a frequent hit. Any other ring goes through its div_mod

@@ -5,6 +5,8 @@ zeros; the empty list is zero. A bit is an integer 0 or 1 (bool included;
 1.0 equals 1 but is no bit). power() raises an element of any monoid
 instance to a natural power by square-and-multiply over the exponent's bit
 list; a monoid with a power role, such as bin-add, does that itself.
+The int stream, _mixed_int, draws a whole sample in one loop; the naturals,
+bin and the residue rings of euclid map its list.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def int_dset() -> DSet:
 
 @lru_cache(maxsize=None)
 def nat_dset() -> DSet:
-    return DSet("nat", _value_eq, lambda seed, count: list(map(abs, _mixed_int(seed, count))),
-                enumeration=tuple(range(33)))
+    def sample(seed, count):
+        return list(map(abs, _mixed_int(seed, count)))
+    return DSet("nat", _value_eq, sample, enumeration=tuple(range(33)))
 
 
 @lru_cache(maxsize=None)

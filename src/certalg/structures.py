@@ -98,8 +98,10 @@ class DSet(Record):
     itself (a Residue of v % |b| in int arithmetic, read from a twin table
     for |b| <= 2^8, mk_fraction(num*2, den*2), mk_poly over the reversed
     terms and a zero term), so its congruence laws catch only an op that
-    tells equal objects apart by identity. The shipped samplers draw their
-    ints with below(rng, n), which draws what rng.randrange(n) does.
+    tells equal objects apart by identity. The shipped samplers draw what
+    randrange would: the int stream (numbers._mixed_int, which the int-fed
+    carriers map) word for word, and the others each bounded int with
+    below(rng, n).
     """
 
     __slots__ = ("name", "eq", "sample", "enumeration", "variants")
