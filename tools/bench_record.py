@@ -8,8 +8,8 @@ The first form runs the checkout's own `perfbench/run.py --workload W --seed S`
 record to FILE, a JSON list: the label, the commit, the workload, the seed,
 the run's last stdout line verbatim, the family rates (`*_per_s`) from its
 stderr table, the line count of DIR/src, the Python version,
-os.cpu_count() and bytecode_cache: false when PYTHONDONTWRITEBYTECODE is set,
-so that the run compiled src without a cache. To compare two checkouts,
+os.cpu_count() and bytecode_cache, false when PYTHONDONTWRITEBYTECODE is set
+(the run then compiled src with no bytecode cache). To compare two checkouts,
 record them alternately, with the same seeds.
 
 The second form prints each label's bytecode_cache values, where its records
